@@ -4,21 +4,19 @@ Times the hot paths of the packed arithmetic pipeline and emits one
 machine-readable artifact so CI can track the perf trajectory over PRs:
 
 * **matmul throughput** across a size grid, for the exact, quantised and
-  DAISM backends — the DAISM rows cover every registered GEMM kernel
-  (``float_table`` default, ``float_table_native`` compiled gather tier,
-  ``uint32_fused`` parity reference, ``blas_factored`` /
-  ``blas_factored_fast`` fast paths) plus
+  DAISM backends — the DAISM rows cover the ``float_table`` default and
+  the ``blas_factored`` / ``blas_factored_fast`` fast paths plus
   the ``auto`` tier router, each timed both with per-call weight packing
   (``raw``) and against a pre-packed weight (``prepared``);
 * **row-budget autotune**: the bench-driven chunk tuning of
   :func:`repro.core.kernels.autotune_row_budget` for the bit-exact
-  tiers, persisted through the on-disk
+  tier, persisted through the on-disk
   :class:`~repro.core.tune_cache.TuneCache` (hit/miss counters and the
   machine fingerprint recorded);
 * **tier certification** (schema v5): the per-config
   :func:`~repro.core.router.certify_fast_path` certificates, the
   measured :func:`~repro.core.router.autotune_tier` decision, and the
-  native-tier status behind ``kernel="auto"``;
+  tier status behind ``kernel="auto"``;
 * **end-to-end network latency**: LeNet inference over a test set under
   the bfloat16 PC3_tr DAISM backend.  The headline ``ms_per_sample`` row
   runs the **compiled execution plan** (:mod:`repro.runtime`) — the
@@ -101,8 +99,6 @@ SCENARIO_INPUTS = {
 #: whatever the machine's default tier resolves to.
 KERNEL_SUITE = (
     "float_table",
-    "float_table_native",
-    "uint32_fused",
     "blas_factored",
     "blas_factored_fast",
     "auto",
@@ -121,9 +117,9 @@ def _best_of(fn, reps: int) -> float:
 
 
 def autotune_rows(quick: bool) -> dict:
-    """Row-budget autotune for both bit-exact tiers, persisted on disk.
+    """Row-budget autotune for the bit-exact tier, persisted on disk.
 
-    Each tier's budget goes through the :class:`TuneCache`: the first
+    The budget goes through the :class:`TuneCache`: the first
     harness run on a machine measures and writes, later runs replay
     (``source == "cache"``) — the counters in the artifact prove which
     happened.
@@ -134,7 +130,7 @@ def autotune_rows(quick: bool) -> dict:
     shape = (64, 128, 64) if quick else (256, 288, 64)
     cache = TuneCache()
     rows = []
-    for kernel in ("float_table", "float_table_native"):
+    for kernel in ("float_table",):
         result = autotune_row_budget(
             kernel=kernel, shape=shape, reps=2 if quick else 3, cache=cache
         )
@@ -691,8 +687,7 @@ def main() -> None:
     certified = sum(1 for c in tiers["certificates"] if c["certified"])
     decision = tiers["autotune_tier"]
     print(
-        f"  tiers: exact tier {tiers['status']['exact_tier']}"
-        f" (native backend: {tiers['status']['native']['backend']}),"
+        f"  tiers: exact tier {tiers['status']['exact_tier']},"
         f" {certified}/{len(tiers['certificates'])} configs certified,"
         f" autotuned {decision['shape_class']} -> {decision['tier']}"
         f" ({decision['source']})"

@@ -10,12 +10,11 @@ row, the script prints the offending rows and exits non-zero.
 Two robustness choices keep shared-runner noise from failing builds:
 
 * only the guarded-tier rows are compared by default (``--kernel
-  float_table,float_table_native,blas_factored`` — the bit-exact hot
-  paths plus the certified fast path; a comma list restricts further,
-  ``--kernel all`` widens to every row).  Rows the baseline lacks —
-  e.g. ``float_table_native`` against a pre-native baseline — are
-  skipped by the join, so the guard tightens automatically as the
-  baseline is regenerated;
+  float_table,blas_factored`` — the bit-exact hot path plus the
+  certified fast path; a comma list restricts further, ``--kernel all``
+  widens to every row).  Rows the baseline lacks are skipped by the
+  join, so the guard tightens automatically as the baseline is
+  regenerated;
 * throughput is **normalised by the same-shape ``exact_float32`` row of
   the same report** before comparing, so absolute machine speed cancels
   out and the guard tracks the kernel's overhead factor over BLAS
@@ -442,10 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--kernel",
-        default="float_table,float_table_native,blas_factored",
+        default="float_table,blas_factored",
         help=(
             "comma-separated kernels whose rows are guarded (default: "
-            "the bit-exact tiers plus the certified fast path; pass "
+            "the bit-exact tier plus the certified fast path; pass "
             "'all' to guard every row)"
         ),
     )

@@ -280,7 +280,7 @@ def _kernel_flag(parser: "argparse.ArgumentParser") -> None:
         default=None,
         help=(
             "GEMM kernel tier: a registered kernel name (e.g. "
-            "float_table_native, blas_factored) or 'auto' for the "
+            "float_table, blas_factored) or 'auto' for the "
             "certified tier router; default is the bit-exact default tier"
         ),
     )
@@ -374,11 +374,9 @@ def serve_bench(argv: list[str]) -> int:
         f" max_batch={report['max_batch']}, delay budget {report['max_delay_ms']} ms,"
         f" policy={report['policy']}"
     )
-    native = report["native_tier"]
     print(
         f"  tier: kernel={report['kernel']}"
         f" -> plan kernels {', '.join(report['plan_kernels']) or '-'}"
-        f" (native backend: {native['backend']})"
     )
     load = report["load"]
     print(
@@ -486,11 +484,9 @@ def fleet_bench(argv: list[str]) -> int:
         f" queue {report['max_queue_samples']} samples, SLA {report['sla_ms']} ms,"
         f" shards={report['shards']}, policy={report['policy']}"
     )
-    native = report["native_tier"]
     print(
         f"  tier: kernel={report['kernel']}"
         f" -> plan kernels {', '.join(report['plan_kernels']) or '-'}"
-        f" (native backend: {native['backend']})"
     )
     print(
         f"  offered {report['offered_requests']} requests @"
@@ -609,7 +605,6 @@ def trace_replay(argv: list[str]) -> int:
         f"  SLA (ms): "
         + ", ".join(f"{m}={v}" for m, v in report["sla_ms"].items())
         + f" | batch cap {report['max_batch']}"
-        f" (byte-stable window {report['byte_stable_window']})"
     )
     for arm in ("static", "cost_model"):
         row = report[arm]

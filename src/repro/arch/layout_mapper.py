@@ -42,7 +42,7 @@ class MappingResult:
     layer: ConvLayer
     banks: int
     pes_per_row: int
-    rows_total: int
+    element_rows: int
     rows_per_bank_max: int
     cycles: int
     macs: int
@@ -253,7 +253,7 @@ def map_layer(
         layer=layer,
         banks=banks,
         pes_per_row=pes_per_row,
-        rows_total=len(rows),
+        element_rows=len(rows),
         rows_per_bank_max=rows_per_bank_max,
         cycles=cycles,
         macs=macs,

@@ -62,7 +62,7 @@ def preload_analysis(
 
     # Loading writes every logical line of every element row, once per pass.
     lines = design.layout.logical_lines
-    load_writes = mapping.rows_total * lines * mapping.passes
+    load_writes = mapping.element_rows * lines * mapping.passes
     compute_reads = mapping.total_activations * mapping.passes * batch
 
     side = design.side_bits

@@ -169,8 +169,8 @@ class FaultyKernel(GemmKernel):
     def supports(self, fmt, config) -> bool:
         return self.inner.supports(fmt, config)
 
-    def run(self, pa, pb, config, k_chunk):
-        return self.inner.run(pa, corrupt_packed(pb, self.faults), config, k_chunk)
+    def run(self, pa, pb, config):
+        return self.inner.run(pa, corrupt_packed(pb, self.faults), config)
 
 
 def wrap_plan_kernels(plan, faults: FaultModel):

@@ -37,7 +37,6 @@ from .kernels import (
     shape_class,
     table_cache_counters,
 )
-from .native import native_active, native_available, native_status
 from .router import (
     TierCertificate,
     TierDecision,
@@ -100,9 +99,6 @@ __all__ = [
     "select_kernel",
     "shape_class",
     "table_cache_counters",
-    "native_active",
-    "native_available",
-    "native_status",
     "TierCertificate",
     "TierDecision",
     "autotune_tier",

@@ -40,11 +40,12 @@ import numpy as np
 from ..formats.floatfmt import FLOAT32, FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from .config import MultiplierConfig
-from .kernels import default_k_chunk, select_kernel
+from .kernels import select_kernel
 from .router import route_kernel
 
 __all__ = [
     "approx_matmul",
+    "dense_matmul",
     "MatmulBackend",
     "ExactMatmul",
     "QuantizedMatmul",
@@ -68,7 +69,6 @@ def approx_matmul(
     b: np.ndarray | PackedTensor,
     fmt: FloatFormat,
     config: MultiplierConfig,
-    k_chunk: int | None = None,
     kernel: str | None = None,
 ) -> np.ndarray:
     """``a @ b`` with every scalar product computed approximately.
@@ -87,10 +87,6 @@ def approx_matmul(
         must have been packed to the same format.
     config:
         Multiplier configuration (Table I).
-    k_chunk:
-        Reduction chunk size; defaults to a memory-bounded choice
-        computed from the *total* row count, so a batched call is
-        bit-identical to the same rows flattened into one 2-D GEMM.
     kernel:
         Registered kernel name (see :func:`repro.core.kernels.kernel_names`);
         ``None`` selects the bit-exact default for ``fmt``, ``"auto"``
@@ -99,8 +95,9 @@ def approx_matmul(
 
     Returns
     -------
-    ``(M, N)`` (or ``(B, M, N)``) float32 result, accumulated exactly in
-    float32.
+    ``(M, N)`` (or ``(B, M, N)``) float32 result, accumulated in float32
+    strictly left to right over K, so each row's bits are independent of
+    the other rows in the call.
     """
     pa = _as_packed(a, fmt, "a")
     pb = _as_packed(b, fmt, "b")
@@ -111,16 +108,34 @@ def approx_matmul(
     if batched:
         batch, m, k = pa.shape
         pa = pa.reshape(batch * m, k)
-    rows, _ = pa.shape
+    rows, k = pa.shape
     n = pb.shape[1]
-    if k_chunk is None:
-        k_chunk = default_k_chunk(rows, n)
-
-    found = route_kernel(fmt, config, kernel, shape=(rows, pa.shape[1], n))
-    out = found.run(pa, pb, config, k_chunk)
+    found = route_kernel(fmt, config, kernel, shape=(rows, k, n))
+    out = found.run(pa, pb, config)
     if batched:
         return out.reshape(batch, m, n)
     return out
+
+
+#: Height of every BLAS call :func:`dense_matmul` makes.
+DENSE_BLOCK_ROWS = 64
+
+
+def dense_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float32 operands, with batch-invariant rows.
+
+    BLAS picks its kernel — and so the accumulation order of a row —
+    from the shape of the call (numpy sends a single row to ``gemv``).
+    Running every row through a call of exactly
+    :data:`DENSE_BLOCK_ROWS` rows (the tail zero-padded) keeps each
+    row's bits independent of how many rows share the product.
+    """
+    m, k = a.shape
+    blocks = -(-m // DENSE_BLOCK_ROWS)
+    padded = np.zeros((blocks * DENSE_BLOCK_ROWS, k), dtype=np.float32)
+    padded[:m] = a
+    out = np.matmul(padded.reshape(blocks, DENSE_BLOCK_ROWS, k), b)
+    return out.reshape(blocks * DENSE_BLOCK_ROWS, b.shape[1])[:m]
 
 
 def _flatten_batch(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -173,7 +188,7 @@ class ExactMatmul(MatmulBackend):
     """Plain float32 matmul — the paper's exact baseline.
 
     Stateless; both operands are cast to float32 and multiplied with
-    ``numpy.matmul``.  Batched inputs are flattened into the row
+    :func:`dense_matmul`.  Batched inputs are flattened into the row
     dimension so the result is bit-identical to the 2-D call.
     """
 
@@ -184,7 +199,7 @@ class ExactMatmul(MatmulBackend):
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         flat, batch = _flatten_batch(a)
-        out = flat @ b
+        out = dense_matmul(flat, b)
         return out.reshape(*batch, -1) if batch else out
 
     def prepare(self, b: np.ndarray) -> np.ndarray:
@@ -209,7 +224,7 @@ class QuantizedMatmul(MatmulBackend):
 
     ``kernel=None`` (or ``"auto"`` — exact products have no faster
     certified tier than BLAS itself) multiplies the quantised dense
-    values with ``numpy.matmul`` (BLAS).  A named kernel routes the
+    values with :func:`dense_matmul` (BLAS).  A named kernel routes the
     products through the registered packed kernel with an *exact*
     significand multiplier (``config=None``) instead — the
     conventional-multiplier datapath, whose products are re-normalised
@@ -244,15 +259,12 @@ class QuantizedMatmul(MatmulBackend):
             if batched:
                 batch, m, k = pa.shape
                 pa = pa.reshape(batch * m, k)
-            rows, _ = pa.shape
-            n = pb.shape[1]
-            k_chunk = default_k_chunk(rows, n)
-            out = select_kernel(self.fmt, None, self.kernel).run(pa, pb, None, k_chunk)
-            return out.reshape(batch, m, n) if batched else out
+            out = select_kernel(self.fmt, None, self.kernel).run(pa, pb, None)
+            return out.reshape(batch, m, -1) if batched else out
         aq = self._dense(a, "a")
         bq = self._dense(b, "b")
         flat, batch = _flatten_batch(aq)
-        out = flat @ bq
+        out = dense_matmul(flat, bq)
         return out.reshape(*batch, -1) if batch else out
 
     def prepare(self, b: np.ndarray) -> PackedTensor:
@@ -276,22 +288,18 @@ class ApproxMatmul(MatmulBackend):
         headline configuration uses bfloat16).
     config:
         Multiplier configuration (e.g. ``PC3_TR``).
-    k_chunk:
-        Optional K-dimension tile size for :func:`approx_matmul`'s
-        accumulation loop; ``None`` lets the kernel pick.
     kernel:
         Registered kernel name; ``None`` selects the bit-exact default
-        tier (``float_table_native``/``float_table`` for tabulated
-        widths).  ``"blas_factored"`` opts into the BLAS fast path with
-        its documented parity tolerance (see
-        :class:`repro.core.kernels.BlasFactoredKernel`); ``"auto"`` lets
+        tier (``float_table`` for tabulated widths).  ``"blas_factored"``
+        opts into the BLAS fast path with its documented parity
+        tolerance (see :class:`repro.core.kernels.BlasFactoredKernel`);
+        ``"auto"`` lets
         the certified tier router pick per shape
         (:func:`repro.core.router.route_kernel`).
     """
 
     fmt: FloatFormat
     config: MultiplierConfig
-    k_chunk: int | None = None
     kernel: str | None = None
 
     @property
@@ -301,9 +309,7 @@ class ApproxMatmul(MatmulBackend):
 
     def matmul(self, a, b) -> np.ndarray:
         """DAISM approximate product (see :func:`approx_matmul`)."""
-        return approx_matmul(
-            a, b, self.fmt, self.config, k_chunk=self.k_chunk, kernel=self.kernel
-        )
+        return approx_matmul(a, b, self.fmt, self.config, kernel=self.kernel)
 
     def prepare(self, b: np.ndarray) -> PackedTensor:
         """Quantise + decompose a static operand once (see ``pack``)."""

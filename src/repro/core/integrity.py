@@ -166,13 +166,12 @@ def _probe_digest(fmt, config, kernel) -> str:
     the bit-exactness contract (and deterministic within a process even
     for the non-bit-exact factored tiers).
     """
-    from ..core.kernels import default_k_chunk
     from ..formats.packed import pack
 
     rng = np.random.default_rng(0xC0FFEE)
     a = rng.standard_normal((8, 32)).astype(np.float32)
     b = rng.standard_normal((32, 16)).astype(np.float32)
-    out = kernel.run(pack(a, fmt), pack(b, fmt), config, default_k_chunk(8, 16))
+    out = kernel.run(pack(a, fmt), pack(b, fmt), config)
     return checksum_value(out)
 
 

@@ -7,36 +7,21 @@ float32 product matrix; which kernel runs is selected by name through
 :func:`select_kernel` (plumbed up through ``approx_matmul`` and the
 ``nn`` backend seam).
 
-Six kernels are built in:
+Four kernels are built in:
 
-``float_table`` (bit-exact reference tier for table-supported widths)
+``float_table`` (bit-exact default for table-supported widths)
     The float-domain value-table kernel.  A bfloat16-style product is
     ``(s_a 2^ea) * (s_b 2^eb) * V0[ma, mb]`` where ``V0`` is a
     ``2^bits x 2^bits`` float32 table of *normalised significand product
     values* (the one-position normalisation bump folded in, so entries
     lie in ``[1, 4)``).  Per element the kernel does one table gather
-    and two multiplies by the cached per-operand scale planes — roughly
-    a quarter of the passes of the ``uint32_fused`` pipeline it
-    replaces, and bit-identical to it by construction: scale products
-    are exact powers of two, the gathered value has at most
+    and two multiplies by the cached per-operand scale planes, and is
+    bit-identical to the scalar ``core.mantissa`` pipeline: scale
+    products are exact powers of two, the gathered value has at most
     ``significand_bits + 1`` significant bits, overflow to inf falls out
     of float32 naturally (bfloat16 and float32 share ``emax``), and a
-    cheap subnormal-flush mask reproduces the datapath's
-    flush-to-zero underflow exactly.
-
-``float_table_native`` (bit-exact default when numba is installed)
-    The same one-gather algorithm compiled to a cache-blocked,
-    ``prange``-multithreaded scalar loop nest via numba
-    (:mod:`repro.core.native`).  Byte-identical to ``float_table`` by
-    the shared accumulation association; on boxes without numba (or
-    with ``REPRO_DISABLE_NATIVE=1``) every call silently delegates to
-    ``float_table``, so the tier is always safe to select.
-
-``uint32_fused``
-    The previous default: gather a fused uint32 entry (fraction bits,
-    exponent bump, nonzero flag) and re-assemble float32 bit patterns
-    with integer ops.  Kept as the parity reference and for the perf
-    trajectory in ``BENCH_perf.json``.
+    cheap subnormal-flush mask reproduces the datapath's flush-to-zero
+    underflow exactly.
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -44,7 +29,7 @@ Six kernels are built in:
     The ``mu`` outer term is exactly the quantised dense operands, so it
     routes through ``numpy.matmul`` (BLAS); the correction contracts a
     rank-``r`` SVD factorisation of ``E`` as ``r`` extra BLAS columns.
-    One to two orders of magnitude faster than the gather kernels, but
+    One to two orders of magnitude faster than the gather kernel, but
     *not* bit-identical: see :class:`BlasFactoredKernel` for the
     documented parity contract.
 
@@ -59,13 +44,16 @@ Six kernels are built in:
     The per-element FP pipeline for significand widths too wide to
     tabulate (e.g. float32 operands).
 
-Chunking policy: the K-dimension split (``default_k_chunk``) is pinned
-to the historical ``2^22``-element budget because float32 accumulation
-order — and therefore the bit-exact output contract — depends on where
-the reduction is split.  The *row*-block size is the free performance
-parameter: output rows are independent, so any row blocking yields
-bit-identical results, and :func:`autotune_row_budget` tunes it from a
-micro-benchmark (the perf harness drives this and records the choice).
+Accumulation order: the bit-exact kernels sum every output element
+strictly left to right over K in float32, ``((0 + p_0) + p_1) + ...``,
+exactly as the array's accumulator does.  Tiling never touches that
+order — each K chunk folds the running total into its first term, and
+the remaining terms are reduced one K slice at a time — so K-chunk size,
+row block, orientation, shard count and batch size are all bit-neutral,
+and one sample's output never depends on what shares its batch.  Each
+kernel picks its tiling from the GEMM shape and the row-block budget,
+which :func:`autotune_row_budget` tunes from a micro-benchmark (the perf
+harness drives this and records the choice).
 
 All product tables are built once per ``(bits, config)`` and cached;
 :func:`table_cache_counters` exposes hit/miss counts alongside the
@@ -86,14 +74,11 @@ from ..formats.packed import PackedTensor
 from . import integrity
 from .config import MultiplierConfig
 from .fp_mul import _normalise, significand_product
-from .native import jit_gather, native_active, native_status
 from .tables import table_supported
 
 __all__ = [
     "GemmKernel",
     "FloatTableKernel",
-    "NativeGatherKernel",
-    "FusedTableKernel",
     "BlasFactoredKernel",
     "GenericKernel",
     "UnknownKernelError",
@@ -106,13 +91,11 @@ __all__ = [
     "shape_class",
     "SHAPE_CLASSES",
     "value_table",
-    "fused_table",
     "factored_tables",
     "table_cache_counters",
     "reset_table_cache_counters",
     "peek_table",
     "install_table",
-    "default_k_chunk",
     "row_block_budget",
     "set_row_budget",
     "reset_tuned_budgets",
@@ -124,30 +107,12 @@ __all__ = [
 # Chunking policy
 # --------------------------------------------------------------------------
 
-#: K-split budget (elements of the (rows, k_chunk, n) block).  Pinned:
-#: changing it would regroup the float32 accumulation and change output
-#: bits, so it is part of the bit-exact kernel contract, not a perf knob.
-K_CHUNK_BUDGET = 1 << 22
-
-#: Default row-block budget (elements of the (row_block, k_chunk, n)
-#: working set).  This is the tunable performance parameter — row blocks
-#: are bit-neutral — and :func:`autotune_row_budget` overrides it per
-#: kernel.
+#: Default row-block budget (elements of one ``(row_block, k_step, n)``
+#: tile).  The tunable performance parameter — tiling is bit-neutral —
+#: and :func:`autotune_row_budget` overrides it per kernel.
 DEFAULT_ROW_BUDGET = 1 << 18
 
 _ROW_BUDGETS: dict[str, int] = {}
-
-
-def default_k_chunk(rows: int, n: int, budget_elems: int = K_CHUNK_BUDGET) -> int:
-    """Reduction-chunk size keeping the (rows, chunk, n) block under budget.
-
-    The formula (and its ``2^22`` budget) is frozen: the K split decides
-    how the float32 accumulation is grouped, so it is part of the
-    bit-exact output contract shared by ``float_table`` and
-    ``uint32_fused``.  Row blocking, not K chunking, is the tuned knob.
-    """
-    per_k = max(1, rows * n)
-    return max(1, budget_elems // per_k)
 
 
 def row_block_budget(kernel_name: str) -> int:
@@ -167,9 +132,40 @@ def reset_tuned_budgets() -> None:
     _ROW_BUDGETS.clear()
 
 
-def _row_block(kernel_name: str, k_chunk: int, k: int, n: int) -> int:
+#: Rows a tile spans before K is split to fit the row budget.  In the
+#: transposed orientation the rows are the inner SIMD axis, so narrow
+#: tiles would run the gathers and the K-sum in short inner loops.
+TILE_ROWS = 1024
+
+
+def _tiling(kernel_name: str, m: int, k: int, n: int) -> tuple[int, int]:
+    """``(k_step, row_block)`` keeping one ``(rows, k_step, n)`` tile in budget.
+
+    A speed choice, not part of the output contract: :func:`_accumulate`
+    sums in the same order whatever the tile.
+    """
     budget = row_block_budget(kernel_name)
-    return max(1, budget // max(1, min(k, k_chunk) * n))
+    n = max(1, n)
+    rows = max(1, min(m, TILE_ROWS))
+    k_step = max(1, min(k, budget // (rows * n)))
+    return k_step, max(1, budget // (k_step * n))
+
+
+def _accumulate(values: np.ndarray, acc: np.ndarray) -> None:
+    """``acc <- ((acc + values[:, 0]) + values[:, 1]) + ...`` in float32.
+
+    ``values`` is a ``(rows, k_step, cols)`` tile of products and
+    ``acc`` the ``(rows, cols)`` running total, updated in place.  With
+    the total folded into the first term, numpy reduces the non-innermost
+    K axis one slice at a time — strictly left to right.  A width-1
+    inner axis would make K the innermost axis, which numpy sums
+    pairwise, so that case runs an accumulate instead.
+    """
+    values[:, 0] += acc
+    if values.shape[2] > 1:
+        np.add.reduce(values, axis=1, out=acc)
+    else:
+        acc[...] = np.add.accumulate(values, axis=1)[:, -1]
 
 
 #: Coarse problem-size classes the tier router and tune cache key on.
@@ -216,7 +212,7 @@ _TABLE_LOCK = threading.RLock()
 def table_cache_counters() -> dict[str, int]:
     """Snapshot of the kernel-table cache hit/miss counters.
 
-    A *miss* means a table (fused uint32, float value, or factored
+    A *miss* means a table (float value, transposed value, or factored
     correction) was built from scratch; a *hit* means a cached table was
     reused.  Complements :func:`repro.formats.packed.packing_counters`:
     together they prove a steady-state hot path does zero table-rebuild
@@ -299,30 +295,6 @@ def _normalised_products(
         truncated = config.truncated
     sig, bump = _normalise(product, np.zeros_like(product, dtype=np.int64), bits, truncated)
     return sig, bump.astype(np.int32), product != 0
-
-
-def fused_table(bits: int, config: MultiplierConfig | None) -> np.ndarray:
-    """Pre-computed uint32 normalise+compose entries for every pair.
-
-    Entry layout, indexed ``[ma, mb]``: bits 0..22 hold the float32
-    fraction field of the normalised product (already shifted into
-    container position), bit 23 the exponent bump from normalisation
-    overflow, bit 24 a nonzero flag.  A gather from this table is
-    bit-identical to the per-element FP back end it replaces.
-    """
-
-    def build() -> np.ndarray:
-        sig, bump, nonzero = _normalised_products(bits, config)
-        mantissa_bits = bits - 1
-        frac = (
-            (sig & np.uint64((1 << mantissa_bits) - 1)) << np.uint64(23 - mantissa_bits)
-        ).astype(np.uint32)
-        entry = frac | (bump.astype(np.uint32) << np.uint32(23))
-        entry |= nonzero.astype(np.uint32) << np.uint32(24)
-        entry.setflags(write=False)
-        return entry
-
-    return _cached((bits, *_config_key(config), "fused"), build)
 
 
 def value_table(bits: int, config: MultiplierConfig | None) -> np.ndarray:
@@ -457,7 +429,6 @@ class GemmKernel:
         pa: PackedTensor,
         pb: PackedTensor,
         config: MultiplierConfig | None,
-        k_chunk: int,
     ) -> np.ndarray:
         """Compute the product of 2-D packed operands."""
         raise NotImplementedError
@@ -467,24 +438,24 @@ class GemmKernel:
 
 
 #: Gather via flat ``take`` (with a reusable index buffer) below this
-#: many elements per (k_chunk x n) tile; plain fancy indexing above.
+#: many elements per (k_step x n) tile; plain fancy indexing above.
 _TAKE_TILE_LIMIT = 1024
 
 
 class FloatTableKernel(GemmKernel):
     """One-gather float-domain kernel (the bit-exact default).
 
-    Per K-chunk and row block the kernel gathers ``V0[ma, mb]`` and
-    multiplies in the two scale planes.  When operand exponents are
-    comfortably inside the float32 range (the *safe* regime — always
-    true for well-conditioned DNN tensors) every intermediate is exact
-    and the three passes can run in-place in any order.  Otherwise it
-    falls back to computing the exact power-of-two ``scale_a * scale_b``
-    first (so overflow saturates exactly like ``compose``) and applies a
-    subnormal-flush mask replacing the emin branch of the uint32
-    pipeline; overflow to inf needs no mask because bfloat16 and float32
-    share ``emax``.  Both regimes are bit-identical to ``uint32_fused``
-    and to the scalar reference.
+    Per tile the kernel gathers ``V0[ma, mb]`` and multiplies in the two
+    scale planes.  When operand exponents are comfortably inside the
+    float32 range (the *safe* regime — always true for well-conditioned
+    DNN tensors) every intermediate is exact and the three passes can
+    run in-place in any order.  Otherwise it falls back to computing the
+    exact power-of-two ``scale_a * scale_b`` first (so overflow
+    saturates exactly like ``compose``) and applies a subnormal-flush
+    mask for the datapath's emin branch; overflow to inf needs no mask
+    because bfloat16 and float32 share ``emax``.  Both regimes are
+    bit-identical to the scalar reference, including its NaN where an
+    output sums ``+inf`` and ``-inf`` products.
     """
 
     name = "float_table"
@@ -536,24 +507,22 @@ class FloatTableKernel(GemmKernel):
                 bits,
             )
 
-    def run(self, pa, pb, config, k_chunk):
-        """Gather-and-scale product, row-blocked and K-chunked.
+    def run(self, pa, pb, config):
+        """Gather-and-scale product, tiled over rows and K.
 
         Tall-skinny problems (``m >= TRANSPOSE_ASPECT * n``, the shape of
         batched conv/fc layers) run in a transposed orientation whose
         inner SIMD axis is the long row dimension; the reduction order
-        over K is unchanged, so both orientations produce identical
-        bits.
+        over K is the same, so both orientations produce identical bits.
         """
-        fmt = pa.fmt
         m, k = pa.shape
         n = pb.shape[1]
         masks = self._range_masks(pa, pb)
         f32_exact = masks[0]
         if f32_exact and m >= self.TRANSPOSE_ASPECT * max(1, n):
-            return self._run_transposed(pa, pb, config, k_chunk, masks)
+            return self._run_transposed(pa, pb, config, masks)
 
-        table = value_table(fmt.significand_bits, config)
+        table = value_table(pa.fmt.significand_bits, config)
         flat = table.reshape(-1)
         width = np.intp(table.shape[0])
         mai = pa.significand.astype(np.intp)
@@ -561,16 +530,16 @@ class FloatTableKernel(GemmKernel):
         alpha, beta = pa.scale(), pb.scale()
 
         out = np.zeros((m, n), dtype=np.float32)
-        row_block = _row_block(self.name, k_chunk, k, n)
-        use_take = min(k, k_chunk) * n <= _TAKE_TILE_LIMIT
+        k_step, row_block = _tiling(self.name, m, k, n)
+        use_take = k_step * n <= _TAKE_TILE_LIMIT
         if use_take:
-            idx_buf = np.empty((row_block, min(k, k_chunk), n), dtype=np.intp)
-            val_buf = np.empty((row_block, min(k, k_chunk), n), dtype=np.float32)
-        with np.errstate(over="ignore"):
+            idx_buf = np.empty((row_block, k_step, n), dtype=np.intp)
+            val_buf = np.empty((row_block, k_step, n), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
             for r0 in range(0, m, row_block):
                 r1 = min(m, r0 + row_block)
-                for c0 in range(0, k, k_chunk):
-                    c1 = min(k, c0 + k_chunk)
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
                     if use_take and (r1 - r0, c1 - c0) == idx_buf.shape[:2]:
                         idx = np.multiply(mai[r0:r1, c0:c1, None], width, out=idx_buf)
                         idx += mbi[None, c0:c1, :]
@@ -586,18 +555,16 @@ class FloatTableKernel(GemmKernel):
                         scaled *= values
                         values = scaled
                     self._apply_masks(values, *masks[1:])
-                    out[r0:r1] += values.sum(axis=1, dtype=np.float32)
+                    _accumulate(values, out[r0:r1])
         return out
 
-    def _run_transposed(self, pa, pb, config, k_chunk, masks):
+    def _run_transposed(self, pa, pb, config, masks):
         """Transposed orientation: gather ``V0^T[mb, ma]`` tiles.
 
-        Tiles are ``(n, k_chunk, col_block)`` with the long ``m`` axis
+        Tiles are ``(n, k_step, col_block)`` with the long ``m`` axis
         innermost (contiguous for gathers, scale multiplies and the
-        reduction).  Summation still runs sequentially over K for every
-        output element — the same association as the standard
-        orientation, hence bit-identical results.  Only taken in the
-        ``f32_exact`` regime, where multiply order is free.
+        reduction).  Only taken in the ``f32_exact`` regime, where
+        multiply order is free.
         """
         m, k = pa.shape
         n = pb.shape[1]
@@ -608,163 +575,19 @@ class FloatTableKernel(GemmKernel):
         beta_t = np.ascontiguousarray(pb.scale().T)
 
         out = np.empty((m, n), dtype=np.float32)
-        col_block = _row_block(self.name, k_chunk, k, n)
-        with np.errstate(over="ignore"):
+        k_step, col_block = _tiling(self.name, m, k, n)
+        with np.errstate(over="ignore", invalid="ignore"):
             for m0 in range(0, m, col_block):
                 m1 = min(m, m0 + col_block)
                 acc = np.zeros((n, m1 - m0), dtype=np.float32)
-                for c0 in range(0, k, k_chunk):
-                    c1 = min(k, c0 + k_chunk)
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
                     values = table_t[mbi_t[:, c0:c1, None], mai_t[None, c0:c1, m0:m1]]
                     values *= beta_t[:, c0:c1, None]
                     values *= alpha_t[None, c0:c1, m0:m1]
                     self._apply_masks(values, *masks[1:])
-                    acc += values.sum(axis=1, dtype=np.float32)
+                    _accumulate(values, acc)
                 out[m0:m1] = acc.T
-        return out
-
-
-class NativeGatherKernel(GemmKernel):
-    """Numba-compiled native tier of the one-gather value-table GEMM.
-
-    Runs :func:`repro.core.native.gather_gemm` — the same gather + two
-    scale multiplies + range masks as :class:`FloatTableKernel`, with
-    the identical accumulation association (sequential within a K-chunk,
-    chunk partials in order), compiled to a ``prange``-parallel scalar
-    loop nest.  Byte-identical to ``float_table`` on every input.
-
-    Delegation keeps that claim airtight rather than probabilistic.  The
-    kernel falls back to ``float_table`` whenever
-
-    * the native tier is inactive (no numba, or
-      ``REPRO_DISABLE_NATIVE=1``) — graceful degradation, or
-    * the numpy kernel's reduction for the shape degenerates to a tile
-      whose *inner* axis is a single element (``n < 2``, or a transposed
-      tall-skinny run whose column block is 1 — including a remainder
-      block): there numpy's pairwise ``sum`` regroups the float32
-      accumulation, and matching that regrouping scalar-by-scalar is not
-      worth the complexity for shapes the gather tier has no business
-      winning anyway.
-
-    Either way callers observe one bit-exact kernel; only the speed
-    differs.  :attr:`active_backend` reports which path will run.
-    """
-
-    name = "float_table_native"
-    bit_exact = True
-
-    def supports(self, fmt: FloatFormat, config: MultiplierConfig | None) -> bool:
-        """Table-supported significand widths (same envelope as ``float_table``)."""
-        return table_supported(fmt.significand_bits)
-
-    @property
-    def active_backend(self) -> str:
-        """``"numba-njit"`` when the JIT will run, else ``"numpy-fallback"``."""
-        return "numba-njit" if native_active() else "numpy-fallback"
-
-    def _call_args(self, pa, pb, config, k_chunk) -> tuple | None:
-        """Build the ``gather_gemm`` argument tuple, or ``None`` to delegate.
-
-        ``None`` marks the degenerate shapes documented on the class —
-        the ones where ``float_table``'s numpy reduction would regroup
-        the accumulation.  Exposed separately so the parity suite can
-        execute the uncompiled loop body on exactly the arguments the
-        JIT would receive.
-        """
-        m, k = pa.shape
-        n = pb.shape[1]
-        if n < 2:
-            return None
-        masks = FloatTableKernel._range_masks(pa, pb)
-        f32_exact, needs_flush, needs_overflow, flush_bits, inf_from = masks
-        if f32_exact and m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
-            col_block = _row_block("float_table", k_chunk, k, n)
-            if col_block < 2 or m % col_block == 1:
-                return None
-        table = value_table(pa.fmt.significand_bits, config)
-        flush_t = np.asarray([flush_bits], dtype=np.uint32).view(np.float32)[0]
-        inf_t = np.asarray([inf_from], dtype=np.uint32).view(np.float32)[0]
-        ma = np.ascontiguousarray(pa.significand.astype(np.intp))
-        mb_t = pb.significand.T.astype(np.intp, order="C")
-        alpha = np.ascontiguousarray(pa.scale())
-        beta_t = np.ascontiguousarray(pb.scale().T)
-        row_block = _row_block(self.name, k_chunk, k, n)
-        return (
-            table,
-            ma,
-            alpha,
-            mb_t,
-            beta_t,
-            int(k_chunk),
-            int(row_block),
-            bool(f32_exact),
-            bool(needs_flush),
-            bool(needs_overflow),
-            flush_t,
-            inf_t,
-        )
-
-    def run(self, pa, pb, config, k_chunk):
-        """Compiled gather GEMM; delegates to ``float_table`` when inactive."""
-        jit = jit_gather() if native_active() else None
-        if jit is not None:
-            args = self._call_args(pa, pb, config, k_chunk)
-            if args is not None:
-                return jit(*args)
-        return _KERNELS["float_table"].run(pa, pb, config, k_chunk)
-
-
-class FusedTableKernel(GemmKernel):
-    """Fused uint32 compose kernel (the previous default, kept for parity).
-
-    Gathers a pre-composed uint32 entry per significand pair and
-    re-assembles float32 bit patterns with integer masks — bit-identical
-    to ``float_table`` and to the scalar reference, a few times slower.
-    """
-
-    name = "uint32_fused"
-    bit_exact = True
-
-    def supports(self, fmt: FloatFormat, config: MultiplierConfig | None) -> bool:
-        """Table-supported significand widths (see ``MAX_TABLE_BITS``)."""
-        return table_supported(fmt.significand_bits)
-
-    def run(self, pa, pb, config, k_chunk):
-        """Gather-and-compose product over fused uint32 entries."""
-        fmt = pa.fmt
-        m, k = pa.shape
-        n = pb.shape[1]
-        table = fused_table(fmt.significand_bits, config)
-
-        ma, mb = pa.significand, pb.significand
-        ea, eb = pa.exponent, pb.exponent
-        sa31 = pa.sign << np.uint32(31)
-        sb31 = pb.sign << np.uint32(31)
-        emax = fmt.max_exponent - fmt.bias
-        emin = 1 - fmt.bias
-        inf_bits = np.uint32(0x7F80_0000)
-        nz_flag = np.uint32(1 << 24)
-
-        out = np.zeros((m, n), dtype=np.float32)
-        row_block = _row_block(self.name, k_chunk, k, n)
-        for r0 in range(0, m, row_block):
-            r1 = min(m, r0 + row_block)
-            for c0 in range(0, k, k_chunk):
-                c1 = min(k, c0 + k_chunk)
-                entry = table[ma[r0:r1, c0:c1, None], mb[None, c0:c1, :]]
-                exp = ea[r0:r1, c0:c1, None] + eb[None, c0:c1, :]
-                exp = exp + ((entry >> np.uint32(23)) & np.uint32(1)).view(np.int32)
-
-                nonzero = entry >= nz_flag
-                overflow = exp > emax
-                ok = nonzero & ~overflow & ~(exp < emin)
-                # In-range biased exponents fit int32 even after <<23;
-                # out-of-range lanes may wrap but are masked by `ok`.
-                base = ((exp + 127) << 23).view(np.uint32)
-                bits32 = np.where(ok, base | (entry & np.uint32(0x007F_FFFF)), np.uint32(0))
-                bits32 = np.where(nonzero & overflow, inf_bits, bits32)
-                bits32 = bits32 | (sa31[r0:r1, c0:c1, None] ^ sb31[None, c0:c1, :])
-                out[r0:r1] += bits32.view(np.float32).sum(axis=1, dtype=np.float32)
         return out
 
 
@@ -829,7 +652,7 @@ class BlasFactoredKernel(GemmKernel):
         )
         return dict(info)
 
-    def run(self, pa, pb, config, k_chunk):
+    def run(self, pa, pb, config):
         """Exact BLAS component plus low-rank error-table correction.
 
         The correction is contracted one rank at a time: two 1-D table
@@ -871,8 +694,8 @@ class GenericKernel(GemmKernel):
         """Any format (``config=None`` exact products included)."""
         return True
 
-    def run(self, pa, pb, config, k_chunk):
-        """Chunked per-element significand-product pipeline."""
+    def run(self, pa, pb, config):
+        """Tiled per-element significand-product pipeline."""
         fmt = pa.fmt
         m, k = pa.shape
         n = pb.shape[1]
@@ -882,24 +705,27 @@ class GenericKernel(GemmKernel):
         sb, eb, mb = pb.sign, pb.exponent, pb.significand
 
         out = np.zeros((m, n), dtype=np.float32)
-        for c0 in range(0, k, k_chunk):
-            c1 = min(k, c0 + k_chunk)
-            mx = ma[:, c0:c1, None].astype(np.uint64)
-            my = mb[None, c0:c1, :].astype(np.uint64)
-            ex = ea[:, c0:c1, None].astype(np.int64)
-            ey = eb[None, c0:c1, :].astype(np.int64)
-            sx = sa[:, c0:c1, None]
-            sy = sb[None, c0:c1, :]
+        k_step, row_block = _tiling(self.name, m, k, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(0, m, row_block):
+                r1 = min(m, r0 + row_block)
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
+                    mx = ma[r0:r1, c0:c1, None].astype(np.uint64)
+                    my = mb[None, c0:c1, :].astype(np.uint64)
+                    ex = ea[r0:r1, c0:c1, None].astype(np.int64)
+                    ey = eb[None, c0:c1, :].astype(np.int64)
+                    sx = sa[r0:r1, c0:c1, None]
+                    sy = sb[None, c0:c1, :]
 
-            if config is None:
-                product = mx * my
-                truncated = False
-            else:
-                product = significand_product(mx, my, bits, config)
-                truncated = config.truncated
-            sig, exp = _normalise(product, ex + ey, bits, truncated)
-            values = compose(sx ^ sy, exp, sig, fmt)
-            out += values.sum(axis=1, dtype=np.float32)
+                    if config is None:
+                        product = mx * my
+                        truncated = False
+                    else:
+                        product = significand_product(mx, my, bits, config)
+                        truncated = config.truncated
+                    sig, exp = _normalise(product, ex + ey, bits, truncated)
+                    _accumulate(compose(sx ^ sy, exp, sig, fmt), out[r0:r1])
         return out
 
 
@@ -947,33 +773,25 @@ def kernel_names() -> list[str]:
 
 
 def exact_tier_name(fmt: FloatFormat) -> str:
-    """Name of the bit-exact default tier for ``fmt`` in this process.
+    """Name of the bit-exact default tier for ``fmt``.
 
-    ``float_table_native`` when the native tier is active (numba
-    importable and ``REPRO_DISABLE_NATIVE`` unset), ``float_table``
-    otherwise; ``generic`` for significand widths too wide to tabulate.
-    All three produce identical bits — the name only decides speed.
+    ``float_table`` for table-supported significand widths, ``generic``
+    for widths too wide to tabulate.  Both produce the scalar
+    reference's bits.
     """
-    if not table_supported(fmt.significand_bits):
-        return "generic"
-    return "float_table_native" if native_active() else "float_table"
+    return "float_table" if table_supported(fmt.significand_bits) else "generic"
 
 
 def kernel_tiers() -> dict:
     """Tier introspection for reports and benches.
 
-    Returns ``{"kernels": [...], "exact_tier": <bf16 default tier>,
-    "native": native_status()}`` — the ``table_cache_counters``-style
-    snapshot the serving benches and the perf harness embed so recorded
-    numbers always say which tier produced them.
+    Returns ``{"kernels": [...], "exact_tier": <bf16 default tier>}`` —
+    the snapshot the serving benches and the perf harness embed so
+    recorded numbers always say which tier produced them.
     """
     from ..formats.floatfmt import BFLOAT16
 
-    return {
-        "kernels": kernel_names(),
-        "exact_tier": exact_tier_name(BFLOAT16),
-        "native": native_status(),
-    }
+    return {"kernels": kernel_names(), "exact_tier": exact_tier_name(BFLOAT16)}
 
 
 def select_kernel(
@@ -984,10 +802,9 @@ def select_kernel(
     """Resolve the kernel for ``(fmt, config)``.
 
     ``kernel=None`` picks the bit-exact default tier
-    (:func:`exact_tier_name`): ``float_table_native`` when the native
-    tier is active, else ``float_table`` for table-supported significand
-    widths, ``generic`` otherwise.  A named kernel is validated against
-    the registry and against ``kernel.supports``.  (The shape-aware
+    (:func:`exact_tier_name`): ``float_table`` for table-supported
+    significand widths, ``generic`` otherwise.  A named kernel is
+    validated against the registry and against ``kernel.supports``.  (The shape-aware
     ``"auto"`` policy lives one level up, in
     :func:`repro.core.router.route_kernel`.)
     """
@@ -1003,8 +820,6 @@ def select_kernel(
 
 
 register_kernel(FloatTableKernel())
-register_kernel(NativeGatherKernel())
-register_kernel(FusedTableKernel())
 register_kernel(BlasFactoredKernel())
 register_kernel(BlasFactoredKernel(tol=0.25, name="blas_factored_fast"))
 register_kernel(GenericKernel())
@@ -1092,18 +907,17 @@ def autotune_row_budget(
     rng = np.random.default_rng(seed)
     pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
     pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
 
     previous = _ROW_BUDGETS.get(kernel)
     timings: dict[int, float] = {}
     try:
         for budget in candidates:
             _ROW_BUDGETS[kernel] = int(budget)
-            found.run(pa, pb, config, k_chunk)  # warm
+            found.run(pa, pb, config)  # warm
             best = float("inf")
             for _ in range(reps):
                 t0 = time.perf_counter()
-                found.run(pa, pb, config, k_chunk)
+                found.run(pa, pb, config)
                 best = min(best, time.perf_counter() - t0)
             timings[int(budget)] = best * 1e3
     finally:

@@ -1,81 +1,27 @@
-"""Optional native (numba-JIT) kernel tier: availability and status.
+"""Status of the native (compiled) kernel tier: there is none.
 
-The native tier is a strict accelerator — never a requirement.  Three
-switches decide what actually runs:
-
-* :func:`native_available` — is numba importable at all?
-* ``REPRO_DISABLE_NATIVE=1`` — operator kill-switch; the tier reports
-  itself inactive and every call falls back to ``float_table``.
-* :func:`native_active` — the AND of the two: what
-  ``select_kernel``/``exact_tier_name`` consult when picking the
-  bit-exact default tier.
-
-:func:`native_status` bundles all of it into one introspection dict
-(mirroring ``table_cache_counters``-style reporting) that the serving
-benches and the perf harness embed in their reports, so "which tier ran"
-is always visible in recorded numbers.
+The bit-exact kernels are pure NumPy.  :func:`native_status` keeps the
+report shape that benches and tooling embed, so recorded numbers still
+say which tier produced them.
 """
 
 from __future__ import annotations
 
-import os
-
-from .gather import HAVE_NUMBA, gather_gemm, jit_gather, numba_version
-
-__all__ = [
-    "DISABLE_ENV",
-    "HAVE_NUMBA",
-    "gather_gemm",
-    "jit_gather",
-    "native_active",
-    "native_available",
-    "native_disabled",
-    "native_status",
-    "numba_version",
-]
-
-#: Environment kill-switch: any value other than empty/``0`` disables
-#: the native tier even when numba is installed.
-DISABLE_ENV = "REPRO_DISABLE_NATIVE"
-
-
-def native_available() -> bool:
-    """Whether the numba JIT backend is importable in this process."""
-    return HAVE_NUMBA
-
-
-def native_disabled() -> bool:
-    """Whether the :data:`DISABLE_ENV` kill-switch is set."""
-    return os.environ.get(DISABLE_ENV, "").strip() not in ("", "0")
-
-
-def native_active() -> bool:
-    """Whether the native tier actually runs (available and not disabled)."""
-    return HAVE_NUMBA and not native_disabled()
+__all__ = ["native_status"]
 
 
 def native_status() -> dict:
-    """Introspection snapshot of the native tier.
+    """Introspection snapshot of the (absent) native tier.
 
-    Keys: ``available`` (numba importable), ``disabled`` (kill-switch
-    set), ``active`` (what will run), ``backend`` (``"numba-njit"`` or
-    ``"numpy-fallback"``), ``numba_version``, and ``threads`` (numba's
-    thread count, ``None`` on the fallback).  Cheap to call — it never
-    triggers a JIT compile.
+    Keys: ``available``, ``disabled``, ``active``, ``backend``,
+    ``numba_version`` and ``threads``.  No tier is compiled or active,
+    so the backend is always ``"numpy-fallback"``.
     """
-    status = {
-        "available": native_available(),
-        "disabled": native_disabled(),
-        "active": native_active(),
-        "backend": "numba-njit" if native_active() else "numpy-fallback",
-        "numba_version": numba_version(),
+    return {
+        "available": False,
+        "disabled": False,
+        "active": False,
+        "backend": "numpy-fallback",
+        "numba_version": None,
         "threads": None,
     }
-    if status["active"]:  # pragma: no cover - exercised on numba CI only
-        try:
-            import numba
-
-            status["threads"] = int(numba.get_num_threads())
-        except Exception:
-            pass
-    return status

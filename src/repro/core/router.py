@@ -5,8 +5,7 @@ name"; this module answers "which kernel *should* run".  Passing
 ``kernel="auto"`` to ``approx_matmul`` / the backends / ``compile_plan``
 delegates the choice to :func:`route_kernel`, which picks between
 
-* the **bit-exact tier** (``float_table_native`` when numba is active,
-  ``float_table`` otherwise) — always correct, and the right answer for
+* the **bit-exact tier** (``float_table``) — always correct, and the right answer for
   tiny problems where fast-path setup overhead dominates; and
 * a **certified fast path** (the :data:`FAST_TIERS` ladder:
   ``blas_factored_fast`` with its rank ~1-3 correction, then the full
@@ -42,7 +41,6 @@ from .config import MultiplierConfig
 from .error_bounds import worst_case_relative_error
 from .kernels import (
     GemmKernel,
-    default_k_chunk,
     exact_tier_name,
     get_kernel,
     select_kernel,
@@ -160,10 +158,9 @@ def certify_fast_path(
     rng = np.random.default_rng(seed)
     pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
     pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
-    exact = get_kernel("float_table").run(pa, pb, config, k_chunk)
+    exact = get_kernel("float_table").run(pa, pb, config)
     fast_kernel = get_kernel(kernel)
-    fast = fast_kernel.run(pa, pb, config, k_chunk)
+    fast = fast_kernel.run(pa, pb, config)
     denom = float(np.linalg.norm(exact)) or 1.0
     measured = float(np.linalg.norm(fast - exact)) / denom
     bound = float(worst_case_relative_error(config, fmt.significand_bits))
@@ -451,15 +448,14 @@ def autotune_tier(
     rng = np.random.default_rng(seed)
     pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
     pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
     timings: dict[str, float] = {}
     for name in candidates:
         found = get_kernel(name)
-        found.run(pa, pb, config, k_chunk)  # warm (tables, JIT)
+        found.run(pa, pb, config)  # warm (tables)
         best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            found.run(pa, pb, config, k_chunk)
+            found.run(pa, pb, config)
             best = min(best, time.perf_counter() - t0)
         timings[name] = best * 1e3
     chosen = min(timings, key=timings.get)

@@ -9,9 +9,9 @@ choice.
 
 Two invalidation mechanisms keep stale choices from leaking:
 
-* a **machine fingerprint** (platform, python, numpy, CPU count, and
-  whether the native tier is active) — a cache written on one machine
-  or environment is silently discarded on another;
+* a **machine fingerprint** (platform, python, numpy, CPU count) — a
+  cache written on one machine or environment is silently discarded on
+  another;
 * a **schema version** (:data:`TUNE_CACHE_SCHEMA`) — bumped whenever
   the entry layout changes, discarding all older files.
 
@@ -32,8 +32,6 @@ import threading
 
 import numpy as np
 
-from .native import native_active
-
 __all__ = [
     "TUNE_CACHE_SCHEMA",
     "TuneCache",
@@ -43,16 +41,16 @@ __all__ = [
 
 #: Entry-layout version.  Bump whenever the meaning of stored entries
 #: changes; every existing cache file is then invalidated on load.
-TUNE_CACHE_SCHEMA = 1
+#: Version 2: budgets size strict-K-order tiles, and the fingerprint no
+#: longer carries a native-tier term.
+TUNE_CACHE_SCHEMA = 2
 
 
 def machine_fingerprint() -> str:
     """Short digest of everything a tuned choice depends on.
 
-    Covers the hardware/interpreter surface (machine, OS, python and
-    numpy versions, CPU count) plus whether the native tier is active —
-    a budget tuned for the numba tier must not be replayed onto the
-    numpy fallback or vice versa.
+    Covers the hardware/interpreter surface: machine, OS, python and
+    numpy versions, CPU count.
     """
     parts = (
         platform.machine(),
@@ -60,7 +58,6 @@ def machine_fingerprint() -> str:
         platform.python_version(),
         np.__version__,
         str(os.cpu_count() or 1),
-        "native" if native_active() else "numpy",
     )
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 

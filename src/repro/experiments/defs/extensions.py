@@ -118,7 +118,6 @@ def kernel_speedup_point(params: dict) -> list[dict]:
 
     from ...core.config import MultiplierConfig
     from ...core.kernels import (
-        default_k_chunk,
         get_kernel,
         kernel_names,
         select_kernel,
@@ -145,10 +144,9 @@ def kernel_speedup_point(params: dict) -> list[dict]:
     rng = np.random.default_rng(params["seed"])
     pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
     pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
 
     default = select_kernel(fmt, config)
-    want = default.run(pa, pb, config, k_chunk)
+    want = default.run(pa, pb, config)
     norm = float(np.abs(want).max()) or 1.0
 
     rows = []
@@ -156,9 +154,9 @@ def kernel_speedup_point(params: dict) -> list[dict]:
         kernel = get_kernel(name)
         if not kernel.supports(fmt, config):
             continue
-        kernel.run(pa, pb, config, k_chunk)  # warm: builds tables on first use
+        kernel.run(pa, pb, config)  # warm: builds tables on first use
         before = table_cache_counters()
-        got = kernel.run(pa, pb, config, k_chunk)
+        got = kernel.run(pa, pb, config)
         after = table_cache_counters()
         byte_identical = bool(
             np.array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -201,7 +199,7 @@ def tier_certification_point(params: dict) -> list[dict]:
 
     from ...core.config import MultiplierConfig
     from ...core.error_bounds import worst_case_relative_error
-    from ...core.kernels import BlasFactoredKernel, default_k_chunk, get_kernel
+    from ...core.kernels import BlasFactoredKernel, get_kernel
     from ...core.router import CERT_MARGIN, FAST_TIERS, certify_fast_path
     from ...formats.floatfmt import format_by_name
     from ...formats.packed import pack
@@ -212,13 +210,12 @@ def tier_certification_point(params: dict) -> list[dict]:
     rng = np.random.default_rng(params["seed"])
     pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
     pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    k_chunk = default_k_chunk(m, n)
-    exact = get_kernel("float_table").run(pa, pb, config, k_chunk)
+    exact = get_kernel("float_table").run(pa, pb, config)
     denom = float(np.linalg.norm(exact)) or 1.0
     bound = float(worst_case_relative_error(config, fmt.significand_bits))
 
     def measure(kernel) -> tuple[dict, float]:
-        got = kernel.run(pa, pb, config, k_chunk)
+        got = kernel.run(pa, pb, config)
         info = kernel.correction_info(fmt, config)
         return info, float(np.linalg.norm(got - exact)) / denom
 
@@ -363,8 +360,8 @@ register(
         title="GEMM kernel registry: per-kernel parity and cache behaviour",
         description=(
             "The float-domain value-table kernel and the BLAS-factored "
-            "exact+correction fast path next to the uint32-fused and "
-            "generic pipelines: byte-identity to the bit-exact default, "
+            "exact+correction fast paths next to the generic pipeline: "
+            "byte-identity to the bit-exact default, "
             "maximum relative deviation of the tolerance path, correction "
             "rank/residual, and proof that warm kernels never rebuild "
             "their tables, across representative GEMM shapes from the "

@@ -122,8 +122,7 @@ def daism_backend(
     """Full DAISM arithmetic: ``fmt`` storage + approximate products.
 
     ``kernel`` selects a registered GEMM kernel by name — ``None`` is
-    the bit-exact default tier (``float_table_native`` when numba is
-    active, ``float_table`` otherwise — identical bits either way);
+    the bit-exact default tier (``float_table``);
     ``"blas_factored"`` opts into the BLAS exact+correction fast path
     with its documented parity tolerance; ``"auto"`` lets the certified
     tier router pick per shape (:mod:`repro.core.router`).

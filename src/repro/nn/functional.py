@@ -322,9 +322,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     bfloat16 dynamic range (~3e38), where the naive form overflows to
     ``inf/inf``.  Works on any rank: classifier logits ``(N, C)`` and
     batched attention scores ``(B, H, T, T)`` alike normalise their
-    trailing axis.
+    trailing axis.  Finite logits spread wider than float32's range
+    shift to ``-inf``, whose ``exp`` is an exact 0, so every row still
+    sums to 1.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -363,9 +366,9 @@ def attention_core(
     operand to pre-pack, so each (sample, head) pair runs as its own
     2-D ``backend.matmul`` (on the accelerator these are the products
     DAISM must stream both operands for).  Per-pair products keep
-    samples independent, which is what makes attention shard-safe: the
-    GEMM shapes (and hence the packed kernels' K-chunk choices) depend
-    only on ``(T, Dh)``, never on the batch size.
+    samples independent, which is what makes attention shard-safe even
+    on batch-coupled backends: the GEMM shapes depend only on
+    ``(T, Dh)``, never on the batch size.
 
     Returns ``(context, probs)`` with ``context`` ``(N, H, T, Dh)`` and
     the post-softmax attention weights ``probs`` ``(N, H, T, T)``.

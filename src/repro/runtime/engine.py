@@ -4,11 +4,8 @@ A :class:`BatchEngine` splits a large batch into contiguous shards along
 the sample axis and executes them on a thread pool over one shared
 :class:`~repro.runtime.plan.ExecutionPlan`.  Plans are immutable and
 thread-safe, and every op is row-independent (sample ``i`` depends only
-on sample ``i``), so the only cross-sample coupling left in the eager
-stack — the packed GEMMs' K-chunk choice, which derives from the *total*
-GEMM row count — is pinned by handing every shard the full batch size.
-The result is **byte-identical** to a single-threaded pass over the
-whole batch, shard count notwithstanding.
+on sample ``i``), so the result is **byte-identical** to a
+single-threaded pass over the whole batch, shard count notwithstanding.
 
 Pool workers are initialised with
 :func:`repro.nn.backend.inherit_default_backend`, so an engine created
@@ -154,7 +151,7 @@ class BatchEngine:
         pool = self._ensure_pool()
         bounds = np.linspace(0, n, effective + 1, dtype=int)
         futures = [
-            pool.submit(self.plan.execute, x[i0:i1], n)
+            pool.submit(self.plan.execute, x[i0:i1])
             for i0, i1 in zip(bounds[:-1], bounds[1:])
         ]
         return np.concatenate([f.result() for f in futures], axis=0)

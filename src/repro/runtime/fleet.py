@@ -247,9 +247,8 @@ def plan_digest(plan: ExecutionPlan) -> list[str]:
     bits — the round-trip proof that a worker-rebuilt plan matches its
     parent without shipping the plan itself across the process boundary.
     Hashing the kernel name makes tier choice part of that proof: a
-    worker whose router resolved ``"auto"`` differently (or whose
-    native tier differs) produces a different digest instead of a
-    silent arithmetic mismatch.
+    worker whose router resolved ``"auto"`` differently produces a
+    different digest instead of a silent arithmetic mismatch.
     """
     digests: list[str] = []
     for op in plan.ops:
@@ -804,10 +803,10 @@ class FleetServer:
             if policy is not None and policy.correction is None:
                 # A hint is a steady-state measurement too: seed the
                 # correction so the policy is calibrated from the start.
-                cap = policy.batch_cap
+                cap = policy.max_batch
                 policy.seed_correction(cap, service_hint_ms_per_sample * cap)
         elif policy is not None:
-            warm = policy.predicted_ms_per_sample(policy.batch_cap)
+            warm = policy.predicted_ms_per_sample(policy.max_batch)
             if warm is not None:
                 dep.ewma_ms_per_sample = warm
         n = workers
@@ -885,7 +884,7 @@ class FleetServer:
         """
         from ..nn.models import model_input_shape
 
-        batch = max(1, min(8, policy.batch_cap))
+        batch = max(1, min(8, policy.max_batch))
         x = np.zeros((batch, *model_input_shape(snapshot.model)), dtype=np.float32)
         t0 = time.perf_counter()
         try:

@@ -11,11 +11,10 @@ Every op is **immutable and thread-safe**: ``apply`` reads captured
 arrays and writes only fresh ones, so one plan can execute concurrently
 on many shards (see :mod:`repro.runtime.engine`).  Ops are also
 **row-independent** (sample ``i``'s output depends only on sample ``i``'s
-input) except where noted, which is what makes shard-parallel execution
-byte-identical to a single-threaded pass: the only cross-sample coupling
-in the eager stack is the K-chunk choice of the packed GEMMs, and the
-ops pin that to the *full-batch* row count carried in the
-:class:`ExecContext`.
+input) except where noted.  The packed GEMM kernels sum each output in
+one fixed K order whatever the row count, so shard-parallel execution —
+and any batch a request is coalesced into — is byte-identical to running
+each sample alone.
 
 The layer seam is :class:`OpSpec`: every leaf layer in
 :mod:`repro.nn.layers` exposes ``to_plan_op()`` returning a spec (kind +
@@ -39,7 +38,8 @@ import dataclasses
 
 import numpy as np
 
-from ..core.kernels import GemmKernel, default_k_chunk
+from ..core.gemm import dense_matmul
+from ..core.kernels import GemmKernel
 from ..formats.floatfmt import FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from ..nn import functional as F
@@ -102,14 +102,10 @@ class OpSpec:
 class ExecContext:
     """Per-execution state threaded through the op loop.
 
-    ``total_batch`` is the *full* batch size of the logical call — when
-    the engine shards a batch, every shard receives the same
-    ``total_batch`` so K-chunk choices (which depend on total GEMM rows)
-    match the unsharded execution bit-for-bit.  ``stack`` holds residual
-    shortcut activations for the flattened control ops.
+    ``stack`` holds residual shortcut activations for the flattened
+    control ops.
     """
 
-    total_batch: int
     stack: list = dataclasses.field(default_factory=list)
 
 
@@ -142,12 +138,11 @@ class MatmulStrategy:
 
     Strategies are built by the compiler from the backend *once*; their
     ``matmul2d`` runs the steady-state product with no backend lookup
-    and no ``prepare()`` call.  ``rows_total`` is the full-batch row
-    count used to pin the K-chunk split (see :class:`ExecContext`).
+    and no ``prepare()`` call.
     """
 
     #: Sample rows are independent — sharding the row dimension is
-    #: byte-identical (given the pinned K chunk).
+    #: byte-identical.
     row_independent = True
     #: Whether the conv path should hand this strategy pre-packed
     #: im2col planes (see :func:`pack_cols`) instead of a float matrix.
@@ -159,7 +154,7 @@ class MatmulStrategy:
     #: strategies with no registry kernel (e.g. exact float32 BLAS).
     kernel_name: str | None = None
 
-    def matmul2d(self, a: np.ndarray, rows_total: int) -> np.ndarray:
+    def matmul2d(self, a: np.ndarray) -> np.ndarray:
         """Product of a 2-D float operand against the prepared weight."""
         raise NotImplementedError
 
@@ -170,8 +165,8 @@ class ExactStrategy(MatmulStrategy):
     def __init__(self, weight: np.ndarray):
         self.weight = weight
 
-    def matmul2d(self, a: np.ndarray, rows_total: int) -> np.ndarray:
-        return np.asarray(a, dtype=np.float32) @ self.weight
+    def matmul2d(self, a: np.ndarray) -> np.ndarray:
+        return dense_matmul(np.asarray(a, dtype=np.float32), self.weight)
 
 
 class QuantDenseStrategy(MatmulStrategy):
@@ -183,8 +178,8 @@ class QuantDenseStrategy(MatmulStrategy):
         self.fmt = fmt
         self.weight_q = weight_q
 
-    def matmul2d(self, a: np.ndarray, rows_total: int) -> np.ndarray:
-        return quantize(a, self.fmt) @ self.weight_q
+    def matmul2d(self, a: np.ndarray) -> np.ndarray:
+        return dense_matmul(quantize(a, self.fmt), self.weight_q)
 
 
 class PackedKernelStrategy(MatmulStrategy):
@@ -192,10 +187,7 @@ class PackedKernelStrategy(MatmulStrategy):
 
     Covers both the DAISM datapath (``config`` set) and the
     quantised-with-kernel path (``config=None`` — exact significand
-    products).  ``k_chunk`` pins an explicit reduction split when the
-    source backend carried one; otherwise the split derives from the
-    full-batch row count, exactly as ``approx_matmul`` would choose for
-    the unsharded call.
+    products).
     """
 
     packed_input = True
@@ -206,13 +198,11 @@ class PackedKernelStrategy(MatmulStrategy):
         config,
         kernel: GemmKernel,
         weight: PackedTensor,
-        k_chunk: int | None = None,
     ):
         self.fmt = fmt
         self.config = config
         self.kernel = kernel
         self.weight = weight
-        self.k_chunk = k_chunk
         # Only the non-bit-exact (BLAS-factored) kernel reads the dense
         # value plane; gathering it for the others would be wasted work.
         # An unknown kernel that does read it still works — PackedTensor
@@ -220,16 +210,12 @@ class PackedKernelStrategy(MatmulStrategy):
         self.needs_dense = not kernel.bit_exact
         self.kernel_name = kernel.name
 
-    def matmul2d(self, a: np.ndarray, rows_total: int) -> np.ndarray:
-        return self.matmul_packed(pack(a, self.fmt), rows_total)
+    def matmul2d(self, a: np.ndarray) -> np.ndarray:
+        return self.matmul_packed(pack(a, self.fmt))
 
-    def matmul_packed(self, pa: PackedTensor, rows_total: int) -> np.ndarray:
+    def matmul_packed(self, pa: PackedTensor) -> np.ndarray:
         """Run the kernel on already-packed activation planes."""
-        n = self.weight.shape[1]
-        k_chunk = self.k_chunk
-        if k_chunk is None:
-            k_chunk = default_k_chunk(rows_total, n)
-        return self.kernel.run(pa, self.weight, self.config, k_chunk)
+        return self.kernel.run(pa, self.weight, self.config)
 
 
 class BackendStrategy(MatmulStrategy):
@@ -248,7 +234,7 @@ class BackendStrategy(MatmulStrategy):
         self.backend = backend
         self.prepared = prepared
 
-    def matmul2d(self, a: np.ndarray, rows_total: int) -> np.ndarray:
+    def matmul2d(self, a: np.ndarray) -> np.ndarray:
         return self.backend.matmul(a, self.prepared)
 
     def matmul3d(self, a: np.ndarray) -> np.ndarray:
@@ -358,7 +344,7 @@ class ConvOp(PlanOp):
                 x, self.kernel, self.stride, self.padding, strategy.fmt,
                 need_dense=strategy.needs_dense,
             )
-            out = strategy.matmul_packed(pa, ctx.total_batch * oh * ow)
+            out = strategy.matmul_packed(pa)
         elif isinstance(strategy, BackendStrategy):
             cols = F.im2col(x, self.kernel, self.stride, self.padding)
             # Preserve the eager operand shape: generic backends may
@@ -367,7 +353,7 @@ class ConvOp(PlanOp):
             out = strategy.matmul3d(cols.reshape(n, oh * ow, -1))
         else:
             cols = F.im2col(x, self.kernel, self.stride, self.padding)
-            out = strategy.matmul2d(cols, ctx.total_batch * oh * ow)
+            out = strategy.matmul2d(cols)
         out = out.reshape(n, oh * ow, self.out_channels)
         if self.bias is not None:
             out = out + self.bias[None, None, :]
@@ -413,7 +399,6 @@ class GroupedConvOp(PlanOp):
         cg = c // self.groups
         oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
         ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        rows_total = ctx.total_batch * oh * ow
         first = self.strategies[0]
         packed = None
         if first.packed_input:
@@ -426,14 +411,14 @@ class GroupedConvOp(PlanOp):
                     packed, self.kernel, self.stride, self.padding,
                     need_dense=strategy.needs_dense, channels=channels,
                 )
-                out_g = strategy.matmul_packed(pa, rows_total)
+                out_g = strategy.matmul_packed(pa)
             elif isinstance(strategy, BackendStrategy):
                 cols = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
                 out_g = strategy.matmul3d(cols.reshape(n, oh * ow, -1))
                 out_g = out_g.reshape(n * oh * ow, -1)
             else:
                 cols = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
-                out_g = strategy.matmul2d(cols, rows_total)
+                out_g = strategy.matmul2d(cols)
             outs.append(out_g.reshape(n, oh * ow, -1))
         out = np.concatenate(outs, axis=2)
         if self.bias is not None:
@@ -446,9 +431,7 @@ class LinearOp(PlanOp):
     """Fully connected product with a pre-resolved strategy.
 
     Accepts sequence inputs ``(N, T, D)`` as well as ``(N, D)``: the
-    leading axes fold into GEMM rows exactly as the eager backend does,
-    with the K-chunk pinned to the *full-batch* row count so sharded
-    execution matches the unsharded bits.
+    leading axes fold into GEMM rows exactly as the eager backend does.
     """
 
     kind = "linear"
@@ -461,20 +444,13 @@ class LinearOp(PlanOp):
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         if x.ndim > 2:
-            lead = x.shape[:-1]
-            per_sample = 1
-            for dim in lead[1:]:
-                per_sample *= dim
             if isinstance(self.strategy, BackendStrategy):
                 out = self.strategy.matmul3d(x)
             else:
-                out = self.strategy.matmul2d(
-                    np.ascontiguousarray(x.reshape(-1, x.shape[-1])),
-                    ctx.total_batch * per_sample,
-                )
-                out = out.reshape(*lead, -1)
+                rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+                out = self.strategy.matmul2d(rows).reshape(*x.shape[:-1], -1)
         else:
-            out = self.strategy.matmul2d(x, ctx.total_batch)
+            out = self.strategy.matmul2d(x)
         if self.bias is not None:
             out = out + self.bias[None, :]
         return out.astype(np.float32, copy=False)
@@ -484,8 +460,8 @@ class AttentionOp(PlanOp):
     """Multi-head self-attention with pre-resolved projection strategies.
 
     The QKV and output projections run through compiled
-    :class:`MatmulStrategy` instances (pre-packed weights, pinned
-    K-chunks); the per-(sample, head) ``Q K^T``/``A V`` products call
+    :class:`MatmulStrategy` instances (pre-packed weights); the
+    per-(sample, head) ``Q K^T``/``A V`` products call
     the captured backend through the same
     :func:`repro.nn.functional.attention_core` the eager layer uses, so
     the whole block is byte-identical by construction.  Those inner
@@ -527,31 +503,25 @@ class AttentionOp(PlanOp):
         strategy: MatmulStrategy,
         bias: np.ndarray | None,
         x: np.ndarray,
-        rows_total: int,
     ) -> np.ndarray:
         n, t, _d = x.shape
         if isinstance(strategy, BackendStrategy):
             out = strategy.matmul3d(x)
         else:
-            out = strategy.matmul2d(
-                np.ascontiguousarray(x.reshape(n * t, -1)), rows_total
-            )
+            out = strategy.matmul2d(np.ascontiguousarray(x.reshape(n * t, -1)))
             out = out.reshape(n, t, -1)
         if bias is not None:
             out = out + bias[None, :]
         return out.astype(np.float32, copy=False)
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        n, t, d = x.shape
-        rows_total = ctx.total_batch * t
-        qkv = self._project(self.qkv_strategy, self.qkv_bias, x, rows_total)
+        d = x.shape[2]
+        qkv = self._project(self.qkv_strategy, self.qkv_bias, x)
         q = F.split_heads(np.ascontiguousarray(qkv[..., :d]), self.heads)
         k = F.split_heads(np.ascontiguousarray(qkv[..., d : 2 * d]), self.heads)
         v = F.split_heads(np.ascontiguousarray(qkv[..., 2 * d :]), self.heads)
         context, _probs = F.attention_core(q, k, v, self.backend, self.scale)
-        return self._project(
-            self.out_strategy, self.out_bias, F.merge_heads(context), rows_total
-        )
+        return self._project(self.out_strategy, self.out_bias, F.merge_heads(context))
 
 
 class LayerNormOp(PlanOp):

@@ -156,9 +156,7 @@ def _resolve_strategy(
         kernel = route_kernel(
             backend.fmt, backend.config, backend.kernel, shape=(None, k, n)
         )
-        strategy = PackedKernelStrategy(
-            backend.fmt, backend.config, kernel, prepared, k_chunk=backend.k_chunk
-        )
+        strategy = PackedKernelStrategy(backend.fmt, backend.config, kernel, prepared)
     elif isinstance(backend, QuantizedMatmul):
         if backend.kernel is None or backend.kernel == "auto":
             return QuantDenseStrategy(backend.fmt, prepared.dense()), prepared
@@ -201,18 +199,15 @@ class ExecutionPlan:
     params: tuple[tuple[Parameter, int], ...]
     row_independent: bool
 
-    def execute(self, x: np.ndarray, total_batch: int | None = None) -> np.ndarray:
-        """Run the plan on a batch (or, via ``total_batch``, one shard).
+    def execute(self, x: np.ndarray) -> np.ndarray:
+        """Run the plan on a batch (or any slice of one).
 
-        ``total_batch`` is the full logical batch size; the engine
-        passes it when executing a shard so batch-dependent choices
-        (the packed GEMMs' K-chunk split) match the unsharded run
-        bit-for-bit.  Raises ``RuntimeError`` if any captured parameter
-        changed since compilation.
+        Raises ``RuntimeError`` if any captured parameter changed since
+        compilation.
         """
         self.assert_current()
         x = np.asarray(x, dtype=np.float32)
-        ctx = ExecContext(total_batch=int(total_batch if total_batch is not None else len(x)))
+        ctx = ExecContext()
         for op in self.ops:
             x = op.apply(x, ctx)
         return x

@@ -40,21 +40,6 @@ Prediction → correction → decision
   deterministic under a fixed seed; every decision and every correction
   update is emitted as a structured event (the fleet journals them in
   ``fleet.events()``).
-
-Byte-stability window
----------------------
-
-Micro-batch coalescing must never change served bytes.  Two kernel
-choices depend on the *actual* GEMM row count and are byte-affecting:
-the packed K-chunk split (:func:`~repro.core.kernels.default_k_chunk`,
-part of the bit contract) and the tall-skinny transposed orientation
-(``m >= TRANSPOSE_ASPECT * n``).  :func:`byte_stable_max_batch` computes,
-from the same traced geometry, the largest batch for which every GEMM in
-the plan stays in a single K chunk *and* on one side of the orientation
-threshold for all batch sizes in ``[min_batch, cap]`` — inside that
-window, coalescing is byte-neutral and the static/cost-model policies
-serve bit-identical responses per request.  The policy clamps its
-adaptive batch ceiling to this window.
 """
 
 from __future__ import annotations
@@ -72,7 +57,6 @@ __all__ = [
     "BatchDecision",
     "CostSurface",
     "SchedulingPolicy",
-    "byte_stable_max_batch",
     "policy_for_model",
     "POLICY_MODES",
 ]
@@ -99,58 +83,6 @@ def _workload_layers(model: str) -> list[ConvLayer]:
         seq_len, d_model = shape
         shape = (d_model, seq_len, 1)
     return conv_workload(module, shape)
-
-
-def _gemm_geometry(layers: list[ConvLayer]) -> list[tuple[int, int, int]]:
-    """Per-GEMM ``(rows_per_sample, k, n)`` for every weight GEMM.
-
-    Grouped convolutions run one GEMM per group over the per-group
-    reduction and output widths; FC layers are 1x1 convs in the traced
-    workload, so they fall out of the same formula.
-    """
-    geoms: list[tuple[int, int, int]] = []
-    for layer in layers:
-        rows = layer.out_height * layer.out_width
-        k = (layer.in_channels // layer.groups) * layer.kernel * layer.kernel
-        n = layer.out_channels // layer.groups
-        geoms.append((rows, k, n))
-    return geoms
-
-
-def byte_stable_max_batch(
-    model: str,
-    min_batch: int = 1,
-    cap: int = 1024,
-) -> int:
-    """Largest batch for which coalescing cannot change served bytes.
-
-    The one batch-coupled, byte-affecting choice on the packed kernel
-    path is the frozen-budget K-chunk split: ``default_k_chunk(m, n)``
-    derives from the *actual* GEMM row count ``m = batch * rows``, and
-    the split decides how the float32 accumulation is grouped.  As long
-    as every weight GEMM ``(rows_per_sample r, k, n)`` runs in a single
-    K chunk — ``default_k_chunk(B*r, n) >= k``, i.e.
-    ``B*r*n <= K_CHUNK_BUDGET // k`` — accumulation grouping is
-    batch-invariant, and the packed tier's remaining batch-dependent
-    choice (the tall-skinny transposed orientation) is bit-neutral by
-    construction, so coalescing cannot change served bytes.
-
-    Returns the largest ``B`` in ``[min_batch, cap]`` keeping every
-    GEMM single-chunk; ``min_batch`` when no larger window exists
-    (callers should then dispatch fixed-size batches).  The window is
-    a guarantee for the packed tiers (daism / quantized backends);
-    BLAS-backed exact tiers additionally rely on the library computing
-    each row identically across row counts, which the policy parity
-    tests cover for the row counts serving actually sees.
-    """
-    from ..core.kernels import K_CHUNK_BUDGET
-
-    if min_batch < 1:
-        raise ValueError("min_batch must be >= 1")
-    best = cap
-    for rows, k, n in _gemm_geometry(_workload_layers(model)):
-        best = min(best, (K_CHUNK_BUDGET // max(1, k)) // max(1, rows * n))
-    return max(min_batch, best)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,13 +187,10 @@ class SchedulingPolicy:
     sla_ms:
         Latency SLA the decisions target (``None``: throughput-greedy).
     max_batch / max_delay_ms:
-        The static knobs; the adaptive ceiling never exceeds
+        The static knobs; the adaptive batch never exceeds
         ``max_batch`` and the adaptive delay never exceeds
-        ``max_delay_ms``.
-    byte_stable_cap:
-        Upper bound on the adaptive batch so coalescing stays
-        byte-neutral (see :func:`byte_stable_max_batch`); ``None``
-        leaves only ``max_batch``.
+        ``max_delay_ms``.  Any batch size serves the same bytes: the
+        bit-exact kernels are batch-invariant.
     target_sps:
         Optional offered load (samples/s) for worker sizing.
     seed:
@@ -290,7 +219,6 @@ class SchedulingPolicy:
         sla_ms: float | None = None,
         max_batch: int = 64,
         max_delay_ms: float = 2.0,
-        byte_stable_cap: int | None = None,
         target_sps: float | None = None,
         seed: int = 0,
         on_event=None,
@@ -304,7 +232,6 @@ class SchedulingPolicy:
         self.sla_ms = sla_ms
         self.max_batch = int(max_batch)
         self.max_delay_ms = float(max_delay_ms)
-        self.byte_stable_cap = byte_stable_cap
         self.target_sps = target_sps
         self.seed = int(seed)
         self.on_event = on_event
@@ -394,21 +321,13 @@ class SchedulingPolicy:
         latency) would overstate drain time by the amortisation ratio and
         shed traffic the fleet could comfortably serve.
         """
-        batch = max(1, min(self.batch_cap, int(pending_samples)))
+        batch = max(1, min(self.max_batch, int(pending_samples)))
         return self.predicted_ms_per_sample(batch)
 
     # -- decisions ---------------------------------------------------------
 
-    @property
-    def batch_cap(self) -> int:
-        """The adaptive ceiling: static knob clamped to the byte-stable window."""
-        cap = self.max_batch
-        if self.byte_stable_cap is not None:
-            cap = min(cap, self.byte_stable_cap)
-        return max(1, cap)
-
     def _candidates(self) -> list[int]:
-        cap = self.batch_cap
+        cap = self.max_batch
         sizes = []
         b = 1
         while b < cap:
@@ -432,11 +351,11 @@ class SchedulingPolicy:
             decision = BatchDecision(self.max_batch, self.max_delay_ms, "static")
             self._note_batch_decision(decision, pending_samples)
             return decision
-        cap = self.batch_cap
+        cap = self.max_batch
         batch_ms = self.predicted_batch_ms(cap)
         if batch_ms is None:
-            # Uncalibrated: fall back to the static knobs within the
-            # byte-stable window until the first observation lands.
+            # Uncalibrated: fall back to the static knobs until the
+            # first observation lands.
             decision = BatchDecision(cap, self.max_delay_ms, "cold")
             self._note_batch_decision(decision, pending_samples)
             return decision
@@ -544,7 +463,7 @@ class SchedulingPolicy:
         ceiling = max(1, min(ceiling, os.cpu_count() or 1))
         if self.mode == "static" or self.target_sps is None:
             return default_workers
-        per_sample_ms = self.predicted_ms_per_sample(self.batch_cap)
+        per_sample_ms = self.predicted_ms_per_sample(self.max_batch)
         if per_sample_ms is None or per_sample_ms <= 0:
             return default_workers
         capacity_per_worker = 1e3 / per_sample_ms  # samples/s at the cap
@@ -574,7 +493,7 @@ class SchedulingPolicy:
         """
         from ..core.router import route_decision_sla
 
-        batch = batch if batch is not None else self.batch_cap
+        batch = batch if batch is not None else self.max_batch
         predicted = self.predicted_batch_ms(batch)
         budget = (
             self.sla_ms * self.SLA_SERVICE_FRACTION if self.sla_ms is not None else None
@@ -622,8 +541,6 @@ class SchedulingPolicy:
             "sla_ms": self.sla_ms,
             "max_batch": self.max_batch,
             "max_delay_ms": self.max_delay_ms,
-            "byte_stable_cap": self.byte_stable_cap,
-            "batch_cap": self.batch_cap,
             "correction": self.correction,
             "seed": self.seed,
         }
@@ -635,7 +552,6 @@ def policy_for_model(
     sla_ms: float | None = None,
     max_batch: int = 64,
     max_delay_ms: float = 2.0,
-    min_request_samples: int = 1,
     target_sps: float | None = None,
     seed: int = 0,
     on_event=None,
@@ -643,23 +559,14 @@ def policy_for_model(
     """Build a :class:`SchedulingPolicy` for a zoo model.
 
     The cost surface is cached per process (it is a pure function of
-    the model's traced geometry and the DSE grid), and the adaptive
-    batch ceiling is clamped to the model's byte-stability window so
-    policy choice can never change served bytes.  A coalescing batcher
-    may overshoot its ceiling by one request's worth of samples
-    (requests are never split), so the ceiling is
-    ``window - (min_request_samples - 1)``: even a maximal overshoot
-    lands exactly on the window edge, never past it.
+    the model's traced geometry and the DSE grid).
     """
-    window = byte_stable_max_batch(model, min_batch=min_request_samples)
-    cap = max(min_request_samples, window - (min_request_samples - 1))
     return SchedulingPolicy(
         _cached_surface(model),
         mode=mode,
         sla_ms=sla_ms,
         max_batch=max_batch,
         max_delay_ms=max_delay_ms,
-        byte_stable_cap=cap,
         target_sps=target_sps,
         seed=seed,
         on_event=on_event,

@@ -32,7 +32,6 @@ import time
 
 import numpy as np
 
-from ..core.native import native_status
 from ..nn.models import model_input_shape, model_zoo
 from .engine import BatchEngine
 from .fleet import FleetServer, ShedLoadError, resolve_backend, snapshot_model
@@ -101,7 +100,6 @@ def serving_benchmark(
             sla_ms=sla_ms,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
-            min_request_samples=request_samples,
             seed=seed,
         )
     elif policy != "static":
@@ -125,7 +123,6 @@ def serving_benchmark(
         "backend": resolved.name,
         "kernel": kernel or "default",
         "plan_kernels": plan_tiers(plan),
-        "native_tier": native_status(),
         "plan_ops": len(plan.ops),
         "shards": shards,
         "max_batch": max_batch,
@@ -141,7 +138,6 @@ def _bench_policy(
     model: str,
     policy: str,
     sla_ms: float | None,
-    request_samples: int,
     max_batch: int,
     max_delay_ms: float,
     seed: int,
@@ -149,12 +145,8 @@ def _bench_policy(
 ):
     """Cost-model policy for one bench deployment; ``None`` for static.
 
-    ``min_request_samples`` rides in so the adaptive batch ceiling
-    accounts for coalescing overshoot (a batcher may exceed its ceiling
-    by one request's worth of samples) and still stays inside the
-    byte-stability window.  ``target_sps`` is the model's share of the
-    offered load — the policy sizes the deployment's worker count to
-    cover it.
+    ``target_sps`` is the model's share of the offered load — the policy
+    sizes the deployment's worker count to cover it.
     """
     if policy != "cost_model":
         return None
@@ -166,7 +158,6 @@ def _bench_policy(
         sla_ms=sla_ms,
         max_batch=max_batch,
         max_delay_ms=max_delay_ms,
-        min_request_samples=request_samples,
         target_sps=target_sps,
         seed=seed,
     )
@@ -279,9 +270,7 @@ def open_loop_fleet_benchmark(
             fleet.register(
                 snapshot_model(name, backend=backend, kernel=kernel, shards=shards),
                 service_hint_ms_per_sample=hint,
-                policy=_bench_policy(
-                    name, policy, sla_ms, request_samples, max_batch, max_delay_ms, seed
-                ),
+                policy=_bench_policy(name, policy, sla_ms, max_batch, max_delay_ms, seed),
             )
 
         def on_done(t_submit: float, n_samples: int):
@@ -348,7 +337,6 @@ def open_loop_fleet_benchmark(
         "backend": backend,
         "kernel": kernel or "default",
         "plan_kernels": closed_report["plan_kernels"],
-        "native_tier": closed_report["native_tier"],
         "workers": workers,
         "request_samples": request_samples,
         "max_batch": max_batch,
@@ -446,10 +434,8 @@ def replay_trace_benchmark(
     **Byte parity is asserted, not assumed**: every completed request's
     output is SHA-256 hashed, and requests completed under both policies
     must hash identically (scheduling may change *when* work runs, never
-    *what* it computes).  To make that provable end to end, the batch
-    ceiling is clamped so even an overshooting coalesce stays inside
-    every model's byte-stability window
-    (:func:`~repro.runtime.scheduler.byte_stable_max_batch`).
+    *what* it computes — the bit-exact kernels are batch-invariant, so
+    no batch size the policies pick can change a request's bytes).
 
     ``sla_ms=None`` derives a **per-model** SLA from a per-model
     calibration run — ``1.25 x`` that model's measured service time of
@@ -458,25 +444,14 @@ def replay_trace_benchmark(
     model (vgg_small runs ~4-5x lenet) is not held to a fast model's
     deadline.  An explicit ``sla_ms`` applies to every model.
     """
-    from .scheduler import byte_stable_max_batch
-
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-
-    # Parity-safe static ceiling: a coalescing batcher may overshoot its
-    # ceiling by one request, so ceiling + request - 1 must stay inside
-    # the tightest byte-stability window across the trace's models.
-    window = min(
-        byte_stable_max_batch(name, min_batch=request_samples) for name in models
-    )
-    eff_max_batch = max(request_samples, min(max_batch, window - request_samples + 1))
 
     hint: dict[str, float] = {}
     sla: dict[str, float] = {}
     closed_sps: dict[str, float] = {}
     plan_kernels: dict[str, list] = {}
-    native_tier = None
     for name in models:
         closed_report = serving_benchmark(
             model=name,
@@ -485,7 +460,7 @@ def replay_trace_benchmark(
             clients=2,
             duration_s=calibration_s,
             request_samples=request_samples,
-            max_batch=eff_max_batch,
+            max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             seed=seed,
         )
@@ -495,11 +470,10 @@ def replay_trace_benchmark(
         per_sample_ms = 1e3 / closed["samples_per_s"]
         hint[name] = per_sample_ms
         sla[name] = (
-            sla_ms if sla_ms is not None else 1.25 * per_sample_ms * eff_max_batch
+            sla_ms if sla_ms is not None else 1.25 * per_sample_ms * max_batch
         )
         closed_sps[name] = closed["samples_per_s"]
         plan_kernels[name] = closed_report["plan_kernels"]
-        native_tier = closed_report["native_tier"]
     closed_rps = sum(closed_sps.values()) / len(models) / request_samples
     offered_rps = rate_rps if rate_rps is not None else closed_rps * rate_multiplier
 
@@ -521,7 +495,7 @@ def replay_trace_benchmark(
     def replay_once(mode: str) -> tuple[dict, dict]:
         fleet = FleetServer(
             workers=workers,
-            max_batch=eff_max_batch,
+            max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             max_queue_samples=max_queue_samples,
             start_method=start_method,
@@ -541,8 +515,7 @@ def replay_trace_benchmark(
                         name,
                         mode,
                         sla[name],
-                        request_samples,
-                        eff_max_batch,
+                        max_batch,
                         max_delay_ms,
                         seed,
                         target_sps=offered_sps_per_model,
@@ -649,12 +622,9 @@ def replay_trace_benchmark(
         "backend": backend,
         "kernel": kernel or "default",
         "plan_kernels": plan_kernels,
-        "native_tier": native_tier,
         "workers": workers,
         "request_samples": request_samples,
-        "max_batch": eff_max_batch,
-        "requested_max_batch": max_batch,
-        "byte_stable_window": window,
+        "max_batch": max_batch,
         "max_delay_ms": max_delay_ms,
         "max_queue_samples": max_queue_samples,
         "sla_ms": {name: round(sla[name], 3) for name in models},

@@ -59,9 +59,9 @@ class TestSliceAlignment:
     def test_row_counts(self):
         layer = vgg8_conv1()
         # 27 slices, F=64: at 16 PEs/row each slice is 4 rows.
-        assert map_layer(layer, 16, 1).rows_total == 27 * 4
+        assert map_layer(layer, 16, 1).element_rows == 27 * 4
         # At 128 PEs/row, two slices share a row: ceil(27/2) rows.
-        assert map_layer(layer, 128, 1).rows_total == 14
+        assert map_layer(layer, 128, 1).element_rows == 14
 
 
 class TestPasses:
@@ -130,6 +130,6 @@ class TestStridedAndPadded:
         layer = ConvLayer("tiny", 1, 1, 2, 3, 3, padding=0)
         r = map_layer(layer, 1, 1)
         # 4 slices (1 per tap), 1 row each, 4 activations per row.
-        assert r.rows_total == 4
+        assert r.element_rows == 4
         assert r.cycles == 16
         assert r.macs == 16

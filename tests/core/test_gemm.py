@@ -38,12 +38,18 @@ class TestApproxMatmul:
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
     def test_chunking_invariant(self):
+        from repro.core.kernels import reset_tuned_budgets, set_row_budget
+
         rng = np.random.default_rng(1)
         a = rng.standard_normal((9, 33)).astype(np.float32)
         b = rng.standard_normal((33, 8)).astype(np.float32)
-        full = approx_matmul(a, b, BFLOAT16, PC3, k_chunk=None)
-        small = approx_matmul(a, b, BFLOAT16, PC3, k_chunk=5)
-        np.testing.assert_allclose(full, small, rtol=1e-6)
+        full = approx_matmul(a, b, BFLOAT16, PC3)
+        try:
+            set_row_budget("float_table", 40)  # 5-row blocks, one K term at a time
+            small = approx_matmul(a, b, BFLOAT16, PC3)
+        finally:
+            reset_tuned_budgets()
+        np.testing.assert_array_equal(full.view(np.uint32), small.view(np.uint32))
 
     def test_identity_times_matrix_is_quantisation(self):
         rng = np.random.default_rng(2)
@@ -267,14 +273,10 @@ class TestBatchedMatmul:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 7, 9)).astype(np.float32)
         b = rng.standard_normal((9, 5)).astype(np.float32)
-        for k_chunk in (None, 3, 9):
-            got = approx_matmul(a, b, BFLOAT16, PC3_TR, k_chunk=k_chunk)
-            assert got.shape == (4, 7, 5)
-            want = np.stack(
-                [approx_matmul(a[i], b, BFLOAT16, PC3_TR, k_chunk=k_chunk or 9)
-                 for i in range(4)]
-            )
-            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        got = approx_matmul(a, b, BFLOAT16, PC3_TR)
+        assert got.shape == (4, 7, 5)
+        want = np.stack([approx_matmul(a[i], b, BFLOAT16, PC3_TR) for i in range(4)])
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_batched_equals_flattened(self):
         rng = np.random.default_rng(12)

@@ -84,7 +84,7 @@ class TestCertification:
 
 class TestRoutingPolicy:
     def test_explicit_and_none_bypass(self):
-        assert route_kernel(BFLOAT16, PC3_TR, "uint32_fused").name == "uint32_fused"
+        assert route_kernel(BFLOAT16, PC3_TR, "generic").name == "generic"
         assert route_kernel(BFLOAT16, PC3_TR, None).name == exact_tier_name(BFLOAT16)
         decision = route_decision(BFLOAT16, PC3_TR, None, shape=(256, 288, 64))
         assert decision.certificate is None  # no cert consulted off-route
@@ -114,11 +114,11 @@ class TestRoutingPolicy:
         assert decision.kernel == "generic"
 
     def test_recorded_tier_wins_and_resets(self):
-        record_tier(BFLOAT16, PC3_TR, "general", "uint32_fused")
+        record_tier(BFLOAT16, PC3_TR, "general", "generic")
         decision = route_decision(BFLOAT16, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
-        assert decision.kernel == "uint32_fused"
+        assert decision.kernel == "generic"
         assert decision.reason == "recorded tier"
-        assert recorded_tiers()[("bfloat16", "PC3_tr", "general")] == "uint32_fused"
+        assert recorded_tiers()[("bfloat16", "PC3_tr", "general")] == "generic"
         reset_recorded_tiers()
         decision = route_decision(BFLOAT16, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
         assert decision.kernel == "blas_factored_fast"
@@ -131,7 +131,7 @@ class TestRoutingPolicy:
         with pytest.raises(UnknownKernelError) as info:
             get_kernel("bogus")
         assert info.value.kernel == "bogus"
-        assert "float_table_native" in info.value.registered
+        assert "float_table" in info.value.registered
         assert "unknown GEMM kernel" in str(info.value)
 
 

@@ -15,6 +15,8 @@ The approximate-attention invariants the scenario workloads rest on:
   finite differences) and head split/merge round-trips.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,16 @@ class TestSoftmax:
             naive = np.exp(scores)
             naive = naive / naive.sum(axis=-1, keepdims=True)
         assert not np.isfinite(naive).all()
+
+    def test_logits_spread_past_float32_range_without_warning(self):
+        """Finite logits ~6.8e38 apart overflow the row-max shift to
+        ``-inf``; ``exp`` maps that to an exact 0, so the row still sums
+        to 1 and no overflow warning escapes."""
+        logits = np.array([[3.4e38, -3.4e38, 0.0], [-3.4e38, 1.0, 3.4e38]], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = F.softmax(logits)
+        np.testing.assert_array_equal(probs, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**31 - 1))

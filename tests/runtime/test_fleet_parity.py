@@ -1,21 +1,20 @@
 """Fleet parity: worker-pool outputs byte-identical to the single-process path.
 
 Every zoo model under every serving backend must produce, through the
-multi-process fleet, byte-for-byte the outputs of a single-process
-:class:`~repro.runtime.BatchEngine` over the same compiled plan.  The
-fleet is configured with ``max_batch=1`` so each dispatched micro-batch
-is exactly one request — the DAISM kernels' K-chunk choice depends on
-the executed batch size, so coalescing requests *legitimately* changes
-bits (pinned by ``test_daism_uncoalesced_requests_byte_identical`` for
-the single-process server); parity across the process boundary is the
-property under test here, not coalescing.
+multi-process fleet, byte-for-byte the outputs of the same compiled plan
+run on each request alone.  The fleet coalesces for real — requests are
+submitted concurrently into micro-batches of up to 64 samples — because
+the kernels are batch-invariant: coalescing may change *when* a request
+runs, never its bits.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.nn.models import model_input_shape, model_zoo
-from repro.runtime import BatchEngine, FleetServer, compile_plan, plan_digest
+from repro.runtime import FleetServer, compile_plan, plan_digest
 from repro.runtime.fleet import (
     _WorkerHandle,
     rebuild_model,
@@ -37,70 +36,98 @@ def _x(n, seed=0):
 
 
 def _reference(model, backend):
-    """(snapshot, single-process engine) built from the same module."""
+    """(snapshot, single-process plan) built from the same module."""
     module = model_zoo()[model]
     module.eval()
     snap = snapshot_model(model, module=module, backend=backend)
-    engine = BatchEngine(compile_plan(module, resolve_backend(backend)))
-    return snap, engine
+    return snap, compile_plan(module, resolve_backend(backend))
+
+
+def _coalescing_fleet(workers):
+    return FleetServer(workers=workers, max_batch=64, max_delay_ms=5.0)
+
+
+def _submit_concurrently(fleet, jobs):
+    """Submit ``(model, x)`` jobs from one thread each; futures in job order."""
+    futures = [None] * len(jobs)
+
+    def client(i):
+        futures[i] = fleet.submit(*jobs[i])
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return futures
+
+
+def _assert_bytes_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestFleetByteParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("model", MODELS)
     def test_zoo_model_backend_matrix(self, model, backend):
-        snap, engine = _reference(model, backend)
+        snap, plan = _reference(model, backend)
         requests = [_x(2, seed=s) for s in range(4)]
-        with FleetServer(workers=2, max_batch=1, max_delay_ms=0.0) as fleet:
+        with _coalescing_fleet(workers=2) as fleet:
             fleet.register(snap)
-            futures = [fleet.submit(model, x) for x in requests]
+            futures = _submit_concurrently(fleet, [(model, x) for x in requests])
             outputs = [f.result(timeout=60) for f in futures]
         for x, got in zip(requests, outputs):
-            np.testing.assert_array_equal(
-                got.view(np.uint32), engine.run(x).view(np.uint32)
-            )
+            _assert_bytes_equal(got, plan.execute(x))
 
     def test_four_workers_byte_identical(self):
-        snap, engine = _reference("lenet", "daism")
+        snap, plan = _reference("lenet", "daism")
         requests = [_x(3, seed=s) for s in range(12)]
-        with FleetServer(workers=4, max_batch=1, max_delay_ms=0.0) as fleet:
+        with _coalescing_fleet(workers=4) as fleet:
             fleet.register(snap)
-            futures = [fleet.submit("lenet", x) for x in requests]
+            futures = _submit_concurrently(fleet, [("lenet", x) for x in requests])
             outputs = [f.result(timeout=60) for f in futures]
             stats = fleet.stats()["lenet"]
         assert stats["workers"] == 4
         assert stats["completed_requests"] == 12
         for x, got in zip(requests, outputs):
-            np.testing.assert_array_equal(
-                got.view(np.uint32), engine.run(x).view(np.uint32)
-            )
+            _assert_bytes_equal(got, plan.execute(x))
+
+    def test_coalesced_batches_byte_identical(self):
+        """Requests queued behind a busy worker coalesce into one batch."""
+        snap, plan = _reference("lenet", "daism")
+        requests = [_x(1 + s % 3, seed=200 + s) for s in range(16)]
+        with FleetServer(workers=1, max_batch=64, max_delay_ms=20.0) as fleet:
+            fleet.register(snap)
+            futures = _submit_concurrently(fleet, [("lenet", x) for x in requests])
+            outputs = [f.result(timeout=60) for f in futures]
+            stats = fleet.stats()["lenet"]
+        assert stats["batches"] < len(requests)
+        for x, got in zip(requests, outputs):
+            _assert_bytes_equal(got, plan.execute(x))
 
     def test_interleaved_multi_model_traffic(self):
         """Two models served concurrently; routing never crosses streams."""
-        snap_a, engine_a = _reference("lenet", "daism")
-        snap_b, engine_b = _reference("mini_resnet", "exact")
-        with FleetServer(workers=2, max_batch=1, max_delay_ms=0.0) as fleet:
+        snap_a, plan_a = _reference("lenet", "daism")
+        snap_b, plan_b = _reference("mini_resnet", "exact")
+        with _coalescing_fleet(workers=2) as fleet:
             fleet.register(snap_a)
             fleet.register(snap_b)
             assert fleet.models() == ["lenet", "mini_resnet"]
-            futures = []
-            for i in range(10):
-                model = "lenet" if i % 2 == 0 else "mini_resnet"
-                x = _x(2, seed=100 + i)
-                futures.append((model, x, fleet.submit(model, x)))
-            for model, x, fut in futures:
-                engine = engine_a if model == "lenet" else engine_b
-                np.testing.assert_array_equal(
-                    fut.result(timeout=60).view(np.uint32),
-                    engine.run(x).view(np.uint32),
-                )
+            jobs = [
+                ("lenet" if i % 2 == 0 else "mini_resnet", _x(2, seed=100 + i))
+                for i in range(10)
+            ]
+            futures = _submit_concurrently(fleet, jobs)
+            for (model, x), fut in zip(jobs, futures):
+                plan = plan_a if model == "lenet" else plan_b
+                _assert_bytes_equal(fut.result(timeout=60), plan.execute(x))
             stats = fleet.stats()
         assert stats["lenet"]["completed_requests"] == 5
         assert stats["mini_resnet"]["completed_requests"] == 5
 
     def test_submit_validates_model_and_shape(self):
         snap, _ = _reference("lenet", "exact")
-        with FleetServer(workers=1, max_batch=1, max_delay_ms=0.0) as fleet:
+        with _coalescing_fleet(workers=1) as fleet:
             fleet.register(snap)
             with pytest.raises(ValueError, match="unknown model"):
                 fleet.submit("alexnet", _x(1))
@@ -200,16 +227,15 @@ class TestScenarioSnapshotRoundTrip:
         module = model_zoo()["transformer_encoder"]
         module.eval()
         snap = snapshot_model("transformer_encoder", module=module, backend="exact")
-        engine = BatchEngine(compile_plan(module, resolve_backend("exact")))
+        plan = compile_plan(module, resolve_backend("exact"))
         _, d = model_input_shape("transformer_encoder")
-        x = (
-            np.random.default_rng(0)
-            .standard_normal((2, 8, d))
-            .astype(np.float32)
-        )
-        with FleetServer(workers=1, max_batch=1, max_delay_ms=0.0) as fleet:
+        rng = np.random.default_rng(0)
+        requests = [rng.standard_normal((2, 8, d)).astype(np.float32) for _ in range(3)]
+        with _coalescing_fleet(workers=1) as fleet:
             fleet.register(snap)
-            got = fleet.submit("transformer_encoder", x).result(timeout=120)
-        np.testing.assert_array_equal(
-            got.view(np.uint32), engine.run(x).view(np.uint32)
-        )
+            futures = _submit_concurrently(
+                fleet, [("transformer_encoder", x) for x in requests]
+            )
+            outputs = [f.result(timeout=120) for f in futures]
+        for x, got in zip(requests, outputs):
+            _assert_bytes_equal(got, plan.execute(x))

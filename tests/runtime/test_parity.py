@@ -90,19 +90,6 @@ class TestPlanParity:
             plan.execute(x).view(np.uint32), want.view(np.uint32)
         )
 
-    def test_shard_results_depend_only_on_total_batch(self):
-        """A shard executed alone (with total_batch pinned) matches its
-        slice of the full-batch output — the invariant the engine rests on."""
-        model = _models()["lenet"].eval()
-        backend = daism_backend(PC3_TR, BFLOAT16)
-        x = _input_for("lenet", batch=12)
-        plan = compile_plan(model, backend)
-        full = plan.execute(x)
-        part = plan.execute(x[4:8], total_batch=12)
-        np.testing.assert_array_equal(
-            part.view(np.uint32), full[4:8].view(np.uint32)
-        )
-
 
 class TestBatchCoupledBackends:
     def test_bfp_plan_matches_eager_but_refuses_shards(self):

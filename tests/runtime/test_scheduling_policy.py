@@ -8,16 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.kernels import K_CHUNK_BUDGET, default_k_chunk
 from repro.runtime import BatchEngine, InferenceServer, compile_plan
 from repro.runtime.engine import ShardClampWarning
 from repro.runtime.fleet import resolve_backend
 from repro.runtime.scheduler import (
     POLICY_MODES,
     SchedulingPolicy,
-    _gemm_geometry,
-    _workload_layers,
-    byte_stable_max_batch,
     policy_for_model,
 )
 from repro.runtime.server import MicroBatcher, Request
@@ -30,44 +26,9 @@ def _policy(mode="cost_model", **kwargs):
 
 def _calibrated(mode="cost_model", per_sample_ms=1.0, **kwargs):
     policy = _policy(mode=mode, **kwargs)
-    cap = policy.batch_cap
+    cap = policy.max_batch
     policy.seed_correction(cap, per_sample_ms * cap)
     return policy
-
-
-class TestByteStableWindow:
-    def test_window_keeps_every_gemm_single_chunk(self):
-        window = byte_stable_max_batch("lenet", min_batch=4)
-        geoms = _gemm_geometry(_workload_layers("lenet"))
-        for batch in (1, 4, window):
-            for rows, k, n in geoms:
-                assert default_k_chunk(batch * rows, n) >= k
-        # The window is maximal: one more sample splits some GEMM's
-        # K loop (unless the search hit its cap, which lenet does not).
-        assert any(
-            default_k_chunk((window + 1) * rows, n) < k
-            for rows, k, n in geoms
-        )
-
-    def test_window_formula_matches_budget(self):
-        window = byte_stable_max_batch("lenet")
-        assert window == min(
-            (K_CHUNK_BUDGET // max(1, k)) // max(1, rows * n)
-            for rows, k, n in _gemm_geometry(_workload_layers("lenet"))
-        )
-
-    def test_policy_cap_absorbs_coalescer_overshoot(self):
-        # A coalescing batcher may overshoot its ceiling by one request
-        # minus one sample; the policy cap must keep even that inside
-        # the window.
-        request = 4
-        window = byte_stable_max_batch("lenet", min_batch=request)
-        policy = policy_for_model("lenet", min_request_samples=request)
-        assert policy.batch_cap + request - 1 <= window
-
-    def test_unknown_model_raises(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            byte_stable_max_batch("not_a_model")
 
 
 class TestDeterminism:
@@ -92,6 +53,10 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="unknown policy mode"):
             policy_for_model("lenet", mode="adaptive")
 
+    def test_unknown_model_raises(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            policy_for_model("not_a_model")
+
     def test_static_mode_returns_knobs_unchanged(self):
         policy = _calibrated(mode="static", max_batch=48, max_delay_ms=3.5)
         decision = policy.batch_decision(pending_samples=1000)
@@ -114,7 +79,7 @@ class TestCorrectionAndAdmission:
 
     def test_admission_estimate_amortises_with_backlog(self):
         policy = _calibrated()
-        cap = policy.batch_cap
+        cap = policy.max_batch
         # Per-sample estimate falls as the backlog approaches a full
         # batch (amortisation), then holds at the cap rate: admission
         # must never quote the cold batch-1 cost for a deep queue.
@@ -134,12 +99,12 @@ class TestCorrectionAndAdmission:
         policy = _calibrated(per_sample_ms=1000.0, sla_ms=1.0)
         decision = policy.batch_decision(pending_samples=2)
         assert decision.reason == "sla_infeasible_drain"
-        assert decision.max_batch == policy.batch_cap
+        assert decision.max_batch == policy.max_batch
         assert decision.max_delay_ms == 0.0
 
     def test_backlog_drain_at_full_queue(self):
         policy = _calibrated()
-        decision = policy.batch_decision(pending_samples=policy.batch_cap)
+        decision = policy.batch_decision(pending_samples=policy.max_batch)
         assert decision.reason == "backlog_drain"
         assert decision.max_delay_ms == 0.0
 
@@ -164,7 +129,7 @@ class TestMicroBatcherAdaptive:
 
     def test_policy_ceiling_bounds_the_pull(self):
         policy = _calibrated(sla_ms=None)  # throughput-greedy: cap ceiling
-        cap = policy.batch_cap
+        cap = policy.max_batch
         batcher = MicroBatcher(max_batch=1024, max_delay_ms=50.0, policy=policy)
         for _ in range(cap + 5):
             batcher.put(self._request(1))
@@ -251,7 +216,7 @@ class TestPolicyByteParity:
 
         def serve(policy):
             server = InferenceServer(
-                plan, max_batch=16, max_delay_ms=1.0, policy=policy
+                plan, max_batch=64, max_delay_ms=1.0, policy=policy
             )
             try:
                 futures = [server.submit(x) for x in requests]
@@ -262,8 +227,9 @@ class TestPolicyByteParity:
         static_out = serve(None)
         cost = _calibrated(sla_ms=25.0)
         cost_out = serve(cost)
-        for a, b in zip(static_out, cost_out):
+        for x, a, b in zip(requests, static_out, cost_out):
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+            np.testing.assert_array_equal(a.view(np.uint32), plan.execute(x).view(np.uint32))
         # The cost-model arm actually made decisions while serving.
         assert any(
             e["event"] == "sched_batch_decision" for e in cost.events()

@@ -81,18 +81,6 @@ class TestThreeRegimeMatrix:
         assert plan_digest(rebuilt) == plan_digest(plan)
         np.testing.assert_array_equal(rebuilt.execute(x).view(np.uint32), want)
 
-    def test_shard_slice_depends_only_on_total_batch(self):
-        """One shard executed alone matches its slice of the full batch —
-        the invariant that makes the grouped/attention ops shard-safe."""
-        module = model_zoo()["transformer_encoder"]
-        module.eval()
-        backend = resolve_backend("daism")
-        x = _input("transformer_encoder")
-        plan = compile_plan(module, backend)
-        full = plan.execute(x)
-        part = plan.execute(x[4:8], total_batch=16)
-        np.testing.assert_array_equal(part.view(np.uint32), full[4:8].view(np.uint32))
-
     def test_scenario_plans_expose_all_strategies(self):
         """Multi-strategy ops (grouped conv, attention) surface every
         kernel through ``op_strategies`` — what tiers/digest iterate."""

@@ -79,3 +79,20 @@ class TestServeBench:
 
         with pytest.raises(SystemExit):
             main(["serve-bench", "--model", "alexnet"])
+
+
+class TestKernelFlag:
+    def test_unknown_kernel_structured_error(self, capsys):
+        import json
+
+        assert main(["serve-bench", "--kernel", "bogus", "--json"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kernel"] == "bogus"
+        assert "float_table" in err["registered_kernels"]
+        assert "unknown GEMM kernel" in err["error"]
+
+    def test_unknown_kernel_plain_error(self, capsys):
+        assert main(["fleet-bench", "--kernel", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown GEMM kernel" in err
+        assert "float_table" in err

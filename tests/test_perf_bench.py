@@ -38,35 +38,25 @@ def test_quick_run_writes_valid_artifact(quick_report):
     assert report["schema"] == "repro-perf/8"
     assert report["quick"] is True
 
-    # 1 size x (exact + quantized + 6 kernels x raw/prepared) = 14 rows.
-    assert len(report["matmul"]) == 14
+    # 1 size x (exact + quantized + 4 kernels x raw/prepared) = 10 rows.
+    assert len(report["matmul"]) == 10
     for row in report["matmul"]:
         assert row["ms_per_call"] > 0
         assert row["mmacs_per_s"] > 0
     combos = {(r["backend"], r["kernel"], r["variant"]) for r in report["matmul"]}
     assert ("exact_float32", "-", "raw") in combos
     assert ("quantized_bfloat16", "dense_blas", "raw") in combos
-    for kernel in (
-        "float_table",
-        "float_table_native",
-        "uint32_fused",
-        "blas_factored",
-        "blas_factored_fast",
-        "auto",
-    ):
+    for kernel in ("float_table", "blas_factored", "blas_factored_fast", "auto"):
         assert ("approx_bfloat16_PC3_tr", kernel, "raw") in combos
         assert ("approx_bfloat16_PC3_tr", kernel, "prepared") in combos
 
     tuned = report["autotune"]
-    assert [row["kernel"] for row in tuned["rows"]] == [
-        "float_table",
-        "float_table_native",
-    ]
+    assert [row["kernel"] for row in tuned["rows"]] == ["float_table"]
     for row in tuned["rows"]:
         assert str(row["chosen_budget"]) in row["timings_ms"]
         assert row["source"] in ("measured", "cache")
-    # A fresh REPRO_CACHE_DIR means both budgets were measured and written.
-    assert tuned["cache"]["misses"] >= 2
+    # A fresh REPRO_CACHE_DIR means the budget was measured and written.
+    assert tuned["cache"]["misses"] >= 1
     assert tuned["cache"]["fingerprint"]
 
     tiers = report["tiers"]
@@ -79,14 +69,13 @@ def test_quick_run_writes_valid_artifact(quick_report):
     }
     assert tiers["autotune_tier"]["source"] == "measured"
     assert tiers["autotune_tier"]["tier"] in tiers["autotune_tier"]["timings_ms"]
-    # Degradation surface: the artifact records which gather tier ran.
-    assert tiers["status"]["exact_tier"] in ("float_table", "float_table_native")
-    assert tiers["status"]["native"]["backend"] in ("numba-njit", "numpy-fallback")
+    # The artifact records which gather tier ran.
+    assert tiers["status"]["exact_tier"] == "float_table"
 
     net = report["network"]
     assert net["model"] == "lenet"
-    # The headline row rides the default (bit-exact) tier of the machine.
-    assert net["kernel"] in ("float_table", "float_table_native")
+    # The headline row rides the default (bit-exact) tier.
+    assert net["kernel"] == "float_table"
     assert net["runtime"] == "compiled_plan"
     assert net["samples"] == 32
     assert net["ms_total"] > 0
@@ -101,9 +90,7 @@ def test_quick_run_writes_valid_artifact(quick_report):
     # The plan packs conv images, not K*K-redundant patch matrices.
     assert net["steady_state_elements_packed"] < net["eager_elements_packed"]
     by_kernel = {row["kernel"]: row for row in net["kernels"]}
-    assert {"uint32_fused", "blas_factored", "blas_factored_fast"} <= set(by_kernel)
-    # uint32_fused computes identical bits, so identical predictions.
-    assert by_kernel["uint32_fused"]["accuracy_matches_default"] is True
+    assert {"blas_factored", "blas_factored_fast", "auto"} <= set(by_kernel)
 
     # The LUT-vs-BLAS headline: router-enabled plan vs dense BLAS plan.
     assert net["routed"]["kernel"] == "auto"
@@ -365,14 +352,14 @@ class TestRegressionGuard:
         base = _write_report(tmp_path / "base.json", 100.0)
         result = _run_guard(
             "--fresh", str(fresh), "--baseline", str(base),
-            "--kernel", "float_table_native,blas_factored",
+            "--kernel", "blas_factored_fast,blas_factored",
         )
         assert result.returncode == 1
         assert "no comparable" in result.stdout
         # Naming the present kernel in the list restores the (failing) join.
         result = _run_guard(
             "--fresh", str(fresh), "--baseline", str(base),
-            "--kernel", "float_table,float_table_native",
+            "--kernel", "float_table,blas_factored",
         )
         assert result.returncode == 1
         assert "REGRESSED" in result.stdout
@@ -624,12 +611,23 @@ class TestServingGuard:
         assert "policy byte parity BROKEN" in result.stdout
 
     def test_quick_rows_join_committed_baseline(self, quick_report):
-        """The quick grid must stay a subset of the committed full grid."""
+        """The quick grid must stay a subset of the committed full grid.
+
+        Every speed floor and ceiling is opened wide: the runner's speed
+        is not under test here, only that each quick row joins the
+        baseline.
+        """
         _report, path = quick_report
         baseline = REPO / "BENCH_perf.json"
         result = _run_guard(
             "--fresh", str(path),
             "--baseline", str(baseline),
             "--max-regression", "0.99",
+            "--serving-max-regression", "0.99",
+            "--scenario-max-regression", "0.99",
+            "--sched-max-regression", "0.99",
+            "--fleet-max-regression", "0.99",
+            "--routed-max-ratio", "1e9",
+            "--fault-recovery-max-ms", "1e9",
         )
         assert result.returncode == 0, result.stdout + result.stderr
