@@ -108,8 +108,8 @@ def corrupt_cached_tables(
         target = value
         if isinstance(value, (tuple, list)):
             target = next((v for v in value if isinstance(v, np.ndarray)), None)
-            if target is None:
-                continue
+        if target is None or target.size == 0:
+            continue  # e.g. the rank-0 factored tables: no bits to flip
         flip_bits(target, flips_per_table, rng)
         corrupted.append(key)
     return corrupted

@@ -118,6 +118,7 @@ class IntegrityError(RuntimeError):
 class _TableRecord:
     digest: str
     rebuild: object  # zero-arg closure returning a fresh table
+    source: tuple | None = None  # key of the table this one is derived from
 
 
 @dataclasses.dataclass
@@ -145,16 +146,19 @@ DEMOTE_AFTER = 2
 # --------------------------------------------------------------------------
 
 
-def register_table(key: tuple, value, rebuild) -> None:
+def register_table(key: tuple, value, rebuild, source: tuple | None = None) -> None:
     """Record a freshly built table's checksum + rebuild closure.
 
     Called by the kernel table cache on every build (miss).  Re-building
     after a heal re-registers the same digest — tables are pure
-    functions of their key.
+    functions of their key.  ``source`` names the table this one was
+    computed from (e.g. a weight-stationary table from the value table):
+    a derived table built while its source was corrupted checksums
+    clean, so healing the source also rebuilds it.
     """
     digest = checksum_value(value)
     with _LOCK:
-        _TABLES[key] = _TableRecord(digest=digest, rebuild=rebuild)
+        _TABLES[key] = _TableRecord(digest=digest, rebuild=rebuild, source=source)
 
 
 def _probe_digest(fmt, config, kernel) -> str:
@@ -254,38 +258,63 @@ def verify_tables(heal: bool = True) -> dict:
 
     A mismatch is *always* detected (the digest covers every byte).
     With ``heal`` the table is rebuilt from source and reinstalled in
-    the cache; recurring corruption demotes (see :data:`DEMOTE_AFTER`).
+    the cache, and so is every table derived from a healed one whose
+    rebuild comes out different (it was computed from corrupted bytes);
+    recurring corruption demotes (see :data:`DEMOTE_AFTER`).
     """
     from . import kernels
 
     corrupted: list[tuple] = []
     demotions: list[dict] = []
-    with _LOCK:
-        records = list(_TABLES.items())
-    for key, record in records:
-        live = kernels.peek_table(key)
-        if live is None:
-            continue  # cache was cleared externally; nothing to verify
-        if checksum_value(live) == record.digest:
-            continue
+
+    def flag(key: tuple) -> None:
         corrupted.append(key)
         with _LOCK:
             event = _note_corruption(key, "table_corruption", str(key))
             if event is not None:
                 demotions.append(event.as_dict())
-        if heal:
-            fresh = record.rebuild()
-            kernels.install_table(key, fresh)
+
+    with _LOCK:
+        records = list(_TABLES.items())
+    for key, record in records:
+        live = kernels.peek_table(key)
+        if live is None:
+            # The table left the cache (a released weight-stationary
+            # table): nothing to verify, and its rebuild closure would
+            # only keep the weight alive.
             with _LOCK:
-                _TABLES[key] = _TableRecord(
-                    digest=checksum_value(fresh), rebuild=record.rebuild
-                )
+                if _TABLES.get(key) is record:
+                    del _TABLES[key]
+            continue
+        if checksum_value(live) == record.digest:
+            continue
+        flag(key)
+        if heal:
+            _reinstall(key, record, record.rebuild())
+    if heal:
+        for key, record in records:
+            if key in corrupted or record.source not in corrupted:
+                continue
+            if kernels.peek_table(key) is None:
+                continue
+            fresh = record.rebuild()
+            if checksum_value(fresh) != record.digest:
+                flag(key)
+                _reinstall(key, record, fresh)
     return {
         "tables_checked": len(records),
         "corrupted_tables": [str(k) for k in corrupted],
         "healed_tables": len(corrupted) if heal else 0,
         "demotions": demotions,
     }
+
+
+def _reinstall(key: tuple, record: _TableRecord, fresh) -> None:
+    from . import kernels
+
+    kernels.install_table(key, fresh)
+    with _LOCK:
+        _TABLES[key] = dataclasses.replace(record, digest=checksum_value(fresh))
 
 
 def verify_canaries(heal: bool = True) -> dict:

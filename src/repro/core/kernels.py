@@ -21,7 +21,10 @@ Four kernels are built in:
     ``significand_bits + 1`` significant bits, overflow to inf falls out
     of float32 naturally (bfloat16 and float32 share ``emax``), and a
     cheap subnormal-flush mask reproduces the datapath's flush-to-zero
-    underflow exactly.
+    underflow exactly.  Compiled plans arrange each static weight once
+    (:meth:`FloatTableKernel.prepare`) in a layout picked from its shape
+    by :func:`weight_layout` — a weight-stationary table, an
+    activation-expanded index, or the plain gather — with the same bits.
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -55,7 +58,8 @@ kernel picks its tiling from the GEMM shape and the row-block budget,
 which :func:`autotune_row_budget` tunes from a micro-benchmark (the perf
 harness drives this and records the choice).
 
-All product tables are built once per ``(bits, config)`` and cached;
+All product tables are built once per ``(bits, config)`` (weight-stationary
+tables once per weight) and cached;
 :func:`table_cache_counters` exposes hit/miss counts alongside the
 packing counters of :mod:`repro.formats.packed` so tests and the perf
 harness can prove that hot paths never rebuild a table.
@@ -64,8 +68,10 @@ harness can prove that hot paths never rebuild a table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -78,6 +84,8 @@ from .tables import table_supported
 
 __all__ = [
     "GemmKernel",
+    "PreparedWeight",
+    "weight_layout",
     "FloatTableKernel",
     "BlasFactoredKernel",
     "GenericKernel",
@@ -230,7 +238,7 @@ def reset_table_cache_counters() -> None:
         _TABLE_COUNTERS["misses"] = 0
 
 
-def _cached(key: tuple, build):
+def _cached(key: tuple, build, source: tuple | None = None):
     with _TABLE_LOCK:
         hit = _TABLE_CACHE.get(key)
         if hit is not None:
@@ -244,7 +252,7 @@ def _cached(key: tuple, build):
     # Register the checksum + rebuild closure outside the table lock
     # (integrity takes its own lock first when healing; keeping the
     # integrity -> table ordering on both paths avoids a deadlock).
-    integrity.register_table(key, value, build)
+    integrity.register_table(key, value, build, source)
     return value
 
 
@@ -321,7 +329,11 @@ def value_table(bits: int, config: MultiplierConfig | None) -> np.ndarray:
         table.setflags(write=False)
         return table
 
-    return _cached((bits, *_config_key(config), "value"), build)
+    return _cached(_value_key(bits, config), build)
+
+
+def _value_key(bits: int, config: MultiplierConfig | None) -> tuple:
+    return (bits, *_config_key(config), "value")
 
 
 def _value_table_t(bits: int, config: MultiplierConfig | None) -> np.ndarray:
@@ -337,7 +349,9 @@ def _value_table_t(bits: int, config: MultiplierConfig | None) -> np.ndarray:
         table.setflags(write=False)
         return table
 
-    return _cached((bits, *_config_key(config), "value_T"), build)
+    return _cached(
+        (bits, *_config_key(config), "value_T"), build, _value_key(bits, config)
+    )
 
 
 def factored_tables(
@@ -394,7 +408,151 @@ def factored_tables(
         }
         return fa, fb, info
 
-    return _cached((bits, *_config_key(config), "factored", rank, tol, max_rank), build)
+    return _cached(
+        (bits, *_config_key(config), "factored", rank, tol, max_rank),
+        build,
+        _value_key(bits, config),
+    )
+
+
+# --------------------------------------------------------------------------
+# Weight layouts: a static weight arranged once for the float_table hot loop
+# --------------------------------------------------------------------------
+
+#: Layout names, as ``ExecutionPlan.describe()`` reports them.
+GATHER = "gather"
+WEIGHT_STATIONARY = "weight_stationary"
+ACTIVATION_EXPANDED = "activation_expanded"
+
+#: Narrowest weight given a weight-stationary table: the hot loop
+#: gathers rows of N floats, and shorter rows stay per-element bound.
+WS_MIN_N = 16
+#: Largest weight-stationary table, in bytes (``K * rows * N`` float32).
+WS_MAX_BYTES = 2 << 20
+#: K columns per tile of each layout.  Like all tiling, bit-neutral.
+LAYOUT_K_STEP = {WEIGHT_STATIONARY: 64, ACTIVATION_EXPANDED: 16}
+#: Elements of one ``(row_block, k_step, n)`` product tile of a layout.
+LAYOUT_TILE = 1 << 17
+
+
+@functools.lru_cache(maxsize=None)
+def _significand_rows(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(significands, row_of)`` for ``bits``-bit packed significands.
+
+    A packed operand holds zero or a significand with its MSB set, so
+    ``2^(bits-1) + 1`` rows cover it: row 0 is zero, row ``r`` the
+    significand ``2^(bits-1) + r - 1``.  ``row_of`` maps a significand to
+    its row (129 rows for bfloat16, against 256 table columns).
+    """
+    significands = np.r_[0, np.arange(1 << (bits - 1), 1 << bits)].astype(np.intp)
+    row_of = np.zeros(1 << bits, dtype=np.intp)
+    row_of[significands] = np.arange(significands.size)
+    significands.setflags(write=False)
+    row_of.setflags(write=False)
+    return significands, row_of
+
+
+def weight_layout(k: int, n: int, bits: int) -> str:
+    """The ``float_table`` layout for a ``(k, n)`` weight of ``bits``-bit significands.
+
+    * :data:`WEIGHT_STATIONARY` when ``n >= WS_MIN_N`` and the table fits
+      :data:`WS_MAX_BYTES`;
+    * :data:`ACTIVATION_EXPANDED` when ``n`` reaches ``2^(bits-1)``
+      (128 for bfloat16): expanding one activation element costs one row
+      of ``2^(bits-1) + 1`` values, which ``n`` products then share;
+    * :data:`GATHER` (the plain kernel) otherwise.
+
+    A function of the weight's shape alone, never of the batch, so a
+    plan's layouts — and its bits — are the same in every process.
+    """
+    rows = _significand_rows(bits)[0].size
+    if n >= WS_MIN_N and k * rows * n * 4 <= WS_MAX_BYTES:
+        return WEIGHT_STATIONARY
+    if n >= max(WS_MIN_N, rows - 1):
+        return ACTIVATION_EXPANDED
+    return GATHER
+
+
+def _layout_tiling(layout: str, m: int, k: int, n: int) -> tuple[int, int]:
+    """``(k_step, row_block)`` of one layout tile (a speed choice only)."""
+    k_step = max(1, min(k, LAYOUT_K_STEP[layout]))
+    return k_step, max(1, min(m, LAYOUT_TILE // (k_step * n)))
+
+
+def _value_rows(bits: int, config: MultiplierConfig | None) -> np.ndarray:
+    """``V0[:, significands]``: the value table at the weight rows only.
+
+    ``(2^bits, rows)``; the activation-expanded layout gathers one row of
+    it per activation element.
+    """
+
+    def build() -> np.ndarray:
+        significands = _significand_rows(bits)[0]
+        table = np.ascontiguousarray(value_table(bits, config)[:, significands])
+        table.setflags(write=False)
+        return table
+
+    return _cached(
+        (bits, *_config_key(config), "value_rows"), build, _value_key(bits, config)
+    )
+
+
+def _build_stationary(weight: PackedTensor, config: MultiplierConfig | None) -> np.ndarray:
+    """``T[k * rows + r, :] = V0[significands[r], mb[k, :]] * beta[k, :]``."""
+    bits = weight.fmt.significand_bits
+    significands = _significand_rows(bits)[0]
+    k, n = weight.shape
+    table = value_table(bits, config)[significands[None, :, None], weight.significand[:, None, :]]
+    # Weights outside the f32_exact range may overflow here; calls with
+    # them never read the table (run_prepared falls back to run()).
+    with np.errstate(over="ignore", invalid="ignore"):
+        table *= weight.scale()[:, None, :]
+    table = table.reshape(k * significands.size, n)
+    table.setflags(write=False)
+    return table
+
+
+#: Live :class:`PreparedWeight` count per weight-stationary table key.
+#: A table leaves the cache with the last plan that uses it, and its
+#: integrity record at the next verification.  The release runs in a
+#: finalizer, in whatever thread drops the plan, so it takes only the
+#: table lock (no path holding that lock waits on another).
+_TABLE_REFS: dict[tuple, int] = {}
+
+
+def _retain(key: tuple) -> None:
+    with _TABLE_LOCK:
+        _TABLE_REFS[key] = _TABLE_REFS.get(key, 0) + 1
+
+
+def _release(key: tuple) -> None:
+    with _TABLE_LOCK:
+        left = _TABLE_REFS.pop(key) - 1
+        if left:
+            _TABLE_REFS[key] = left
+            return
+        _TABLE_CACHE.pop(key, None)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PreparedWeight:
+    """A static packed weight arranged once for a kernel's hot loop.
+
+    Built by :meth:`GemmKernel.prepare` when a plan compiles and consumed
+    by :meth:`GemmKernel.run_prepared`.  ``layout`` names the arrangement
+    (see :func:`weight_layout`; ``None`` for kernels without layouts).  A weight-stationary layout keeps only
+    the ``table_key`` of its table in the table cache and looks the table
+    up on every call, so an integrity heal takes effect at the next GEMM.
+    An activation-expanded layout keeps ``index``, each weight element's
+    significand row ``row_of[mb[k, n]]`` in the narrowest unsigned dtype
+    (one byte for bfloat16).
+    """
+
+    weight: PackedTensor
+    config: MultiplierConfig | None
+    layout: str | None = None
+    table_key: tuple | None = None
+    index: np.ndarray | None = None
 
 
 # --------------------------------------------------------------------------
@@ -432,6 +590,17 @@ class GemmKernel:
     ) -> np.ndarray:
         """Compute the product of 2-D packed operands."""
         raise NotImplementedError
+
+    def prepare(self, pb: PackedTensor, config: MultiplierConfig | None) -> PreparedWeight:
+        """Arrange a static weight once for :meth:`run_prepared`.
+
+        The default keeps the packed planes as they are.
+        """
+        return PreparedWeight(pb, config)
+
+    def run_prepared(self, pa: PackedTensor, prepared: PreparedWeight) -> np.ndarray:
+        """Product of packed activations with a :meth:`prepare`-d weight."""
+        return self.run(pa, prepared.weight, prepared.config)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -588,6 +757,142 @@ class FloatTableKernel(GemmKernel):
                     self._apply_masks(values, *masks[1:])
                     _accumulate(values, acc)
                 out[m0:m1] = acc.T
+        return out
+
+    def prepare(self, pb, config):
+        """Give a static weight its :func:`weight_layout`, building its table now.
+
+        Layouts address significands by row, which cover only what
+        ``pack`` produces (zero or MSB set); any other weight keeps the
+        plain gather.
+        """
+        k, n = pb.shape
+        bits = pb.fmt.significand_bits
+        layout = weight_layout(k, n, bits)
+        mb = pb.significand
+        if layout == GATHER or not np.all((mb == 0) | (mb >> (bits - 1) == 1)):
+            return PreparedWeight(pb, config, GATHER)
+        if layout == WEIGHT_STATIONARY:
+            key = (
+                bits,
+                *_config_key(config),
+                "value_ws",
+                integrity.checksum_value((mb, pb.scale())),
+            )
+            prepared = PreparedWeight(pb, config, layout, table_key=key)
+            _retain(key)
+            weakref.finalize(prepared, _release, key).atexit = False
+            self._stationary_table(prepared)
+            return prepared
+        # row_of[mb] without an intp temporary: row = mb - (2^(bits-1) - 1).
+        index = np.zeros(mb.shape, np.min_scalar_type(1 << (bits - 1)))
+        np.subtract(mb, (1 << (bits - 1)) - 1, out=index, where=mb != 0, casting="unsafe")
+        index.setflags(write=False)
+        _value_rows(bits, config)
+        return PreparedWeight(pb, config, layout, index=index)
+
+    @staticmethod
+    def _stationary_table(prepared: PreparedWeight) -> np.ndarray:
+        weight, config = prepared.weight, prepared.config
+        return _cached(
+            prepared.table_key,
+            lambda: _build_stationary(weight, config),
+            _value_key(weight.fmt.significand_bits, config),
+        )
+
+    def run_prepared(self, pa, prepared):
+        """The prepared layout's hot loop; :meth:`run` outside ``f32_exact``.
+
+        Both layouts form every product from the same three exact
+        factors as :meth:`run` — ``V0[ma, mb]``, ``alpha`` and ``beta`` —
+        only grouped differently, and in the ``f32_exact`` regime every
+        grouping is exact.  The K-sum is the same :func:`_accumulate`, so
+        the output bits equal :meth:`run`'s.
+        """
+        if prepared.layout in (WEIGHT_STATIONARY, ACTIVATION_EXPANDED):
+            masks = self._range_masks(pa, prepared.weight)
+            if masks[0]:
+                if prepared.layout == WEIGHT_STATIONARY:
+                    return self._run_stationary(pa, prepared, masks)
+                return self._run_expanded(pa, prepared, masks)
+        return self.run(pa, prepared.weight, prepared.config)
+
+    def _run_stationary(self, pa, prepared, masks):
+        """Gather rows ``T[k * rows + row_of[ma[i, k]], :]``, scale by ``alpha``."""
+        m, k = pa.shape
+        n = prepared.weight.shape[1]
+        table = self._stationary_table(prepared)
+        significands, row_of = _significand_rows(pa.fmt.significand_bits)
+        offsets = np.arange(0, k * significands.size, significands.size)
+        alpha = pa.scale()
+
+        out = np.zeros((m, n), dtype=np.float32)
+        k_step, row_block = _layout_tiling(WEIGHT_STATIONARY, m, k, n)
+        buf = np.empty(row_block * k_step * n, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(0, m, row_block):
+                r1 = min(m, r0 + row_block)
+                index = row_of.take(pa.significand[r0:r1])
+                index += offsets
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
+                    values = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
+                    # mode="clip" (indices are in range) lets take write
+                    # straight into the buffer instead of a temporary.
+                    table.take(
+                        index[:, c0:c1].reshape(-1),
+                        axis=0,
+                        out=values.reshape(-1, n),
+                        mode="clip",
+                    )
+                    values *= alpha[r0:r1, c0:c1, None]
+                    self._apply_masks(values, *masks[1:])
+                    _accumulate(values, out[r0:r1])
+        return out
+
+    def _run_expanded(self, pa, prepared, masks):
+        """Per tile, expand ``A = V0[ma, significands] * alpha``, gather, scale by ``beta``.
+
+        The expansion spans one K chunk, not the whole K row, so the row
+        block stays wide.
+        """
+        m, k = pa.shape
+        weight = prepared.weight
+        n = weight.shape[1]
+        table = _value_rows(pa.fmt.significand_bits, prepared.config)
+        rows = table.shape[1]
+        ma = pa.significand
+        alpha, beta = pa.scale(), weight.scale()
+
+        out = np.zeros((m, n), dtype=np.float32)
+        k_step, row_block = _layout_tiling(ACTIVATION_EXPANDED, m, k, n)
+        # Column ``j * rows + r`` of a tile's flattened expansion is row
+        # ``r`` of the chunk's ``j``-th activation.
+        offsets = np.arange(0, k_step * rows, rows)[:, None]
+        expanded_buf = np.empty(row_block * k_step * rows, dtype=np.float32)
+        buf = np.empty(row_block * k_step * n, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(0, m, row_block):
+                r1 = min(m, r0 + row_block)
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
+                    nr, nk = r1 - r0, c1 - c0
+                    expanded = expanded_buf[: nr * nk * rows].reshape(nr, nk, rows)
+                    table.take(
+                        ma[r0:r1, c0:c1].reshape(-1),
+                        axis=0,
+                        out=expanded.reshape(-1, rows),
+                        mode="clip",
+                    )
+                    expanded *= alpha[r0:r1, c0:c1, None]
+                    local = prepared.index[c0:c1] + offsets[:nk]
+                    values = buf[: nr * nk * n].reshape(nr, nk, n)
+                    expanded.reshape(nr, nk * rows).take(
+                        local.reshape(-1), axis=1, out=values.reshape(nr, nk * n), mode="clip"
+                    )
+                    values *= beta[None, c0:c1]
+                    self._apply_masks(values, *masks[1:])
+                    _accumulate(values, out[r0:r1])
         return out
 
 

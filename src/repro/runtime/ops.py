@@ -153,6 +153,9 @@ class MatmulStrategy:
     #: (``ExecutionPlan.describe``/``plan_tiers``); ``None`` for
     #: strategies with no registry kernel (e.g. exact float32 BLAS).
     kernel_name: str | None = None
+    #: The weight layout the kernel runs (see
+    #: :func:`repro.core.kernels.weight_layout`); ``None`` without one.
+    layout: str | None = None
 
     def matmul2d(self, a: np.ndarray) -> np.ndarray:
         """Product of a 2-D float operand against the prepared weight."""
@@ -187,7 +190,9 @@ class PackedKernelStrategy(MatmulStrategy):
 
     Covers both the DAISM datapath (``config`` set) and the
     quantised-with-kernel path (``config=None`` — exact significand
-    products).
+    products).  The kernel arranges the weight once, here at compile
+    time (:meth:`~repro.core.kernels.GemmKernel.prepare`), and every
+    call runs against that arrangement.
     """
 
     packed_input = True
@@ -202,7 +207,7 @@ class PackedKernelStrategy(MatmulStrategy):
         self.fmt = fmt
         self.config = config
         self.kernel = kernel
-        self.weight = weight
+        self.prepared = kernel.prepare(weight, config)
         # Only the non-bit-exact (BLAS-factored) kernel reads the dense
         # value plane; gathering it for the others would be wasted work.
         # An unknown kernel that does read it still works — PackedTensor
@@ -210,12 +215,26 @@ class PackedKernelStrategy(MatmulStrategy):
         self.needs_dense = not kernel.bit_exact
         self.kernel_name = kernel.name
 
+    @property
+    def weight(self) -> PackedTensor:
+        """The packed weight planes."""
+        return self.prepared.weight
+
+    @property
+    def layout(self) -> str | None:  # type: ignore[override]
+        """The prepared weight's layout."""
+        return self.prepared.layout
+
     def matmul2d(self, a: np.ndarray) -> np.ndarray:
         return self.matmul_packed(pack(a, self.fmt))
 
     def matmul_packed(self, pa: PackedTensor) -> np.ndarray:
-        """Run the kernel on already-packed activation planes."""
-        return self.kernel.run(pa, self.weight, self.config)
+        """Run the kernel on already-packed activation planes.
+
+        Goes through ``self.kernel``, so a kernel swapped in after
+        compilation (e.g. fault injection) runs on the prepared weight.
+        """
+        return self.kernel.run_prepared(pa, self.prepared)
 
 
 class BackendStrategy(MatmulStrategy):

@@ -170,6 +170,10 @@ def _resolve_strategy(
         prepared.scale()
         if strategy.needs_dense:
             prepared.dense()
+        else:
+            # Bit-exact kernels read only the planes; the plan holds this
+            # weight for its lifetime, so drop the dense copy pack made.
+            prepared._dense = None
     # Record the healthy canary digest for this (fmt, config, kernel)
     # while the tables are freshly built — the integrity subsystem's
     # periodic probe compares against it (idempotent per process).
@@ -231,12 +235,13 @@ class ExecutionPlan:
                 )
 
     def describe(self) -> list[dict[str, object]]:
-        """One printable row per op (kind, name, strategy, resolved kernel)."""
+        """One printable row per op (kind, name, strategy, kernel, weight layout)."""
         rows = []
         for i, op in enumerate(self.ops):
             strategies = op_strategies(op)
             strategy = strategies[0] if strategies else None
             kernel = getattr(strategy, "kernel_name", None)
+            layout = getattr(strategy, "layout", None)
             rows.append(
                 {
                     "op": i,
@@ -244,6 +249,7 @@ class ExecutionPlan:
                     "name": op.name,
                     "strategy": type(strategy).__name__ if strategy else "-",
                     "kernel": kernel or "-",
+                    "layout": layout or "-",
                 }
             )
         return rows

@@ -204,3 +204,67 @@ class TestRebuildRegistration:
         live = kernels.peek_table(key)
         assert live is not None
         assert checksum_value(live) == integrity._TABLES[key].digest
+
+
+class TestWeightStationaryTables:
+    """A plan's weight-stationary tables are checksummed and healed like V0."""
+
+    @staticmethod
+    def _plan_and_input():
+        from repro.nn.backend import daism_backend
+        from repro.nn.models import build_lenet
+        from repro.runtime import compile_plan
+
+        plan = compile_plan(build_lenet().eval(), daism_backend(PC3_TR, BFLOAT16))
+        x = np.random.default_rng(0).standard_normal((8, 1, 16, 16)).astype(np.float32)
+        return plan, x
+
+    @staticmethod
+    def _stationary_key(plan):
+        (key,) = [
+            op.strategy.prepared.table_key
+            for op in plan.ops
+            if getattr(getattr(op, "strategy", None), "layout", None) == "weight_stationary"
+        ]
+        return key
+
+    @staticmethod
+    def _flip(table, rows):
+        """Flip an exponent bit in every entry of ``rows`` (an upset burst)."""
+        table.setflags(write=True)
+        try:
+            table.view(np.uint32)[rows] ^= np.uint32(1 << 24)
+        finally:
+            table.setflags(write=False)
+
+    def test_live_table_flip_is_detected_and_healed(self):
+        plan, x = self._plan_and_input()
+        pristine = plan.execute(x)
+        key = self._stationary_key(plan)
+        self._flip(kernels.peek_table(key), slice(None))
+        assert not np.array_equal(plan.execute(x), pristine)
+        report = check_and_heal()
+        assert str(key) in report["corrupted_tables"]
+        np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))
+
+    def test_value_table_flipped_before_compile_heals_derived_tables(self):
+        import gc
+
+        from repro.core.kernels import value_table
+
+        plan, x = self._plan_and_input()
+        pristine = plan.execute(x)
+        key = self._stationary_key(plan)
+        del plan
+        gc.collect()  # the plan's weight-stationary table goes with it
+        assert kernels.peek_table(key) is None
+        v0_key = (8, PC3_TR.scheme, PC3_TR.truncated, "value")
+        # Every weight significand has its MSB set: corrupt that block.
+        self._flip(value_table(8, PC3_TR), (slice(128, None), slice(128, None)))
+        try:
+            plan, x = self._plan_and_input()  # tables built from the bad V0
+            assert not np.array_equal(plan.execute(x), pristine)
+        finally:
+            report = check_and_heal()
+        assert {str(v0_key), str(key)} <= set(report["corrupted_tables"])
+        np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))

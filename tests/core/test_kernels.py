@@ -4,8 +4,9 @@ The heart of the contract: the ``float_table`` default is byte-identical
 to a strictly sequential scalar ``core.mantissa`` reference across every
 Table I config — including subnormal-flush, inf-overflow, NaN and
 signed-zero edge cases — at every tiling, so each output row is
-independent of the rows that share its call; the ``blas_factored`` fast
-path stays within its documented parity tolerance.
+independent of the rows that share its call, and in every prepared weight
+layout; the ``blas_factored`` fast path stays within its documented
+parity tolerance.
 """
 
 import warnings
@@ -31,6 +32,7 @@ from repro.core.kernels import (
     set_row_budget,
     table_cache_counters,
     value_table,
+    weight_layout,
 )
 from repro.core.mantissa import approx_multiply, exact_multiply
 from repro.formats.floatfmt import (
@@ -338,6 +340,219 @@ class TestFloatTableParity:
             reset_tuned_budgets()
         _assert_bytes_equal(got, _scalar_reference(a, b, BFLOAT16, config))
         _assert_bytes_equal(got, np.concatenate(rows))
+
+
+def _spy_layout_runs(monkeypatch):
+    """Count calls into each prepared-layout hot loop of ``float_table``."""
+    from repro.core.kernels import FloatTableKernel
+
+    calls = {"weight_stationary": 0, "activation_expanded": 0}
+    for layout, attr in (
+        ("weight_stationary", "_run_stationary"),
+        ("activation_expanded", "_run_expanded"),
+    ):
+        original = getattr(FloatTableKernel, attr)
+
+        def spy(self, *args, _original=original, _layout=layout):
+            calls[_layout] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(FloatTableKernel, attr, spy)
+    return calls
+
+
+class TestWeightLayouts:
+    """Prepared weight layouts give ``float_table``'s bits, call by call.
+
+    ``(k, n)`` pairs pick the layout: n = 15 gathers, n = 16 and small
+    tables are weight-stationary, n >= 128 past the 2 MiB cap expands
+    activations.  K = 17/33 leave a width-1 tail after 16-wide
+    activation-expanded chunks, K = 65 after 64-wide weight-stationary
+    ones.
+    """
+
+    SHAPES = {
+        (9, 15): "gather",
+        (9, 16): "weight_stationary",
+        (65, 16): "weight_stationary",
+        (31, 127): "weight_stationary",
+        (33, 127): "gather",
+        (31, 128): "weight_stationary",
+        (33, 128): "activation_expanded",
+        (17, 256): "activation_expanded",
+    }
+
+    def test_layout_rule_and_cap_boundary(self):
+        for (k, n), layout in self.SHAPES.items():
+            assert weight_layout(k, n, 8) == layout, (k, n)
+        # 254 * 129 * 16 * 4 = 2,097,024 bytes fits the 2 MiB cap; 255 rows do not.
+        assert weight_layout(254, 16, 8) == "weight_stationary"
+        assert weight_layout(255, 16, 8) == "gather"
+        assert weight_layout(32, 128, 8) == "activation_expanded"
+        assert weight_layout(1000, 127, 8) == "gather"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        config=st.sampled_from(all_configs()),
+        shape=st.sampled_from(sorted(SHAPES)),
+        m=st.integers(min_value=1, max_value=4),
+        zero_row=st.booleans(),
+        zero_col=st.booleans(),
+    )
+    @example(seed=0, config=PC3_TR, shape=(33, 128), m=1, zero_row=False, zero_col=True)
+    @example(seed=1, config=PC3, shape=(65, 16), m=3, zero_row=True, zero_col=False)
+    def test_property_matches_scalar_reference_and_gather(
+        self, seed, config, shape, m, zero_row, zero_col
+    ):
+        """Every layout == ``float_table.run`` == the scalar reference.
+
+        Zero rows and columns carry both signs of zero; row ``i`` alone
+        gives the same bits as in the batch.  The scalar reference checks
+        a few columns (it is independent per column), ``run`` all of them.
+        """
+        k, n = shape
+        rng = np.random.default_rng(seed)
+        a = (rng.standard_normal((m, k)) * 2.0 ** rng.integers(-20, 20, (m, k))).astype(
+            np.float32
+        )
+        b = (rng.standard_normal((k, n)) * 2.0 ** rng.integers(-20, 20, (k, n))).astype(
+            np.float32
+        )
+        a[rng.random((m, k)) < 0.1] = -0.0
+        if zero_row:
+            a[m // 2] = np.where(rng.random(k) < 0.5, -0.0, 0.0)
+        if zero_col:
+            b[:, n // 2] = -0.0
+        kernel = get_kernel("float_table")
+        pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
+        prepared = kernel.prepare(pb, config)
+        assert prepared.layout == self.SHAPES[shape]
+        got = kernel.run_prepared(pa, prepared)
+        _assert_bytes_equal(got, kernel.run(pa, pb, config))
+        cols = sorted({0, n // 2, n - 1})
+        _assert_bytes_equal(
+            got[:, cols], _scalar_reference(a, b[:, cols], BFLOAT16, config)
+        )
+        rows = [kernel.run_prepared(pack(a[i : i + 1], BFLOAT16), prepared) for i in range(m)]
+        _assert_bytes_equal(got, np.concatenate(rows))
+
+    @pytest.mark.parametrize("shape", [(9, 16), (33, 128)], ids=str)
+    def test_extreme_exponents_take_the_fallback(self, shape, monkeypatch):
+        k, n = shape
+        rng = np.random.default_rng(4)
+        a = _extreme_operands(rng, (3, k))
+        b = _extreme_operands(rng, (k, n))
+        kernel = get_kernel("float_table")
+        pb = pack(b, BFLOAT16)
+        prepared = kernel.prepare(pb, PC3_TR)
+        calls = _spy_layout_runs(monkeypatch)
+        got = kernel.run_prepared(pack(a, BFLOAT16), prepared)
+        assert calls == {"weight_stationary": 0, "activation_expanded": 0}
+        _assert_bytes_equal(got, _scalar_reference(a, b, BFLOAT16, PC3_TR))
+
+    def test_well_conditioned_calls_take_the_layouts(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        kernel = get_kernel("float_table")
+        calls = _spy_layout_runs(monkeypatch)
+        for k, n in ((9, 16), (33, 128)):
+            a = rng.standard_normal((4, k)).astype(np.float32)
+            b = rng.standard_normal((k, n)).astype(np.float32)
+            pb = pack(b, BFLOAT16)
+            got = kernel.run_prepared(pack(a, BFLOAT16), kernel.prepare(pb, PC3_TR))
+            _assert_bytes_equal(got, kernel.run(pack(a, BFLOAT16), pb, PC3_TR))
+        assert calls == {"weight_stationary": 1, "activation_expanded": 1}
+
+    @pytest.mark.parametrize("shape", [(254, 16), (255, 16), (32, 128)], ids=str)
+    def test_cap_boundary_shapes_match_gather(self, shape):
+        k, n = shape
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((70, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        kernel = get_kernel("float_table")
+        pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
+        got = kernel.run_prepared(pa, kernel.prepare(pb, PC3))
+        _assert_bytes_equal(got, kernel.run(pa, pb, PC3))
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT8_E4M3], ids=lambda f: f.name)
+    def test_narrow_formats_keep_their_range_masks(self, fmt):
+        # Narrow exponent ranges flush and saturate products even inside
+        # the float32-exact regime; the layouts apply the same masks.
+        rng = np.random.default_rng(7)
+        a = (rng.standard_normal((3, 20)) * 2.0 ** rng.integers(-5, 5, (3, 20))).astype(
+            np.float32
+        )
+        b = (rng.standard_normal((20, 16)) * 2.0 ** rng.integers(-5, 5, (20, 16))).astype(
+            np.float32
+        )
+        kernel = get_kernel("float_table")
+        pa, pb = pack(a, fmt), pack(b, fmt)
+        prepared = kernel.prepare(pb, PC3_TR)
+        assert prepared.layout == "weight_stationary"
+        got = kernel.run_prepared(pa, prepared)
+        _assert_bytes_equal(got, _scalar_reference(a, b, fmt, PC3_TR))
+
+    def test_stationary_table_released_with_its_last_user(self):
+        import gc
+
+        from repro.core import integrity, kernels
+
+        b = np.random.default_rng(8).standard_normal((9, 16)).astype(np.float32)
+        kernel = get_kernel("float_table")
+        first = kernel.prepare(pack(b, BFLOAT16), PC3_TR)
+        second = kernel.prepare(pack(b, BFLOAT16), PC3_TR)
+        key = first.table_key
+        assert second.table_key == key  # equal weights share one table
+        del first
+        gc.collect()
+        assert kernels.peek_table(key) is not None
+        assert key in integrity.registered_tables()
+        del second
+        gc.collect()
+        assert kernels.peek_table(key) is None
+        integrity.verify_tables()
+        assert key not in integrity.registered_tables()
+
+    def test_concurrent_prepare_run_release_keeps_counts(self):
+        """Threads sharing one table: no lost retain/release, same bits."""
+        import gc
+        import sys
+        import threading
+
+        from repro.core import kernels
+
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((32, 20)).astype(np.float32)
+        b = rng.standard_normal((20, 16)).astype(np.float32)
+        kernel = get_kernel("float_table")
+        pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
+        want = kernel.run(pa, pb, PC3_TR)
+        key = kernel.prepare(pb, PC3_TR).table_key  # dropped at once
+        failures = []
+
+        def worker():
+            for _ in range(30):
+                prepared = kernel.prepare(pack(b, BFLOAT16), PC3_TR)
+                got = kernel.run_prepared(pa, prepared)
+                if not np.array_equal(got.view(np.uint32), want.view(np.uint32)):
+                    failures.append("bits")
+                del prepared
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        gc.collect()
+        assert failures == []
+        assert key not in kernels._TABLE_REFS
+        assert kernels.peek_table(key) is None
 
 
 class TestBlasFactored:

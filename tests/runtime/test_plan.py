@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.daism import DaismDesign
 from repro.arch.network_runner import run_module, run_network
@@ -188,3 +190,71 @@ class TestConvWorkload:
         via_layers = run_network(design, conv_workload(model, (1, 16, 16)))
         assert via_module.total_cycles == via_layers.total_cycles
         assert via_module.total_macs == via_layers.total_macs
+
+
+class TestWeightLayouts:
+    """Compiled plans run each bit-exact GEMM in its prepared weight layout."""
+
+    def test_describe_reports_each_ops_layout(self):
+        plan = compile_plan(build_lenet(), daism_backend(PC3_TR, BFLOAT16))
+        layouts = {row["name"]: row["layout"] for row in plan.describe()}
+        assert layouts["conv1"] == "gather"  # N = 8
+        assert layouts["conv2"] == "weight_stationary"  # (72, 16)
+        assert layouts["fc1"] == "gather"  # (256, 32) is past the 2 MiB cap
+        assert layouts["relu"] == "-"
+        wide = compile_plan(
+            Sequential(Linear(40, 128), ReLU()), daism_backend(PC3_TR, BFLOAT16)
+        )
+        assert wide.describe()[0]["layout"] == "activation_expanded"
+        for backend in (exact_backend(), daism_backend(PC3_TR, BFLOAT16, kernel="blas_factored")):
+            other = compile_plan(build_lenet(), backend)
+            assert {row["layout"] for row in other.describe()} == {"-"}
+
+    def test_bit_exact_plans_drop_the_dense_weight_plane(self):
+        import hashlib
+
+        from repro.runtime import plan_digest
+
+        plan = compile_plan(build_lenet().eval(), daism_backend(PC3_TR, BFLOAT16))
+        strategies = [op.strategy for op in plan.ops if hasattr(op, "strategy")]
+        assert strategies and all(s.weight._dense is None for s in strategies)
+        # Same digest and output bits as when plans kept the dense plane.
+        digest = hashlib.sha256("".join(plan_digest(plan)).encode()).hexdigest()
+        assert digest[:16] == "23ec0afb5dfeeb4f"
+        x = np.random.default_rng(0).standard_normal((8, 1, 16, 16)).astype(np.float32)
+        assert hashlib.sha256(plan.execute(x).tobytes()).hexdigest()[:16] == "a8aa4e163668ab48"
+        blas = compile_plan(
+            build_lenet(), daism_backend(PC3_TR, BFLOAT16, kernel="blas_factored")
+        )
+        assert all(
+            op.strategy.weight._dense is not None for op in blas.ops if hasattr(op, "strategy")
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(batch=st.integers(min_value=1, max_value=6), seed=st.integers(0, 2**16))
+    def test_every_layout_is_batch_invariant_and_matches_eager(self, batch, seed):
+        from repro.nn.backend import use_backend
+
+        backend = daism_backend(PC3_TR, BFLOAT16)
+        model = self._mixed_model()
+        plan = compile_plan(model, backend)
+        assert [row["layout"] for row in plan.describe() if row["kind"] == "linear"] == [
+            "activation_expanded", "weight_stationary", "gather"
+        ]
+        x = np.random.default_rng(seed).standard_normal((batch, 40)).astype(np.float32)
+        full = plan.execute(x)
+        with use_backend(backend):
+            np.testing.assert_array_equal(full.view(np.uint32), model(x).view(np.uint32))
+        for i in range(batch):
+            np.testing.assert_array_equal(
+                full[i : i + 1].view(np.uint32), plan.execute(x[i : i + 1]).view(np.uint32)
+            )
+
+    @staticmethod
+    def _mixed_model():
+        # (40, 128) expands activations, (128, 16) is weight-stationary,
+        # (16, 8) gathers.
+        rng = np.random.default_rng(3)
+        return Sequential(
+            Linear(40, 128, rng=rng), ReLU(), Linear(128, 16, rng=rng), ReLU(), Linear(16, 8, rng=rng)
+        ).eval()
