@@ -8,14 +8,8 @@ machine-readable artifact so CI can track the perf trajectory over PRs:
   the ``blas_factored`` / ``blas_factored_fast`` fast paths plus
   the ``auto`` tier router, each timed both with per-call weight packing
   (``raw``) and against a pre-packed weight (``prepared``);
-* **row-budget autotune**: the bench-driven chunk tuning of
-  :func:`repro.core.kernels.autotune_row_budget` for the bit-exact
-  tier, persisted through the on-disk
-  :class:`~repro.core.tune_cache.TuneCache` (hit/miss counters and the
-  machine fingerprint recorded);
 * **tier certification** (schema v5): the per-config
-  :func:`~repro.core.router.certify_fast_path` certificates, the
-  measured :func:`~repro.core.router.autotune_tier` decision, and the
+  :func:`~repro.core.router.certify_fast_path` certificates and the
   tier status behind ``kernel="auto"``;
 * **end-to-end network latency**: LeNet inference over a test set under
   the bfloat16 PC3_tr DAISM backend.  The headline ``ms_per_sample`` row
@@ -116,51 +110,13 @@ def _best_of(fn, reps: int) -> float:
     return best
 
 
-def autotune_rows(quick: bool) -> dict:
-    """Row-budget autotune for the bit-exact tier, persisted on disk.
-
-    The budget goes through the :class:`TuneCache`: the first
-    harness run on a machine measures and writes, later runs replay
-    (``source == "cache"``) — the counters in the artifact prove which
-    happened.
-    """
-    from repro.core.kernels import autotune_row_budget
-    from repro.core.tune_cache import TuneCache
-
-    shape = (64, 128, 64) if quick else (256, 288, 64)
-    cache = TuneCache()
-    rows = []
-    for kernel in ("float_table",):
-        result = autotune_row_budget(
-            kernel=kernel, shape=shape, reps=2 if quick else 3, cache=cache
-        )
-        rows.append(
-            {
-                "kernel": result.kernel,
-                "shape": list(result.shape),
-                "timings_ms": {str(k): round(v, 3) for k, v in result.timings_ms.items()},
-                "chosen_budget": result.chosen,
-                "source": result.source,
-            }
-        )
-    return {
-        "rows": rows,
-        "cache": {
-            "path": cache.path,
-            "fingerprint": cache.fingerprint,
-            **cache.counters(),
-        },
-    }
-
-
-def tier_rows(quick: bool) -> dict:
-    """Certified tier-router evidence: per-config certificates + decision."""
+def tier_rows() -> dict:
+    """Certified tier-router evidence: per-config certificates."""
     import dataclasses
 
-    from repro.core.config import PC3_TR, all_configs
+    from repro.core.config import all_configs
     from repro.core.kernels import kernel_tiers
-    from repro.core.router import FAST_TIERS, autotune_tier, certify_fast_path
-    from repro.core.tune_cache import TuneCache
+    from repro.core.router import FAST_TIERS, certify_fast_path
     from repro.formats.floatfmt import BFLOAT16
 
     certificates = [
@@ -168,18 +124,7 @@ def tier_rows(quick: bool) -> dict:
         for config in all_configs()
         for kernel in FAST_TIERS
     ]
-    decision = autotune_tier(
-        BFLOAT16,
-        PC3_TR,
-        shape=(64, 128, 64) if quick else (256, 288, 64),
-        cache=TuneCache(),
-        reps=2 if quick else 3,
-    )
-    return {
-        "status": kernel_tiers(),
-        "certificates": certificates,
-        "autotune_tier": decision,
-    }
+    return {"status": kernel_tiers(), "certificates": certificates}
 
 
 def matmul_rows(quick: bool) -> list[dict]:
@@ -645,8 +590,7 @@ def run(out_path: str, quick: bool = False) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "quick": quick,
-        "autotune": autotune_rows(quick),
-        "tiers": tier_rows(quick),
+        "tiers": tier_rows(),
         "matmul": matmul_rows(quick),
         "network": network_latency(quick),
         "scenario": scenario_rows(quick),
@@ -672,25 +616,11 @@ def main() -> None:
     report = run(args.out, quick=args.quick)
     net = report["network"]
     print(f"wrote {args.out}")
-    for tuned in report["autotune"]["rows"]:
-        print(
-            f"  autotune[{tuned['kernel']}]: row budget {tuned['chosen_budget']}"
-            f" on {'x'.join(map(str, tuned['shape']))} ({tuned['source']})"
-        )
-    cache = report["autotune"]["cache"]
-    print(
-        f"  tune cache: {cache['hits']} hits / {cache['misses']} misses /"
-        f" {cache['invalidations']} invalidations"
-        f" (fingerprint {cache['fingerprint']})"
-    )
     tiers = report["tiers"]
     certified = sum(1 for c in tiers["certificates"] if c["certified"])
-    decision = tiers["autotune_tier"]
     print(
         f"  tiers: exact tier {tiers['status']['exact_tier']},"
-        f" {certified}/{len(tiers['certificates'])} configs certified,"
-        f" autotuned {decision['shape_class']} -> {decision['tier']}"
-        f" ({decision['source']})"
+        f" {certified}/{len(tiers['certificates'])} configs certified"
     )
     for row in report["matmul"]:
         print(

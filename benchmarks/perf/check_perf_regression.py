@@ -158,12 +158,24 @@ def compare(
     return checked, regressed
 
 
+def _machine_proxy(report: dict) -> float | None:
+    """Smallest-shape ``exact_float32`` raw matmul MMACs/s, or ``None``."""
+    refs = [
+        row
+        for row in report.get("matmul", [])
+        if row["backend"] == REFERENCE_BACKEND and row["variant"] == "raw"
+    ]
+    if not refs:
+        return None
+    ref = min(refs, key=lambda r: r["m"] * r["k"] * r["n"])
+    return ref["mmacs_per_s"]
+
+
 def _serving_throughput(report: dict) -> tuple[float, float | None] | None:
     """``(samples_per_s, reference_mmacs_or_None)`` for a report.
 
-    The reference is the smallest-shape ``exact_float32`` raw matmul row
-    (present in quick and full grids alike) — the machine-speed proxy
-    serving throughput is normalised by.
+    The reference is the :func:`_machine_proxy` row (present in quick
+    and full grids alike) that serving throughput is normalised by.
     """
     serving = report.get("serving")
     if not serving:
@@ -171,15 +183,7 @@ def _serving_throughput(report: dict) -> tuple[float, float | None] | None:
     samples_per_s = serving.get("load", {}).get("samples_per_s")
     if not samples_per_s:
         return None
-    refs = [
-        row
-        for row in report.get("matmul", [])
-        if row["backend"] == REFERENCE_BACKEND and row["variant"] == "raw"
-    ]
-    if refs:
-        ref = min(refs, key=lambda r: r["m"] * r["k"] * r["n"])
-        return samples_per_s, ref["mmacs_per_s"]
-    return samples_per_s, None
+    return samples_per_s, _machine_proxy(report)
 
 
 def compare_serving(
@@ -219,8 +223,7 @@ def _fleet_goodput(report: dict) -> tuple[float, float | None, int] | None:
     """``(goodput_samples_per_s, reference_mmacs_or_None, dropped)``.
 
     The harness emits a single fleet report dict; the machine-speed
-    proxy is the same smallest-shape ``exact_float32`` raw matmul row
-    the serving check uses.
+    proxy is the same :func:`_machine_proxy` the serving check uses.
     """
     row = report.get("fleet")
     if isinstance(row, list):  # tolerate a future multi-row section
@@ -231,15 +234,7 @@ def _fleet_goodput(report: dict) -> tuple[float, float | None, int] | None:
     if not goodput:
         return None
     dropped = int(row.get("accepted_then_dropped", 0))
-    refs = [
-        r
-        for r in report.get("matmul", [])
-        if r["backend"] == REFERENCE_BACKEND and r["variant"] == "raw"
-    ]
-    if refs:
-        ref = min(refs, key=lambda r: r["m"] * r["k"] * r["n"])
-        return goodput, ref["mmacs_per_s"], dropped
-    return goodput, None, dropped
+    return goodput, _machine_proxy(report), dropped
 
 
 def compare_fleet(
@@ -275,19 +270,6 @@ def compare_fleet(
         "floor": floor,
     }
     return record, fresh_score < floor or dropped > 0
-
-
-def _machine_proxy(report: dict) -> float | None:
-    """Smallest-shape ``exact_float32`` raw matmul MMACs/s, or ``None``."""
-    refs = [
-        row
-        for row in report.get("matmul", [])
-        if row["backend"] == REFERENCE_BACKEND and row["variant"] == "raw"
-    ]
-    if not refs:
-        return None
-    ref = min(refs, key=lambda r: r["m"] * r["k"] * r["n"])
-    return ref["mmacs_per_s"]
 
 
 def compare_scenarios(

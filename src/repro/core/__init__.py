@@ -24,10 +24,8 @@ from .errors import ErrorStats, fp_error_stats, mantissa_error_stats
 from .fp_mul import approx_fp_multiply, exact_fp_multiply, significand_product
 from .gemm import ApproxMatmul, ExactMatmul, MatmulBackend, QuantizedMatmul, approx_matmul
 from .kernels import (
-    AutotuneResult,
     GemmKernel,
     UnknownKernelError,
-    autotune_row_budget,
     exact_tier_name,
     get_kernel,
     kernel_names,
@@ -40,12 +38,10 @@ from .kernels import (
 from .router import (
     TierCertificate,
     TierDecision,
-    autotune_tier,
     certify_fast_path,
     route_decision,
     route_kernel,
 )
-from .tune_cache import TuneCache, machine_fingerprint
 from .related_work import (
     compressed_pp_multiply,
     compressed_pp_multiply_array,
@@ -87,10 +83,8 @@ __all__ = [
     "MatmulBackend",
     "QuantizedMatmul",
     "approx_matmul",
-    "AutotuneResult",
     "GemmKernel",
     "UnknownKernelError",
-    "autotune_row_budget",
     "exact_tier_name",
     "get_kernel",
     "kernel_names",
@@ -101,12 +95,9 @@ __all__ = [
     "table_cache_counters",
     "TierCertificate",
     "TierDecision",
-    "autotune_tier",
     "certify_fast_path",
     "route_decision",
     "route_kernel",
-    "TuneCache",
-    "machine_fingerprint",
     "approx_multiply",
     "approx_multiply_truncated",
     "exact_multiply",

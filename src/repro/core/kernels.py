@@ -54,9 +54,8 @@ order — each K chunk folds the running total into its first term, and
 the remaining terms are reduced one K slice at a time — so K-chunk size,
 row block, orientation, shard count and batch size are all bit-neutral,
 and one sample's output never depends on what shares its batch.  Each
-kernel picks its tiling from the GEMM shape and the row-block budget,
-which :func:`autotune_row_budget` tunes from a micro-benchmark (the perf
-harness drives this and records the choice).
+kernel picks its tiling from the GEMM shape and the constant row-block
+budget :data:`ROW_BUDGET`.
 
 All product tables are built once per ``(bits, config)`` (weight-stationary
 tables once per weight) and cached;
@@ -70,7 +69,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -104,40 +102,15 @@ __all__ = [
     "reset_table_cache_counters",
     "peek_table",
     "install_table",
-    "row_block_budget",
-    "set_row_budget",
-    "reset_tuned_budgets",
-    "autotune_row_budget",
-    "AutotuneResult",
 ]
 
 # --------------------------------------------------------------------------
 # Chunking policy
 # --------------------------------------------------------------------------
 
-#: Default row-block budget (elements of one ``(row_block, k_step, n)``
-#: tile).  The tunable performance parameter — tiling is bit-neutral —
-#: and :func:`autotune_row_budget` overrides it per kernel.
-DEFAULT_ROW_BUDGET = 1 << 18
-
-_ROW_BUDGETS: dict[str, int] = {}
-
-
-def row_block_budget(kernel_name: str) -> int:
-    """The (possibly autotuned) row-block element budget for a kernel."""
-    return _ROW_BUDGETS.get(kernel_name, DEFAULT_ROW_BUDGET)
-
-
-def set_row_budget(kernel_name: str, budget_elems: int) -> None:
-    """Override the row-block budget for ``kernel_name`` (power users)."""
-    if budget_elems < 1:
-        raise ValueError("row budget must be a positive element count")
-    _ROW_BUDGETS[kernel_name] = int(budget_elems)
-
-
-def reset_tuned_budgets() -> None:
-    """Drop all autotuned/overridden row budgets (back to the default)."""
-    _ROW_BUDGETS.clear()
+#: Row-block budget: elements of one ``(row_block, k_step, n)`` tile.
+#: A speed choice only — tiling is bit-neutral.
+ROW_BUDGET = 1 << 18
 
 
 #: Rows a tile spans before K is split to fit the row budget.  In the
@@ -146,17 +119,16 @@ def reset_tuned_budgets() -> None:
 TILE_ROWS = 1024
 
 
-def _tiling(kernel_name: str, m: int, k: int, n: int) -> tuple[int, int]:
+def _tiling(m: int, k: int, n: int) -> tuple[int, int]:
     """``(k_step, row_block)`` keeping one ``(rows, k_step, n)`` tile in budget.
 
     A speed choice, not part of the output contract: :func:`_accumulate`
     sums in the same order whatever the tile.
     """
-    budget = row_block_budget(kernel_name)
     n = max(1, n)
     rows = max(1, min(m, TILE_ROWS))
-    k_step = max(1, min(k, budget // (rows * n)))
-    return k_step, max(1, budget // (k_step * n))
+    k_step = max(1, min(k, ROW_BUDGET // (rows * n)))
+    return k_step, max(1, ROW_BUDGET // (k_step * n))
 
 
 def _accumulate(values: np.ndarray, acc: np.ndarray) -> None:
@@ -176,7 +148,7 @@ def _accumulate(values: np.ndarray, acc: np.ndarray) -> None:
         acc[...] = np.add.accumulate(values, axis=1)[:, -1]
 
 
-#: Coarse problem-size classes the tier router and tune cache key on.
+#: Coarse problem-size classes the tier router keys on.
 SHAPE_CLASSES = ("tiny", "tall_skinny", "general")
 
 #: A GEMM at or below this many MACs counts as ``tiny``: fixed per-call
@@ -699,7 +671,7 @@ class FloatTableKernel(GemmKernel):
         alpha, beta = pa.scale(), pb.scale()
 
         out = np.zeros((m, n), dtype=np.float32)
-        k_step, row_block = _tiling(self.name, m, k, n)
+        k_step, row_block = _tiling(m, k, n)
         use_take = k_step * n <= _TAKE_TILE_LIMIT
         if use_take:
             idx_buf = np.empty((row_block, k_step, n), dtype=np.intp)
@@ -744,7 +716,7 @@ class FloatTableKernel(GemmKernel):
         beta_t = np.ascontiguousarray(pb.scale().T)
 
         out = np.empty((m, n), dtype=np.float32)
-        k_step, col_block = _tiling(self.name, m, k, n)
+        k_step, col_block = _tiling(m, k, n)
         with np.errstate(over="ignore", invalid="ignore"):
             for m0 in range(0, m, col_block):
                 m1 = min(m, m0 + col_block)
@@ -1010,7 +982,7 @@ class GenericKernel(GemmKernel):
         sb, eb, mb = pb.sign, pb.exponent, pb.significand
 
         out = np.zeros((m, n), dtype=np.float32)
-        k_step, row_block = _tiling(self.name, m, k, n)
+        k_step, row_block = _tiling(m, k, n)
         with np.errstate(over="ignore", invalid="ignore"):
             for r0 in range(0, m, row_block):
                 r1 = min(m, r0 + row_block)
@@ -1128,110 +1100,3 @@ register_kernel(FloatTableKernel())
 register_kernel(BlasFactoredKernel())
 register_kernel(BlasFactoredKernel(tol=0.25, name="blas_factored_fast"))
 register_kernel(GenericKernel())
-
-
-# --------------------------------------------------------------------------
-# Bench-driven row-block autotuning
-# --------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class AutotuneResult:
-    """Outcome of :func:`autotune_row_budget`.
-
-    Parameters
-    ----------
-    kernel:
-        Kernel the budget was tuned for.
-    shape:
-        ``(m, k, n)`` problem used for the micro-benchmark.
-    timings_ms:
-        Best-of-``reps`` wall time per candidate budget.
-    chosen:
-        The winning budget, already installed via :func:`set_row_budget`.
-    source:
-        ``"measured"`` when the micro-benchmark ran, ``"cache"`` when a
-        :class:`~repro.core.tune_cache.TuneCache` hit skipped it.
-    """
-
-    kernel: str
-    shape: tuple[int, int, int]
-    timings_ms: dict[int, float]
-    chosen: int
-    source: str = "measured"
-
-
-def autotune_row_budget(
-    kernel: str = "float_table",
-    shape: tuple[int, int, int] = (256, 288, 64),
-    fmt: FloatFormat | None = None,
-    config: MultiplierConfig | None = None,
-    candidates: tuple[int, ...] = (1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20),
-    reps: int = 3,
-    seed: int = 0,
-    cache: "TuneCache | None" = None,
-) -> AutotuneResult:
-    """Micro-benchmark candidate row budgets and install the fastest.
-
-    Replaces the historical fixed working-set budget with a measured
-    choice: the kernel is timed on a random ``shape`` problem for every
-    candidate (best of ``reps``), the winner is installed via
-    :func:`set_row_budget`, and the full timing table is returned so the
-    perf harness can record it in ``BENCH_perf.json``.  Row blocking is
-    bit-neutral, so tuning never changes results.
-
-    Passing a :class:`~repro.core.tune_cache.TuneCache` makes the result
-    persistent: a cached budget for ``(kernel, shape_class)`` on this
-    machine fingerprint is installed without re-measuring (``source ==
-    "cache"``), and a fresh measurement is written back for the next
-    process.
-    """
-    from ..formats.floatfmt import BFLOAT16
-    from ..formats.packed import pack
-    from .config import PC3_TR
-
-    fmt = fmt or BFLOAT16
-    config = config if config is not None else PC3_TR
-    found = get_kernel(kernel)
-    m, k, n = shape
-    if cache is not None:
-        entry = cache.get(kernel, shape_class(m, k, n))
-        if entry is not None and entry.get("budget"):
-            chosen = int(entry["budget"])
-            set_row_budget(kernel, chosen)
-            timings = {
-                int(b): float(t) for b, t in (entry.get("timings_ms") or {}).items()
-            }
-            return AutotuneResult(
-                kernel=kernel,
-                shape=(m, k, n),
-                timings_ms=timings or {chosen: 0.0},
-                chosen=chosen,
-                source="cache",
-            )
-    rng = np.random.default_rng(seed)
-    pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
-    pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-
-    previous = _ROW_BUDGETS.get(kernel)
-    timings: dict[int, float] = {}
-    try:
-        for budget in candidates:
-            _ROW_BUDGETS[kernel] = int(budget)
-            found.run(pa, pb, config)  # warm
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                found.run(pa, pb, config)
-                best = min(best, time.perf_counter() - t0)
-            timings[int(budget)] = best * 1e3
-    finally:
-        if previous is None:
-            _ROW_BUDGETS.pop(kernel, None)
-        else:
-            _ROW_BUDGETS[kernel] = previous
-    chosen = min(timings, key=timings.get)
-    set_row_budget(kernel, chosen)
-    if cache is not None:
-        cache.put(kernel, shape_class(m, k, n), budget=chosen, timings_ms=timings)
-    return AutotuneResult(kernel=kernel, shape=(m, k, n), timings_ms=timings, chosen=chosen)

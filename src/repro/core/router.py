@@ -19,19 +19,16 @@ delegates the choice to :func:`route_kernel`, which picks between
   the exact tier.
 
 Certification is deterministic (fixed probe, fixed seed) and cached per
-process, so every process — including fleet workers rebuilding plans
-from snapshots — derives the *same* decision, which keeps cross-process
-``plan_digest`` parity intact.  Measured decisions
-(:func:`autotune_tier`) can override the certificate-based policy via
-the recorded-tier table and persist through
-:class:`~repro.core.tune_cache.TuneCache`.
+process, so routing is a pure function of ``(fmt, config, shape)`` and
+the integrity demotions: every process — including fleet workers
+rebuilding plans from snapshots — derives the *same* decision, which
+keeps cross-process ``plan_digest`` parity intact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 
 import numpy as np
 
@@ -53,11 +50,7 @@ __all__ = [
     "FAST_TIERS",
     "TierCertificate",
     "TierDecision",
-    "autotune_tier",
     "certify_fast_path",
-    "record_tier",
-    "recorded_tiers",
-    "reset_recorded_tiers",
     "route_decision",
     "route_decision_sla",
     "route_kernel",
@@ -125,9 +118,6 @@ class TierCertificate:
 
 _CERT_CACHE: dict[tuple, TierCertificate] = {}
 _CERT_LOCK = threading.Lock()
-
-_RECORDED: dict[tuple[str, str, str], str] = {}
-_RECORDED_LOCK = threading.Lock()
 
 
 def certify_fast_path(
@@ -203,29 +193,62 @@ class TierDecision:
     certificate: TierCertificate | None = None
 
 
-def record_tier(
-    fmt: FloatFormat, config: MultiplierConfig, shape_cls: str, kernel: str
-) -> None:
-    """Pin the routed tier for ``(fmt, config, shape_cls)`` in-process.
+def _fast_tier_ladder(
+    fmt: FloatFormat,
+    config: MultiplierConfig | None,
+    cls: str,
+    hold: str | None,
+    pressure: str = "",
+) -> TierDecision:
+    """The routing steps both policies share, in order.
 
-    Measured decisions (:func:`autotune_tier`, or a TuneCache replay)
-    take precedence over the certificate-based default policy.
+    Exact-product ops (``config=None``) and untabulated formats stay on
+    their bit-exact default, and so does a config the integrity
+    subsystem demoted.  A policy that wants the exact tier passes its
+    reason as ``hold``.  Otherwise the first :data:`FAST_TIERS`
+    candidate :func:`certify_fast_path` certifies wins, falling back to
+    the exact tier when none do; ``pressure`` prefixes either reason.
     """
-    get_kernel(kernel)  # validate early, with the structured error
-    with _RECORDED_LOCK:
-        _RECORDED[(fmt.name, config.name, shape_cls)] = kernel
-
-
-def recorded_tiers() -> dict:
-    """Snapshot of all pinned ``(fmt, config, shape_class) -> kernel`` tiers."""
-    with _RECORDED_LOCK:
-        return dict(_RECORDED)
-
-
-def reset_recorded_tiers() -> None:
-    """Drop all pinned tiers (back to the certificate-based policy)."""
-    with _RECORDED_LOCK:
-        _RECORDED.clear()
+    exact = exact_tier_name(fmt)
+    if not table_supported(fmt.significand_bits) or config is None:
+        return TierDecision(
+            kernel=exact,
+            shape_class=cls,
+            reason="no certified fast path (exact products or untabulated format)",
+        )
+    if integrity.is_demoted(fmt, config):
+        # Corruption recurred on this config's tables: the integrity
+        # subsystem pinned it to the bit-exact path, whatever the policy.
+        return TierDecision(
+            kernel=exact,
+            shape_class=cls,
+            reason="integrity demotion: corruption recurred on this config",
+        )
+    if hold is not None:
+        return TierDecision(kernel=exact, shape_class=cls, reason=hold)
+    cert = None
+    for candidate in FAST_TIERS:
+        cert = certify_fast_path(fmt, config, kernel=candidate)
+        if cert.certified:
+            return TierDecision(
+                kernel=candidate,
+                shape_class=cls,
+                reason=(
+                    f"{pressure}certified: measured {cert.measured_rel_error:.2e} "
+                    f"<= {cert.margin:g} x analytic bound {cert.analytic_bound:.3g}"
+                ),
+                certificate=cert,
+            )
+    return TierDecision(
+        kernel=exact,
+        shape_class=cls,
+        reason=(
+            f"{pressure}no fast tier certified, staying bit-exact: best measured "
+            f"{cert.measured_rel_error:.2e} > "
+            f"{cert.margin:g} x analytic bound {cert.analytic_bound:.3g}"
+        ),
+        certificate=cert,
+    )
 
 
 def route_decision(
@@ -237,12 +260,12 @@ def route_decision(
     """Decide which kernel ``"auto"`` resolves to for one op.
 
     Policy, in order: an explicit kernel name (or ``None``) bypasses
-    routing entirely; formats without tables, and exact-product ops
-    (``config=None``), stay on their bit-exact default; a tier pinned
-    via :func:`record_tier` wins; tiny shapes stay on the gather tier
-    (fast-path setup overhead dominates); otherwise the first
-    :data:`FAST_TIERS` candidate :func:`certify_fast_path` certifies
-    for the config wins, falling back to the exact tier when none do.
+    routing entirely; formats without tables, exact-product ops
+    (``config=None``) and demoted configs stay on their bit-exact
+    default; tiny shapes stay on the gather tier (fast-path setup
+    overhead dominates); otherwise the first :data:`FAST_TIERS`
+    candidate :func:`certify_fast_path` certifies for the config wins,
+    falling back to the exact tier when none do.
 
     ``shape`` is ``(m, k, n)`` with ``m=None`` allowed (plan compile
     time, batch unknown — classed ``general``).
@@ -252,56 +275,8 @@ def route_decision(
         found = select_kernel(fmt, config, kernel)
         reason = "explicit kernel" if kernel else "bit-exact default tier"
         return TierDecision(kernel=found.name, shape_class=cls, reason=reason)
-    if not table_supported(fmt.significand_bits) or config is None:
-        found = select_kernel(fmt, config, None)
-        return TierDecision(
-            kernel=found.name,
-            shape_class=cls,
-            reason="no certified fast path (exact products or untabulated format)",
-        )
-    if integrity.is_demoted(fmt, config):
-        # Corruption recurred on this config's tables: the integrity
-        # subsystem pinned it to the bit-exact path.  Overrides recorded
-        # (autotuned) tiers — a measured speed win never outranks a
-        # correctness demotion.
-        return TierDecision(
-            kernel=exact_tier_name(fmt),
-            shape_class=cls,
-            reason="integrity demotion: corruption recurred on this config",
-        )
-    with _RECORDED_LOCK:
-        pinned = _RECORDED.get((fmt.name, config.name, cls))
-    if pinned is not None:
-        return TierDecision(kernel=pinned, shape_class=cls, reason="recorded tier")
-    if cls == "tiny":
-        return TierDecision(
-            kernel=exact_tier_name(fmt),
-            shape_class=cls,
-            reason="tiny shape: fast-path setup overhead dominates",
-        )
-    cert = None
-    for candidate in FAST_TIERS:
-        cert = certify_fast_path(fmt, config, kernel=candidate)
-        if cert.certified:
-            return TierDecision(
-                kernel=candidate,
-                shape_class=cls,
-                reason=(
-                    f"certified: measured {cert.measured_rel_error:.2e} <= "
-                    f"{cert.margin:g} x analytic bound {cert.analytic_bound:.3g}"
-                ),
-                certificate=cert,
-            )
-    return TierDecision(
-        kernel=exact_tier_name(fmt),
-        shape_class=cls,
-        reason=(
-            f"no fast tier certified: best measured "
-            f"{cert.measured_rel_error:.2e} > "
-            f"{cert.margin:g} x analytic bound {cert.analytic_bound:.3g}"
-        ),
-        certificate=cert,
-    )
+    hold = "tiny shape: fast-path setup overhead dominates" if cls == "tiny" else None
+    return _fast_tier_ladder(fmt, config, cls, hold)
 
 
 def route_decision_sla(
@@ -326,59 +301,20 @@ def route_decision_sla(
     override everything, exactly as in :func:`route_decision`.
     """
     cls = shape_class(*shape) if shape is not None else "general"
-    exact = select_kernel(fmt, config, None).name
-    if not table_supported(fmt.significand_bits) or config is None:
-        return TierDecision(
-            kernel=exact,
-            shape_class=cls,
-            reason="no certified fast path (exact products or untabulated format)",
-        )
-    if integrity.is_demoted(fmt, config):
-        return TierDecision(
-            kernel=exact_tier_name(fmt),
-            shape_class=cls,
-            reason="integrity demotion: corruption recurred on this config",
-        )
+    hold, pressure = None, ""
     if predicted_exact_ms is None or sla_budget_ms is None:
-        return TierDecision(
-            kernel=exact,
-            shape_class=cls,
-            reason="bit-exact default: no SLA budget or uncalibrated prediction",
+        hold = "bit-exact default: no SLA budget or uncalibrated prediction"
+    elif predicted_exact_ms <= sla_budget_ms:
+        hold = (
+            f"bit-exact meets SLA: predicted {predicted_exact_ms:.2f} ms <= "
+            f"budget {sla_budget_ms:.2f} ms"
         )
-    if predicted_exact_ms <= sla_budget_ms:
-        return TierDecision(
-            kernel=exact,
-            shape_class=cls,
-            reason=(
-                f"bit-exact meets SLA: predicted {predicted_exact_ms:.2f} ms <= "
-                f"budget {sla_budget_ms:.2f} ms"
-            ),
+    else:
+        pressure = (
+            f"sla pressure: predicted exact {predicted_exact_ms:.2f} ms > "
+            f"budget {sla_budget_ms:.2f} ms; "
         )
-    cert = None
-    for candidate in FAST_TIERS:
-        cert = certify_fast_path(fmt, config, kernel=candidate)
-        if cert.certified:
-            return TierDecision(
-                kernel=candidate,
-                shape_class=cls,
-                reason=(
-                    f"sla pressure: predicted exact {predicted_exact_ms:.2f} ms > "
-                    f"budget {sla_budget_ms:.2f} ms; certified "
-                    f"{cert.measured_rel_error:.2e} <= {cert.margin:g} x "
-                    f"analytic bound {cert.analytic_bound:.3g}"
-                ),
-                certificate=cert,
-            )
-    return TierDecision(
-        kernel=exact_tier_name(fmt),
-        shape_class=cls,
-        reason=(
-            "sla pressure but no certified fast tier: staying bit-exact "
-            f"(best measured {cert.measured_rel_error:.2e} > "
-            f"{cert.margin:g} x analytic bound {cert.analytic_bound:.3g})"
-        ),
-        certificate=cert,
-    )
+    return _fast_tier_ladder(fmt, config, cls, hold, pressure)
 
 
 def route_kernel(
@@ -397,75 +333,3 @@ def route_kernel(
     if kernel != AUTO_KERNEL:
         return select_kernel(fmt, config, kernel)
     return get_kernel(route_decision(fmt, config, kernel, shape).kernel)
-
-
-def autotune_tier(
-    fmt: FloatFormat,
-    config: MultiplierConfig,
-    shape: tuple[int, int, int] = (256, 288, 64),
-    cache: "TuneCache | None" = None,
-    margin: float = CERT_MARGIN,
-    reps: int = 2,
-    seed: int = 0,
-) -> dict:
-    """Measure the certified candidates on ``shape`` and pin the winner.
-
-    Times the bit-exact tier and every **certified** :data:`FAST_TIERS`
-    candidate on a random ``shape`` GEMM (best of ``reps``), pins the
-    winner for the shape's class via :func:`record_tier`, and persists
-    it through ``cache`` (a :class:`~repro.core.tune_cache.TuneCache`)
-    when given.  A cache hit replays the persisted tier without
-    re-measuring.  Returns a report dict: ``tier``, ``shape_class``,
-    ``timings_ms``, ``source`` (``measured``/``cache``), and the
-    certificate of the routed fast tier (or ``None``) as a dict.
-    """
-    from ..formats.packed import pack
-
-    m, k, n = shape
-    cls = shape_class(m, k, n)
-    cache_key = f"router/{fmt.name}/{config.name}"
-    if cache is not None:
-        entry = cache.get(cache_key, cls)
-        if entry is not None and entry.get("tier"):
-            record_tier(fmt, config, cls, entry["tier"])
-            return {
-                "tier": entry["tier"],
-                "shape_class": cls,
-                "timings_ms": entry.get("timings_ms") or {},
-                "source": "cache",
-                "certificate": None,
-            }
-    candidates = [exact_tier_name(fmt)]
-    cert = None
-    for candidate in FAST_TIERS:
-        found_cert = certify_fast_path(
-            fmt, config, margin=margin, seed=seed, kernel=candidate
-        )
-        if found_cert.certified:
-            candidates.append(candidate)
-            if cert is None:
-                cert = found_cert  # the tier route_decision would pick
-    rng = np.random.default_rng(seed)
-    pa = pack(rng.standard_normal((m, k)).astype(np.float32), fmt)
-    pb = pack(rng.standard_normal((k, n)).astype(np.float32), fmt)
-    timings: dict[str, float] = {}
-    for name in candidates:
-        found = get_kernel(name)
-        found.run(pa, pb, config)  # warm (tables)
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            found.run(pa, pb, config)
-            best = min(best, time.perf_counter() - t0)
-        timings[name] = best * 1e3
-    chosen = min(timings, key=timings.get)
-    record_tier(fmt, config, cls, chosen)
-    if cache is not None:
-        cache.put(cache_key, cls, tier=chosen, timings_ms=timings)
-    return {
-        "tier": chosen,
-        "shape_class": cls,
-        "timings_ms": timings,
-        "source": "measured",
-        "certificate": dataclasses.asdict(cert) if cert is not None else None,
-    }

@@ -1,5 +1,7 @@
 """Tests for the approximate GEMM and the matmul backends."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,17 +40,15 @@ class TestApproxMatmul:
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
     def test_chunking_invariant(self):
-        from repro.core.kernels import reset_tuned_budgets, set_row_budget
+        from repro.core import kernels
 
         rng = np.random.default_rng(1)
         a = rng.standard_normal((9, 33)).astype(np.float32)
         b = rng.standard_normal((33, 8)).astype(np.float32)
         full = approx_matmul(a, b, BFLOAT16, PC3)
-        try:
-            set_row_budget("float_table", 40)  # 5-row blocks, one K term at a time
+        # 5-row blocks, one K term at a time.
+        with patch.object(kernels, "ROW_BUDGET", 40):
             small = approx_matmul(a, b, BFLOAT16, PC3)
-        finally:
-            reset_tuned_budgets()
         np.testing.assert_array_equal(full.view(np.uint32), small.view(np.uint32))
 
     def test_identity_times_matrix_is_quantisation(self):

@@ -10,26 +10,24 @@ parity tolerance.
 """
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.config import FLA, PC3, PC3_TR, all_configs
 from repro.core.kernels import (
     BlasFactoredKernel,
-    autotune_row_budget,
     exact_tier_name,
     factored_tables,
     get_kernel,
     kernel_names,
     register_kernel,
     reset_table_cache_counters,
-    reset_tuned_budgets,
-    row_block_budget,
     select_kernel,
-    set_row_budget,
     table_cache_counters,
     value_table,
     weight_layout,
@@ -149,9 +147,7 @@ class TestRegistry:
             register_kernel(Probe())
             assert get_kernel("probe_kernel").name == "probe_kernel"
         finally:
-            from repro.core import kernels as module
-
-            module._KERNELS.pop("probe_kernel", None)
+            kernels._KERNELS.pop("probe_kernel", None)
 
     def test_bit_exact_flags(self):
         assert get_kernel("float_table").bit_exact
@@ -169,16 +165,11 @@ class TestFloatTableParity:
         b = _extreme_operands(rng, (37, 11))
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         want = _scalar_reference(a, b, BFLOAT16, config)
-        try:
-            # 7-row blocks of single K terms, then 7-wide K chunks over all
-            # rows, then the default tile.
-            for budget in (77, 1771, None):
-                if budget is not None:
-                    set_row_budget("float_table", budget)
+        # 7-row blocks of single K terms, then 7-wide K chunks over all
+        # rows, then the default tile.
+        for budget in (77, 1771, kernels.ROW_BUDGET):
+            with patch.object(kernels, "ROW_BUDGET", budget):
                 _assert_bytes_equal(get_kernel("float_table").run(pa, pb, config), want)
-                reset_tuned_budgets()
-        finally:
-            reset_tuned_budgets()
 
     @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
     def test_byte_identical_to_scalar_reference(self, config):
@@ -187,12 +178,9 @@ class TestFloatTableParity:
         b = _extreme_operands(rng, (9, 3))
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         want = _scalar_reference(a, b, BFLOAT16, config)
-        try:
-            for budget in (12, 60):  # 4-row blocks, then 4-wide K chunks
-                set_row_budget("float_table", budget)
+        for budget in (12, 60):  # 4-row blocks, then 4-wide K chunks
+            with patch.object(kernels, "ROW_BUDGET", budget):
                 _assert_bytes_equal(get_kernel("float_table").run(pa, pb, config), want)
-        finally:
-            reset_tuned_budgets()
 
     def test_opposite_infinities_sum_to_nan_without_warning(self):
         # +inf and -inf products in one output: the K-sum gives NaN, as
@@ -331,13 +319,9 @@ class TestFloatTableParity:
         a[rng.random((m, k)) < 0.1] = -0.0
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         kernel = get_kernel("float_table")
-        try:
-            if budget is not None:
-                set_row_budget("float_table", budget)
+        with patch.object(kernels, "ROW_BUDGET", budget or kernels.ROW_BUDGET):
             got = kernel.run(pa, pb, config)
             rows = [kernel.run(pack(a[i : i + 1], BFLOAT16), pb, config) for i in range(m)]
-        finally:
-            reset_tuned_budgets()
         _assert_bytes_equal(got, _scalar_reference(a, b, BFLOAT16, config))
         _assert_bytes_equal(got, np.concatenate(rows))
 
@@ -495,7 +479,7 @@ class TestWeightLayouts:
     def test_stationary_table_released_with_its_last_user(self):
         import gc
 
-        from repro.core import integrity, kernels
+        from repro.core import integrity
 
         b = np.random.default_rng(8).standard_normal((9, 16)).astype(np.float32)
         kernel = get_kernel("float_table")
@@ -518,8 +502,6 @@ class TestWeightLayouts:
         import gc
         import sys
         import threading
-
-        from repro.core import kernels
 
         rng = np.random.default_rng(9)
         a = rng.standard_normal((32, 20)).astype(np.float32)
@@ -645,47 +627,16 @@ class TestValueTables:
 
 
 class TestChunkPolicy:
-    def test_row_budget_override_and_reset(self):
-        reset_tuned_budgets()
-        default = row_block_budget("float_table")
-        try:
-            set_row_budget("float_table", 4096)
-            assert row_block_budget("float_table") == 4096
-            with pytest.raises(ValueError, match="positive"):
-                set_row_budget("float_table", 0)
-        finally:
-            reset_tuned_budgets()
-        assert row_block_budget("float_table") == default
-
     def test_row_blocking_is_bit_neutral(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((37, 19)).astype(np.float32)
         b = rng.standard_normal((19, 7)).astype(np.float32)
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         kernel = get_kernel("float_table")
-        reset_tuned_budgets()
         want = kernel.run(pa, pb, PC3_TR)
-        try:
-            for budget in (1, 64, 1 << 20):
-                set_row_budget("float_table", budget)
+        for budget in (1, 64, 1 << 20):
+            with patch.object(kernels, "ROW_BUDGET", budget):
                 _assert_bytes_equal(kernel.run(pa, pb, PC3_TR), want)
-        finally:
-            reset_tuned_budgets()
-
-    def test_autotune_installs_a_candidate(self):
-        reset_tuned_budgets()
-        try:
-            result = autotune_row_budget(
-                kernel="float_table",
-                shape=(32, 16, 8),
-                candidates=(1 << 12, 1 << 14),
-                reps=1,
-            )
-            assert result.chosen in (1 << 12, 1 << 14)
-            assert set(result.timings_ms) == {1 << 12, 1 << 14}
-            assert row_block_budget("float_table") == result.chosen
-        finally:
-            reset_tuned_budgets()
 
 
 class TestBackendPlumbing:

@@ -1,54 +1,32 @@
-"""Tests for the certified tier router and the on-disk tune cache.
+"""Tests for the certified tier router.
 
-Routing policy (explicit bypass / recorded override / tiny-shape guard /
-certificate gating), the ``kernel="auto"`` plumbing through
-``approx_matmul`` and compiled plans, and the :class:`TuneCache`
-hit/miss/invalidation semantics that make autotuned choices persist
-across processes without ever replaying a foreign machine's numbers.
+Routing policy (explicit bypass / tiny-shape guard / certificate gating),
+the SLA-aware variant the cost-model scheduler uses, and the
+``kernel="auto"`` plumbing through ``approx_matmul`` and compiled plans.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
 
-from repro.core.config import FLA, PC3, PC3_TR, all_configs
+from repro.core import integrity
+from repro.core.config import PC3_TR, all_configs
 from repro.core.gemm import approx_matmul
 from repro.core.kernels import (
     UnknownKernelError,
-    autotune_row_budget,
     exact_tier_name,
     get_kernel,
-    reset_tuned_budgets,
     shape_class,
 )
 from repro.core.router import (
     AUTO_KERNEL,
     CERT_MARGIN,
     TierCertificate,
-    autotune_tier,
     certify_fast_path,
-    record_tier,
-    recorded_tiers,
-    reset_recorded_tiers,
     route_decision,
+    route_decision_sla,
     route_kernel,
 )
-from repro.core.tune_cache import (
-    TUNE_CACHE_SCHEMA,
-    TuneCache,
-    default_cache_path,
-    machine_fingerprint,
-)
 from repro.formats.floatfmt import BFLOAT16, FLOAT32
-
-
-@pytest.fixture(autouse=True)
-def _clean_recorded_tiers():
-    reset_recorded_tiers()
-    yield
-    reset_recorded_tiers()
 
 
 class TestShapeClass:
@@ -112,20 +90,6 @@ class TestRoutingPolicy:
     def test_auto_untabulated_format_stays_generic(self):
         decision = route_decision(FLOAT32, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
         assert decision.kernel == "generic"
-
-    def test_recorded_tier_wins_and_resets(self):
-        record_tier(BFLOAT16, PC3_TR, "general", "generic")
-        decision = route_decision(BFLOAT16, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
-        assert decision.kernel == "generic"
-        assert decision.reason == "recorded tier"
-        assert recorded_tiers()[("bfloat16", "PC3_tr", "general")] == "generic"
-        reset_recorded_tiers()
-        decision = route_decision(BFLOAT16, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
-        assert decision.kernel == "blas_factored_fast"
-
-    def test_record_tier_validates_kernel(self):
-        with pytest.raises(UnknownKernelError):
-            record_tier(BFLOAT16, PC3_TR, "general", "bogus")
 
     def test_unknown_kernel_error_attrs(self):
         with pytest.raises(UnknownKernelError) as info:
@@ -195,101 +159,51 @@ class TestAutoPlumbing:
         assert plan_tiers(plan) == ["dense_blas"]
 
 
-class TestTuneCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = TuneCache(path=str(tmp_path / "tune.json"))
-        assert cache.get("float_table", "general") is None
-        cache.put("float_table", "general", budget=4096, timings_ms={"a": 1.0})
-        got = cache.get("float_table", "general")
-        assert got == {"budget": 4096, "timings_ms": {"a": 1.0}}
-        assert cache.counters() == {"hits": 1, "misses": 1, "invalidations": 0}
+class TestSlaRouting:
+    """``route_decision_sla``: bit-exact unless the SLA cannot be met."""
 
-    def test_persists_across_instances(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        TuneCache(path=path).put("float_table", "general", budget=1024)
-        reloaded = TuneCache(path=path)
-        assert reloaded.get("float_table", "general")["budget"] == 1024
+    @pytest.fixture(autouse=True)
+    def _no_demotions(self):
+        integrity.reset_integrity()
+        yield
+        integrity.reset_integrity()
 
-    def test_fingerprint_mismatch_invalidates(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        TuneCache(path=path, fingerprint="aaaa").put("k", "general", budget=7)
-        other = TuneCache(path=path, fingerprint="bbbb")
-        assert other.get("k", "general") is None
-        assert other.counters()["invalidations"] == 1
+    def test_untabulated_format_stays_generic(self):
+        decision = route_decision_sla(FLOAT32, PC3_TR, 1000.0, 1.0)
+        assert decision.kernel == "generic"
+        assert decision.certificate is None
 
-    def test_schema_bump_invalidates(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        cache = TuneCache(path=path)
-        cache.put("k", "general", budget=7)
-        raw = json.loads(open(path, encoding="utf-8").read())
-        raw["schema"] = TUNE_CACHE_SCHEMA + 1
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh)
-        fresh = TuneCache(path=path)
-        assert fresh.get("k", "general") is None
-        assert fresh.counters()["invalidations"] == 1
+    def test_exact_products_stay_exact(self):
+        decision = route_decision_sla(BFLOAT16, None, 1000.0, 1.0)
+        assert decision.kernel == exact_tier_name(BFLOAT16)
+        assert decision.certificate is None
 
-    def test_corrupt_file_degrades_to_cold(self, tmp_path):
-        path = str(tmp_path / "tune.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        cache = TuneCache(path=path)
-        assert cache.get("k", "general") is None
-        cache.put("k", "general", budget=3)  # and it recovers by rewriting
-        assert TuneCache(path=path).get("k", "general")["budget"] == 3
+    def test_demoted_config_stays_exact_under_pressure(self):
+        integrity.demote(BFLOAT16, PC3_TR)
+        decision = route_decision_sla(BFLOAT16, PC3_TR, 1000.0, 1.0)
+        assert decision.kernel == exact_tier_name(BFLOAT16)
+        assert "demotion" in decision.reason
 
-    def test_put_merges_keys(self, tmp_path):
-        cache = TuneCache(path=str(tmp_path / "tune.json"))
-        cache.put("k", "general", budget=5)
-        cache.put("k", "general", tier="blas_factored")
-        assert cache.get("k", "general") == {"budget": 5, "tier": "blas_factored"}
+    @pytest.mark.parametrize("predicted, budget", [(None, 1.0), (1000.0, None), (None, None)])
+    def test_no_budget_or_uncalibrated_stays_exact(self, predicted, budget):
+        decision = route_decision_sla(BFLOAT16, PC3_TR, predicted, budget)
+        assert decision.kernel == exact_tier_name(BFLOAT16)
+        assert "bit-exact" in decision.reason
+        assert decision.certificate is None
 
-    def test_default_path_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "explicit.json"))
-        assert default_cache_path() == str(tmp_path / "explicit.json")
-        monkeypatch.delenv("REPRO_TUNE_CACHE")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cachedir"))
-        assert default_cache_path() == os.path.join(
-            str(tmp_path / "cachedir"), "tune_cache.json"
-        )
+    @pytest.mark.parametrize("predicted", [0.5, 1.0])
+    def test_prediction_within_budget_stays_exact(self, predicted):
+        decision = route_decision_sla(BFLOAT16, PC3_TR, predicted, 1.0)
+        assert decision.kernel == exact_tier_name(BFLOAT16)
+        assert "meets SLA" in decision.reason
+        assert decision.certificate is None
 
-    def test_fingerprint_is_stable(self):
-        assert machine_fingerprint() == machine_fingerprint()
-        assert len(machine_fingerprint()) == 16
-
-
-class TestAutotunePersistence:
-    def test_row_budget_measured_then_cached(self, tmp_path):
-        cache = TuneCache(path=str(tmp_path / "tune.json"))
-        reset_tuned_budgets()
-        first = autotune_row_budget(
-            "float_table", (64, 32, 16), BFLOAT16, PC3, reps=1, cache=cache
-        )
-        assert first.source == "measured"
-        assert cache.get("float_table", shape_class(64, 32, 16))["budget"] == (
-            first.chosen
-        )
-        reset_tuned_budgets()
-        second = autotune_row_budget(
-            "float_table", (64, 32, 16), BFLOAT16, PC3, reps=1, cache=cache
-        )
-        assert second.source == "cache"
-        assert second.chosen == first.chosen
-        reset_tuned_budgets()
-
-    def test_autotune_tier_measured_then_replayed(self, tmp_path):
-        cache = TuneCache(path=str(tmp_path / "tune.json"))
-        first = autotune_tier(BFLOAT16, FLA, shape=(64, 48, 32), cache=cache, reps=1)
-        assert first["source"] == "measured"
-        assert first["tier"] in (
-            exact_tier_name(BFLOAT16),
-            "blas_factored",
-            "blas_factored_fast",
-        )
-        assert first["certificate"]["certified"] is True
-        reset_recorded_tiers()
-        second = autotune_tier(BFLOAT16, FLA, shape=(64, 48, 32), cache=cache, reps=1)
-        assert second["source"] == "cache"
-        assert second["tier"] == first["tier"]
-        # The replay re-pins the recorded tier for routing.
-        assert recorded_tiers()[("bfloat16", "FLA", "general")] == first["tier"]
+    @pytest.mark.parametrize("config", all_configs(), ids=lambda c: c.name)
+    def test_pressure_takes_the_auto_ladder(self, config):
+        shape = (256, 288, 64)
+        decision = route_decision_sla(BFLOAT16, config, 1000.0, 1.0, shape=shape)
+        auto = route_decision(BFLOAT16, config, AUTO_KERNEL, shape=shape)
+        assert decision.kernel == auto.kernel
+        assert decision.certificate is auto.certificate
+        assert decision.shape_class == "general"
+        assert "sla pressure" in decision.reason

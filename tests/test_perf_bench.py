@@ -50,15 +50,6 @@ def test_quick_run_writes_valid_artifact(quick_report):
         assert ("approx_bfloat16_PC3_tr", kernel, "raw") in combos
         assert ("approx_bfloat16_PC3_tr", kernel, "prepared") in combos
 
-    tuned = report["autotune"]
-    assert [row["kernel"] for row in tuned["rows"]] == ["float_table"]
-    for row in tuned["rows"]:
-        assert str(row["chosen_budget"]) in row["timings_ms"]
-        assert row["source"] in ("measured", "cache")
-    # A fresh REPRO_CACHE_DIR means the budget was measured and written.
-    assert tuned["cache"]["misses"] >= 1
-    assert tuned["cache"]["fingerprint"]
-
     tiers = report["tiers"]
     # Both fast-tier candidates certified per Table I config (5 x 2).
     assert len(tiers["certificates"]) == 10
@@ -67,8 +58,6 @@ def test_quick_run_writes_valid_artifact(quick_report):
         "blas_factored",
         "blas_factored_fast",
     }
-    assert tiers["autotune_tier"]["source"] == "measured"
-    assert tiers["autotune_tier"]["tier"] in tiers["autotune_tier"]["timings_ms"]
     # The artifact records which gather tier ran.
     assert tiers["status"]["exact_tier"] == "float_table"
 
