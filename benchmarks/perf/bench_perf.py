@@ -347,8 +347,8 @@ def scenario_rows(quick: bool) -> list[dict]:
     """Compiled-plan latency for the co-sim scenario workloads.
 
     One row per :data:`SCENARIO_INPUTS` model under the default DAISM
-    backend: the grouped/depthwise MobileNet-edge stack (per-group
-    packed-gather GEMMs) and the transformer encoder (approximate
+    backend: the grouped/depthwise MobileNet-edge stack (depthwise
+    convs as direct tap loops) and the transformer encoder (approximate
     attention, LayerNorm, softmax).  Each row's logits are asserted
     byte-identical to the eager pass before the timing is recorded, so
     a row in the artifact is also a parity proof for the machine that

@@ -25,6 +25,9 @@ Four kernels are built in:
     (:meth:`FloatTableKernel.prepare`) in a layout picked from its shape
     by :func:`weight_layout` — a weight-stationary table, an
     activation-expanded index, or the plain gather — with the same bits.
+    A convolution whose per-group weights are too narrow for their own
+    tables gets one table for all groups and runs as a direct tap loop
+    over the packed image (:meth:`FloatTableKernel.run_direct`).
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -395,6 +398,7 @@ def factored_tables(
 GATHER = "gather"
 WEIGHT_STATIONARY = "weight_stationary"
 ACTIVATION_EXPANDED = "activation_expanded"
+DIRECT = "direct"
 
 #: Narrowest weight given a weight-stationary table: the hot loop
 #: gathers rows of N floats, and shorter rows stay per-element bound.
@@ -432,7 +436,9 @@ def weight_layout(k: int, n: int, bits: int) -> str:
     * :data:`ACTIVATION_EXPANDED` when ``n`` reaches ``2^(bits-1)``
       (128 for bfloat16): expanding one activation element costs one row
       of ``2^(bits-1) + 1`` values, which ``n`` products then share;
-    * :data:`GATHER` (the plain kernel) otherwise.
+    * :data:`GATHER` (the plain kernel) otherwise.  A convolution's
+      narrow weights can still run :data:`DIRECT`
+      (:meth:`FloatTableKernel.prepare_direct`).
 
     A function of the weight's shape alone, never of the batch, so a
     plan's layouts — and its bits — are the same in every process.
@@ -470,7 +476,11 @@ def _value_rows(bits: int, config: MultiplierConfig | None) -> np.ndarray:
 
 
 def _build_stationary(weight: PackedTensor, config: MultiplierConfig | None) -> np.ndarray:
-    """``T[k * rows + r, :] = V0[significands[r], mb[k, :]] * beta[k, :]``."""
+    """``T[k * rows + r, :] = V0[significands[r], mb[k, :]] * beta[k, :]``.
+
+    A direct-conv weight interleaves its groups' ``(K, fg)`` weights,
+    so row ``(t * G + g) * rows + r`` is group ``g``, tap ``t``.
+    """
     bits = weight.fmt.significand_bits
     significands = _significand_rows(bits)[0]
     k, n = weight.shape
@@ -482,6 +492,24 @@ def _build_stationary(weight: PackedTensor, config: MultiplierConfig | None) -> 
     table = table.reshape(k * significands.size, n)
     table.setflags(write=False)
     return table
+
+
+def _row_addressable(weight: PackedTensor) -> bool:
+    """Whether every significand is zero or has its MSB set (has a table row)."""
+    mb, bits = weight.significand, weight.fmt.significand_bits
+    return bool(np.all((mb == 0) | (mb >> (bits - 1) == 1)))
+
+
+def _row_plane(packed: PackedTensor) -> np.ndarray:
+    """``row_of[significand]`` as ``uint32``, without a select on the zero mask.
+
+    A nonzero significand's row is ``mb - (2^(bits-1) - 1)``: its bits
+    below the MSB plus the MSB itself; zero maps to row 0.
+    """
+    sig, bits = packed.significand, packed.fmt.significand_bits
+    row = sig & np.uint32((1 << (bits - 1)) - 1)
+    row += sig >> np.uint32(bits - 1)
+    return row
 
 
 #: Live :class:`PreparedWeight` count per weight-stationary table key.
@@ -512,9 +540,10 @@ class PreparedWeight:
 
     Built by :meth:`GemmKernel.prepare` when a plan compiles and consumed
     by :meth:`GemmKernel.run_prepared`.  ``layout`` names the arrangement
-    (see :func:`weight_layout`; ``None`` for kernels without layouts).  A weight-stationary layout keeps only
-    the ``table_key`` of its table in the table cache and looks the table
-    up on every call, so an integrity heal takes effect at the next GEMM.
+    (see :func:`weight_layout`; ``None`` for kernels without layouts).
+    A weight-stationary or direct layout keeps only the ``table_key`` of
+    its table in the table cache and looks the table up on every call,
+    so an integrity heal takes effect at the next GEMM.
     An activation-expanded layout keeps ``index``, each weight element's
     significand row ``row_of[mb[k, n]]`` in the narrowest unsigned dtype
     (one byte for bfloat16).
@@ -741,27 +770,56 @@ class FloatTableKernel(GemmKernel):
         k, n = pb.shape
         bits = pb.fmt.significand_bits
         layout = weight_layout(k, n, bits)
-        mb = pb.significand
-        if layout == GATHER or not np.all((mb == 0) | (mb >> (bits - 1) == 1)):
+        if layout == GATHER or not _row_addressable(pb):
             return PreparedWeight(pb, config, GATHER)
         if layout == WEIGHT_STATIONARY:
-            key = (
-                bits,
-                *_config_key(config),
-                "value_ws",
-                integrity.checksum_value((mb, pb.scale())),
-            )
-            prepared = PreparedWeight(pb, config, layout, table_key=key)
-            _retain(key)
-            weakref.finalize(prepared, _release, key).atexit = False
-            self._stationary_table(prepared)
-            return prepared
-        # row_of[mb] without an intp temporary: row = mb - (2^(bits-1) - 1).
-        index = np.zeros(mb.shape, np.min_scalar_type(1 << (bits - 1)))
-        np.subtract(mb, (1 << (bits - 1)) - 1, out=index, where=mb != 0, casting="unsafe")
+            return self._prepare_stationary(pb, config, layout)
+        index = _row_plane(pb).astype(np.min_scalar_type(1 << (bits - 1)))
         index.setflags(write=False)
         _value_rows(bits, config)
         return PreparedWeight(pb, config, layout, index=index)
+
+    def prepare_direct(self, weights, config) -> PreparedWeight | None:
+        """One :data:`DIRECT` table for a convolution's per-group ``(K, fg)`` weights.
+
+        For weights narrower than :data:`WS_MIN_N` (LeNet's first conv,
+        depthwise groups), whose per-group GEMMs gather.  The groups'
+        weights are interleaved tap by tap into one ``(K * G, fg)`` weight
+        and expanded into its weight-stationary table, capped at
+        :data:`WS_MAX_BYTES`; ``None`` when the weights are wider, the
+        table would not fit, or a significand is not row-addressable.
+        """
+        k, n = weights[0].shape
+        rows = _significand_rows(weights[0].fmt.significand_bits)[0].size
+        if n >= WS_MIN_N or len(weights) * k * rows * n * 4 > WS_MAX_BYTES:
+            return None
+        # Row t * G + g is group g's tap t: one contiguous block per tap.
+        def interleave(planes):
+            return np.stack(planes, axis=1).reshape(-1, n)
+
+        stacked = PackedTensor(
+            weights[0].fmt,
+            interleave([w.sign for w in weights]),
+            interleave([w.exponent for w in weights]),
+            interleave([w.significand for w in weights]),
+        )
+        stacked._scale = interleave([w.scale() for w in weights])
+        if not _row_addressable(stacked):
+            return None
+        return self._prepare_stationary(stacked, config, DIRECT)
+
+    def _prepare_stationary(self, pb, config, layout) -> PreparedWeight:
+        key = (
+            pb.fmt.significand_bits,
+            *_config_key(config),
+            "value_ws",
+            integrity.checksum_value((pb.significand, pb.scale())),
+        )
+        prepared = PreparedWeight(pb, config, layout, table_key=key)
+        _retain(key)
+        weakref.finalize(prepared, _release, key).atexit = False
+        self._stationary_table(prepared)
+        return prepared
 
     @staticmethod
     def _stationary_table(prepared: PreparedWeight) -> np.ndarray:
@@ -866,6 +924,71 @@ class FloatTableKernel(GemmKernel):
                     self._apply_masks(values, *masks[1:])
                     _accumulate(values, out[r0:r1])
         return out
+
+    def run_direct(self, image, prepared, kernel, stride, padding, groups):
+        """Convolve a packed ``(N, C, H, W)`` image with a :meth:`prepare_direct`-ed weight.
+
+        Returns the ``(N, groups * fg, OH, OW)`` output, or ``None``
+        outside ``f32_exact`` (the caller then runs the per-group GEMMs).
+        No im2col: the image becomes one padded plane of table rows and
+        one padded ``alpha`` plane, and each tap ``t = (c, kh, kw)`` —
+        im2col's column order — reads a strided ``(N, groups, OH, OW)``
+        window of both, gathers rows of ``fg`` products from tap ``t``'s
+        block of the table and adds them to the total.  That is the
+        left-to-right K-sum of :func:`_accumulate` over the same exact
+        products, so the bits equal the per-group :meth:`run`'s, and each
+        output depends on its own sample only.
+        """
+        masks = self._range_masks(image, prepared.weight)
+        if not masks[0]:
+            return None
+        table = self._stationary_table(prepared)
+        fg = table.shape[1]
+        rows = _significand_rows(image.fmt.significand_bits)[0].size
+        n, c, h, w = image.shape
+        cg = c // groups
+        block = groups * rows
+        oh = (h + 2 * padding - kernel) // stride + 1
+        ow = (w + 2 * padding - kernel) // stride + 1
+
+        # Plane entry: group g's row of the pixel's significand, g * rows + row.
+        offsets = (np.arange(c, dtype=np.uint32) // cg * rows)[None, :, None, None]
+        plane = np.empty((n, c, h + 2 * padding, w + 2 * padding), np.min_scalar_type(block - 1))
+        plane[...] = offsets  # padding reads row 0: a zero
+        inner = (slice(None), slice(None), slice(padding, padding + h), slice(padding, padding + w))
+        plane[inner] = _row_plane(image) + offsets
+        alpha_plane = np.zeros(plane.shape, np.float32)
+        alpha_plane[inner] = image.scale()
+
+        # fg == 1 keeps 4-D tiles: a trailing broadcast axis of length 1
+        # would become the ufuncs' inner loop.
+        tile = (n, groups, oh, ow) if fg == 1 else (n, groups, oh, ow, fg)
+        index = np.empty((n, groups, oh, ow), np.intp)
+        values = np.empty(tile, np.float32)
+        acc = np.zeros(tile, np.float32)
+        t = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0 in range(cg):
+                for kh in range(kernel):
+                    for kw in range(kernel):
+                        window = (
+                            slice(None),
+                            slice(c0, None, cg),
+                            slice(kh, kh + stride * (oh - 1) + 1, stride),
+                            slice(kw, kw + stride * (ow - 1) + 1, stride),
+                        )
+                        np.copyto(index, plane[window])
+                        table[t * block : (t + 1) * block].take(
+                            index.reshape(-1), axis=0, out=values.reshape(-1, fg), mode="clip"
+                        )
+                        alpha = alpha_plane[window]
+                        values *= alpha if fg == 1 else alpha[..., None]
+                        self._apply_masks(values, *masks[1:])
+                        acc += values
+                        t += 1
+        if fg == 1:
+            return acc
+        return acc.transpose(0, 1, 4, 2, 3).reshape(n, groups * fg, oh, ow)
 
 
 class BlasFactoredKernel(GemmKernel):

@@ -190,33 +190,29 @@ def _pack_fast_e8(arr: np.ndarray, fmt: FloatFormat) -> PackedTensor | None:
             return None
         rounded = bits
 
-    biased = ((rounded >> np.uint32(23)) & np.uint32(0xFF)).astype(np.int32)
-    zero = biased == 0
+    # Zero-guarded planes use branch-free AND masks, not ``np.where``:
+    # a select on a ReLU-sparse mask mispredicts about every other element.
+    biased = (rounded >> np.uint32(23)) & np.uint32(0xFF)
+    keep = np.uint32(0) - (biased != 0).astype(np.uint32)  # all ones unless zero
     if fmt.mantissa_bits == 23:
         # float32 passes through quantize() unflushed: subnormal *values*
         # survive in the dense array (the planes still flush them).
-        sign = (rounded >> np.uint32(31)).astype(np.uint32)
-        dense = rounded.view(np.float32)
+        dense_bits = rounded
     else:
         # quantize() flushes rounded-subnormal magnitudes through
         # `np.where(..., 0.0)`, which drops the sign; exact ±0 (input
         # zeros, or tiny values whose mantissa rounds to zero) keep it.
-        sign = np.where(
-            zero & ((rounded & np.uint32(0x7FFF_FFFF)) != 0),
-            np.uint32(0),
-            rounded >> np.uint32(31),
-        ).astype(np.uint32)
-        dense = np.where(zero, sign << np.uint32(31), rounded).view(np.float32)
-    exponent = np.where(zero, np.int32(0), biased - np.int32(127)).astype(np.int32)
-    significand = np.where(
-        zero,
-        np.uint32(0),
-        ((rounded & np.uint32(0x007F_FFFF)) >> shift)
-        | np.uint32(1 << fmt.mantissa_bits),
-    ).astype(np.uint32)
-    scale = np.where(
-        zero, sign << np.uint32(31), rounded & np.uint32(0xFF80_0000)
-    ).view(np.float32)
+        subnormal = (rounded & np.uint32(0x7FFF_FFFF)) - np.uint32(1) < np.uint32(0x7F_FFFF)
+        dense_bits = rounded & (subnormal.astype(np.uint32) - np.uint32(1))
+    sign = dense_bits >> np.uint32(31)
+    dense = dense_bits.view(np.float32)
+    exponent = biased.view(np.int32) - np.int32(127)
+    exponent &= keep.view(np.int32)
+    significand = (rounded & np.uint32(0x007F_FFFF)) >> shift
+    significand |= np.uint32(1 << fmt.mantissa_bits)
+    significand &= keep
+    # A zero's exponent field is 0, so sign | exponent is its signed zero.
+    scale = (dense_bits & np.uint32(0xFF80_0000)).view(np.float32)
 
     packed = PackedTensor(fmt, sign, exponent, significand)
     packed._dense = dense

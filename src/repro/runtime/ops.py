@@ -23,13 +23,17 @@ compiler and the accelerator co-sim
 (:func:`repro.runtime.plan.conv_workload`) consume that one description
 instead of re-walking the module tree with their own shape logic.
 
-One genuine optimisation over the eager path lives here:
-:func:`pack_cols` packs a convolution *input image* once and gathers the
-packed bit planes through im2col, instead of materialising the
-``K*K``-fold redundant patch matrix and quantising every copy.
-Quantisation is elementwise, so the gathered planes are byte-identical
-to ``pack(im2col(x))`` — the ~``K*K``x cut in quantise/decompose work is
-free of any numerical change.
+Two optimisations over the eager path live here.  :func:`pack_cols`
+packs a convolution *input image* once and gathers the packed bit planes
+through im2col, instead of materialising the ``K*K``-fold redundant
+patch matrix and quantising every copy.  Quantisation is elementwise, so
+the gathered planes are byte-identical to ``pack(im2col(x))`` — the
+~``K*K``x cut in quantise/decompose work is free of any numerical
+change.  A conv whose per-group weights are too narrow for their own
+weight-stationary tables (LeNet's first conv, depthwise groups) skips
+im2col altogether: one table serves all its groups, and a tap loop over
+the packed image sums the same products in the same order (see
+:class:`_Conv`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import dataclasses
 import numpy as np
 
 from ..core.gemm import dense_matmul
-from ..core.kernels import GemmKernel
+from ..core.kernels import FloatTableKernel, GemmKernel, PreparedWeight
 from ..formats.floatfmt import FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from ..nn import functional as F
@@ -272,21 +276,14 @@ def gather_packed_cols(
     stride: int,
     padding: int,
     need_dense: bool = False,
-    channels: slice | None = None,
 ) -> PackedTensor:
     """Gather already-packed image planes through im2col.
 
-    ``channels`` restricts the gather to a channel slice of the packed
-    image — slicing, like the gather itself, commutes with elementwise
-    quantisation, so grouped convolutions can pack the whole image once
-    and carve per-group patch planes byte-identical to
-    ``pack(im2col(x[:, channels]))``.  ``im2col`` reads real strides, so
-    the sliced views gather without a copy.
+    Columns come in im2col's ``(c, kh, kw)`` order, so the columns of a
+    channel group form one contiguous block (see :func:`_column_block`).
     """
 
     def gather(plane: np.ndarray) -> np.ndarray:
-        if channels is not None:
-            plane = plane[:, channels]
         return F.im2col(plane, kernel, stride, padding)
 
     cols = PackedTensor(
@@ -299,6 +296,20 @@ def gather_packed_cols(
     if need_dense:
         cols._dense = gather(packed.dense())
     return cols
+
+
+def _column_block(cols: PackedTensor, start: int, stop: int) -> PackedTensor:
+    """Columns ``start:stop`` of packed patch planes, as views."""
+    block = PackedTensor(
+        cols.fmt,
+        cols.sign[:, start:stop],
+        cols.exponent[:, start:stop],
+        cols.significand[:, start:stop],
+    )
+    block._scale = cols.scale()[:, start:stop]
+    if cols._dense is not None:
+        block._dense = cols._dense[:, start:stop]
+    return block
 
 
 def pack_cols(
@@ -329,10 +340,81 @@ def pack_cols(
 # --------------------------------------------------------------------------
 
 
-class ConvOp(PlanOp):
-    """im2col convolution with a pre-resolved strategy and packed weight."""
+def _prepare_direct(strategies: tuple[MatmulStrategy, ...]) -> PreparedWeight | None:
+    """A :data:`~repro.core.kernels.DIRECT` weight for a conv's strategies, if any.
+
+    Only ``float_table`` strategies qualify, and only weights
+    :meth:`~repro.core.kernels.FloatTableKernel.prepare_direct` accepts.
+    """
+    first = strategies[0]
+    if not all(
+        isinstance(s, PackedKernelStrategy) and isinstance(s.kernel, FloatTableKernel)
+        for s in strategies
+    ):
+        return None
+    return first.kernel.prepare_direct([s.weight for s in strategies], first.config)
+
+
+class _Conv(PlanOp):
+    """Shared geometry, bias and direct path of the two conv ops.
+
+    A conv whose weights took a :data:`~repro.core.kernels.DIRECT`
+    layout at compile time runs as one tap loop over the packed image
+    (:meth:`~repro.core.kernels.FloatTableKernel.run_direct`).  Calls
+    outside ``f32_exact``, and strategies whose kernel was swapped for a
+    non-``float_table`` one after compilation (fault injection), take
+    the im2col path; both give the same bits.
+    """
 
     kind = "conv2d"
+
+    def __init__(self, strategies, bias, out_channels, kernel, stride, padding, groups, name):
+        self.bias = bias
+        self.out_channels = out_channels
+        self.kernel = kernel
+        self.stride = stride
+        self.padding = padding
+        self.groups = groups
+        self.name = name
+        self.row_independent = all(s.row_independent for s in strategies)
+        self.direct = _prepare_direct(strategies)
+
+    @property
+    def layout(self) -> str | None:
+        """The direct layout's name; ``None`` when the strategies run their own."""
+        return None if self.direct is None else self.direct.layout
+
+    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
+        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
+        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
+        return oh, ow
+
+    def _run_direct(self, packed: PackedTensor, strategies) -> np.ndarray | None:
+        """The direct layout's NCHW output plus bias; ``None`` to take im2col."""
+        if self.direct is None:
+            return None
+        if not all(isinstance(s.kernel, FloatTableKernel) for s in strategies):
+            return None
+        out = strategies[0].kernel.run_direct(
+            packed, self.direct, self.kernel, self.stride, self.padding, self.groups
+        )
+        if out is None:
+            return None
+        if self.bias is not None:
+            out = out + self.bias[None, :, None, None]
+        return np.ascontiguousarray(out, dtype=np.float32)
+
+    def _finish(self, out: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
+        """``(N * OH * OW, F)`` GEMM rows plus bias, as contiguous NCHW float32."""
+        out = out.reshape(n, oh * ow, self.out_channels)
+        if self.bias is not None:
+            out = out + self.bias[None, None, :]
+        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(out, dtype=np.float32)
+
+
+class ConvOp(_Conv):
+    """im2col convolution with a pre-resolved strategy and packed weight."""
 
     def __init__(
         self,
@@ -344,24 +426,20 @@ class ConvOp(PlanOp):
         padding: int,
         name: str = "conv2d",
     ):
+        super().__init__((strategy,), bias, out_channels, kernel, stride, padding, 1, name)
         self.strategy = strategy
-        self.bias = bias
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-        self.name = name
-        self.row_independent = strategy.row_independent
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         n, _c, h, w = x.shape
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
+        oh, ow = self._out_hw(h, w)
         strategy = self.strategy
         if strategy.packed_input:
-            pa = pack_cols(
-                x, self.kernel, self.stride, self.padding, strategy.fmt,
-                need_dense=strategy.needs_dense,
+            packed = pack(np.ascontiguousarray(x, dtype=np.float32), strategy.fmt)
+            direct = self._run_direct(packed, (strategy,))
+            if direct is not None:
+                return direct
+            pa = gather_packed_cols(
+                packed, self.kernel, self.stride, self.padding, strategy.needs_dense
             )
             out = strategy.matmul_packed(pa)
         elif isinstance(strategy, BackendStrategy):
@@ -373,24 +451,17 @@ class ConvOp(PlanOp):
         else:
             cols = F.im2col(x, self.kernel, self.stride, self.padding)
             out = strategy.matmul2d(cols)
-        out = out.reshape(n, oh * ow, self.out_channels)
-        if self.bias is not None:
-            out = out + self.bias[None, None, :]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(out, dtype=np.float32)
+        return self._finish(out, n, oh, ow)
 
 
-class GroupedConvOp(PlanOp):
+class GroupedConvOp(_Conv):
     """Grouped/depthwise convolution: one resolved strategy per group.
 
-    Packs the input image *once* and gathers each group's patch planes
-    from a channel slice of the shared packed planes (see
-    :func:`gather_packed_cols`) — the grouped analogue of the
-    :class:`ConvOp` pack-once optimisation, byte-identical to the eager
-    per-group ``pack(im2col(x[:, slice]))``.
+    Without a direct layout, packs and gathers the input image *once*
+    (see :func:`gather_packed_cols`) and hands each group its contiguous
+    block of patch columns — byte-identical to the eager per-group
+    ``pack(im2col(x[:, slice]))``.
     """
-
-    kind = "conv2d"
 
     def __init__(
         self,
@@ -403,47 +474,40 @@ class GroupedConvOp(PlanOp):
         groups: int,
         name: str = "conv2d",
     ):
-        self.strategies = tuple(strategies)
-        self.bias = bias
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-        self.groups = groups
-        self.name = name
-        self.row_independent = all(s.row_independent for s in self.strategies)
+        strategies = tuple(strategies)
+        super().__init__(strategies, bias, out_channels, kernel, stride, padding, groups, name)
+        self.strategies = strategies
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         n, c, h, w = x.shape
         cg = c // self.groups
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
+        oh, ow = self._out_hw(h, w)
         first = self.strategies[0]
-        packed = None
+        cols = None
         if first.packed_input:
             packed = pack(np.ascontiguousarray(x, dtype=np.float32), first.fmt)
+            direct = self._run_direct(packed, self.strategies)
+            if direct is not None:
+                return direct
+            cols = gather_packed_cols(
+                packed, self.kernel, self.stride, self.padding,
+                any(s.needs_dense for s in self.strategies),
+            )
+        width = cg * self.kernel * self.kernel
         outs = []
         for g, strategy in enumerate(self.strategies):
-            channels = slice(g * cg, (g + 1) * cg)
             if strategy.packed_input:
-                pa = gather_packed_cols(
-                    packed, self.kernel, self.stride, self.padding,
-                    need_dense=strategy.needs_dense, channels=channels,
-                )
-                out_g = strategy.matmul_packed(pa)
-            elif isinstance(strategy, BackendStrategy):
-                cols = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
-                out_g = strategy.matmul3d(cols.reshape(n, oh * ow, -1))
-                out_g = out_g.reshape(n * oh * ow, -1)
+                out_g = strategy.matmul_packed(_column_block(cols, g * width, (g + 1) * width))
             else:
-                cols = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
-                out_g = strategy.matmul2d(cols)
+                channels = slice(g * cg, (g + 1) * cg)
+                cols_g = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
+                if isinstance(strategy, BackendStrategy):
+                    out_g = strategy.matmul3d(cols_g.reshape(n, oh * ow, -1))
+                    out_g = out_g.reshape(n * oh * ow, -1)
+                else:
+                    out_g = strategy.matmul2d(cols_g)
             outs.append(out_g.reshape(n, oh * ow, -1))
-        out = np.concatenate(outs, axis=2)
-        if self.bias is not None:
-            out = out + self.bias[None, None, :]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(out, dtype=np.float32)
+        return self._finish(np.concatenate(outs, axis=2), n, oh, ow)
 
 
 class LinearOp(PlanOp):

@@ -241,7 +241,8 @@ class ExecutionPlan:
             strategies = op_strategies(op)
             strategy = strategies[0] if strategies else None
             kernel = getattr(strategy, "kernel_name", None)
-            layout = getattr(strategy, "layout", None)
+            # A direct conv's layout belongs to the op, not its strategies.
+            layout = getattr(op, "layout", None) or getattr(strategy, "layout", None)
             rows.append(
                 {
                     "op": i,

@@ -122,6 +122,41 @@ class TestWrapPlanKernels:
             plan.execute(x).view(np.uint32), baseline.view(np.uint32)
         )
 
+    @pytest.mark.parametrize("model", ["lenet", "mobilenet_edge"])
+    def test_faults_reach_direct_convs_and_restore_is_byte_exact(self, model):
+        # Direct tap-loop convs run only on float_table kernels: a wrapped
+        # strategy sends them down the per-group path, faults included.
+        from repro.nn.backend import daism_backend
+        from repro.nn.models import model_zoo
+        from repro.runtime.ops import ExecContext
+        from repro.runtime.plan import compile_plan
+
+        plan = compile_plan(model_zoo()[model], daism_backend(PC3_TR))
+        direct = [i for i, row in enumerate(plan.describe()) if row["layout"] == "direct"]
+        assert direct
+        shape = (1, 16, 16) if model == "lenet" else (3, 32, 32)
+        x = np.random.default_rng(1).standard_normal((2, *shape)).astype(np.float32)
+
+        def direct_outputs():
+            ctx, h, outs = ExecContext(), x, []
+            for i, op in enumerate(plan.ops):
+                inputs, h = h, op.apply(h, ctx)
+                if i in direct:
+                    outs.append((inputs, h))
+            return outs
+
+        baseline = direct_outputs()
+        # Nine rows: a depthwise group's whole 3x3 weight.
+        faults = inject_random_faults(9, 8, cell_fault_rate=0.2, seed=0)
+        _, restore = wrap_plan_kernels(plan, faults)
+        try:
+            for i, (inputs, want) in zip(direct, baseline):
+                assert not np.array_equal(plan.ops[i].apply(inputs, None), want)
+        finally:
+            restore()
+        for (_, want), (_, got) in zip(baseline, direct_outputs()):
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_faulty_kernel_wraps_name(self):
         faults = inject_random_faults(64, 8, cell_fault_rate=0.2, seed=0)
         plan = self._plan()

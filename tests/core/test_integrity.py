@@ -247,6 +247,19 @@ class TestWeightStationaryTables:
         assert str(key) in report["corrupted_tables"]
         np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))
 
+    def test_direct_table_flip_is_detected_and_healed(self):
+        plan, x = self._plan_and_input()
+        pristine = plan.execute(x)
+        (key,) = [op.direct.table_key for op in plan.ops if getattr(op, "layout", None) == "direct"]
+        self._flip(kernels.peek_table(key), slice(None))
+        assert not np.array_equal(plan.execute(x), pristine)
+        report = integrity.verify_tables()
+        assert str(key) in report["corrupted_tables"]
+        assert checksum_value(kernels.peek_table(key)) == checksum_value(
+            kernels._build_stationary(plan.ops[0].direct.weight, PC3_TR)
+        )
+        np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))
+
     def test_value_table_flipped_before_compile_heals_derived_tables(self):
         import gc
 

@@ -21,6 +21,20 @@ from repro.formats.packed import (
 FORMATS = [FLOAT32, BFLOAT16, FLOAT16, FLOAT8_E4M3]
 
 
+def _assert_fast_path_matches_reference(x, fmt):
+    """``pack``'s planes, dense and scale equal ``quantize`` + ``decompose``'s."""
+    packed = pack(x, fmt)
+    want_dense = quantize(x, fmt)
+    sign, exponent, significand = decompose(want_dense, fmt)
+    want = PackedTensor(fmt, sign, exponent, significand.astype(np.uint32))
+    np.testing.assert_array_equal(packed.dense().view(np.uint32), want_dense.view(np.uint32))
+    for plane in ("sign", "exponent", "significand"):
+        got, expected = getattr(packed, plane), getattr(want, plane)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(packed.scale().view(np.uint32), want.scale().view(np.uint32))
+
+
 @pytest.fixture(autouse=True)
 def _fresh_counters():
     reset_packing_counters()
@@ -65,13 +79,25 @@ class TestPackUnpack:
             0.0, -0.0, 2.0**-140, -(2.0**-140), 2.0**-126, -(2.0**-126), 1.0, -1.0,
             3.39e38, -3.39e38,  # finite in float32, round to inf in bfloat16
         ]
-        packed = pack(x, fmt)
-        want_dense = quantize(x, fmt)
-        sign, exponent, significand = decompose(want_dense, fmt)
-        np.testing.assert_array_equal(packed.dense().view(np.uint32), want_dense.view(np.uint32))
-        np.testing.assert_array_equal(packed.sign, sign)
-        np.testing.assert_array_equal(packed.exponent, exponent)
-        np.testing.assert_array_equal(packed.significand, significand.astype(np.uint32))
+        _assert_fast_path_matches_reference(x, fmt)
+        # Seeded fuzz: ReLU-sparse tensors (the branch-free selects' case)
+        # mixed with signed zeros, float32 subnormals, tiny negatives and
+        # values that round to the largest finite magnitude.
+        for seed in range(20):
+            rng = np.random.default_rng([3, seed])
+            n = 2048
+            x = np.maximum(rng.standard_normal(n), 0.0).astype(np.float32)
+            x *= (2.0 ** rng.integers(-130, 120, n)).astype(np.float32)
+            pick = rng.integers(0, 8, n)
+            x[pick == 1] = -0.0
+            subnormal = rng.integers(1, 1 << 23, n, dtype=np.uint32)
+            subnormal |= rng.integers(0, 2, n, dtype=np.uint32) << np.uint32(31)
+            x[pick == 2] = subnormal.view(np.float32)[pick == 2]
+            x[pick == 3] = -(2.0 ** rng.uniform(-149, -125, n)).astype(np.float32)[pick == 3]
+            near_max = rng.integers(0x7F7E_0000, 0x7F7F_8000, n, dtype=np.uint32)
+            near_max |= rng.integers(0, 2, n, dtype=np.uint32) << np.uint32(31)
+            x[pick == 4] = near_max.view(np.float32)[pick == 4]
+            _assert_fast_path_matches_reference(x, fmt)
 
     def test_specials_fall_back_to_generic_path(self):
         """NaN payloads whose rounding would wrap past the sign bit must

@@ -11,10 +11,11 @@ Two algebraic identities pin the grouped path to the dense one:
 
 Both hold under approximate arithmetic too (the per-group GEMMs see the
 same rows and widths either way), so the DAISM backend is part of the
-property.  A third identity covers the compiled-plan fast path:
-gathering a channel slice out of a whole-image :class:`PackedTensor`
-is byte-identical to packing the slice's own im2col — pack commutes
-with elementwise gathers, which is why plans pack each image once.
+property.  A third identity covers the compiled-plan per-group path:
+a group's block of columns in the whole image's packed im2col is
+byte-identical to packing the group's own im2col — pack commutes with
+elementwise gathers, and im2col orders columns ``(c, kh, kw)``, which
+is why plans pack and gather each image once.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.formats.floatfmt import BFLOAT16
 from repro.formats.packed import pack
 from repro.nn.backend import daism_backend, exact_backend
 from repro.nn.layers import Conv2d
-from repro.runtime.ops import gather_packed_cols
+from repro.runtime.ops import _column_block, gather_packed_cols
 
 # One backend instance per run: daism kernels build value tables on
 # first use, and per-example construction would dominate the runtime.
@@ -153,20 +154,19 @@ class TestGroupedEqualsDense:
             )
 
 
-class TestPackedChannelGather:
+class TestPackedColumnBlocks:
     @settings(max_examples=15, deadline=None)
     @given(conv_cases)
-    def test_gather_slice_equals_pack_of_sliced_im2col(self, case):
+    def test_column_block_equals_pack_of_sliced_im2col(self, case):
         n, groups, cg, _fg, k, stride, padding, size, seed = case
         rng = np.random.default_rng(seed)
         c = groups * cg
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
-        packed = pack(x, BFLOAT16)
+        cols = gather_packed_cols(pack(x, BFLOAT16), k, stride, padding, need_dense=True)
+        width = cg * k * k
         for g in range(groups):
+            got = _column_block(cols, g * width, (g + 1) * width)
             sl = slice(g * cg, (g + 1) * cg)
-            got = gather_packed_cols(
-                packed, k, stride, padding, need_dense=True, channels=sl
-            )
             want = pack(
                 F.im2col(np.ascontiguousarray(x[:, sl]), k, stride, padding), BFLOAT16
             )
