@@ -23,6 +23,8 @@ recoverable* event:
   the bit-exact tier for that config and a structured
   :class:`IntegrityError` event records the degradation.
 
+Every detection, heal and demotion is a record in the process event
+journal (:mod:`repro.journal`), read back by :func:`integrity_events`.
 Everything is in-process state: fleet workers each run their own
 registry (a worker's ``("health",)`` message triggers
 :func:`check_and_heal` there), and the parent mirrors demotions into
@@ -37,6 +39,8 @@ import threading
 import time
 
 import numpy as np
+
+from .. import journal
 
 __all__ = [
     "IntegrityError",
@@ -134,7 +138,7 @@ _TABLES: dict[tuple, _TableRecord] = {}
 _CANARIES: dict[tuple, _CanaryRecord] = {}
 _CORRUPTIONS: dict[tuple, int] = {}
 _DEMOTED: set[tuple] = set()
-_EVENTS: list[IntegrityEvent] = []
+_JOURNAL = journal.Channel("integrity")
 
 #: Distinct corruption detections on one site before the router demotes
 #: its config to the bit-exact tier (the "corruption recurs" policy).
@@ -225,7 +229,7 @@ def _demote_key_for_table(key: tuple) -> tuple:
 def _note_corruption(key: tuple, kind: str, site: str) -> IntegrityEvent | None:
     """Count one detection; returns the demotion event if the budget blew."""
     _CORRUPTIONS[key] = _CORRUPTIONS.get(key, 0) + 1
-    _EVENTS.append(IntegrityEvent(kind=kind, site=site, action="rebuilt"))
+    _record(IntegrityEvent(kind=kind, site=site, action="rebuilt"))
     if _CORRUPTIONS[key] >= DEMOTE_AFTER:
         if kind == "table_corruption":
             demote_key = _demote_key_for_table(key)
@@ -241,8 +245,7 @@ def _note_corruption(key: tuple, kind: str, site: str) -> IntegrityEvent | None:
                 detail=f"corruption recurred {_CORRUPTIONS[key]}x; "
                 "router pinned to the bit-exact tier",
             )
-            _EVENTS.append(event)
-            return event
+            return _record(event)
     return None
 
 
@@ -341,7 +344,7 @@ def verify_canaries(heal: bool = True) -> dict:
         got = _probe_digest(record.fmt, record.config, record.kernel)
         with _LOCK:
             if got == record.expected:
-                _EVENTS.append(
+                _record(
                     IntegrityEvent(
                         kind="canary_mismatch", site=str(key), action="rebuilt"
                     )
@@ -356,8 +359,7 @@ def verify_canaries(heal: bool = True) -> dict:
                     action="demoted",
                     detail="probe still wrong after table heal",
                 )
-                _EVENTS.append(event)
-                demotions.append(event.as_dict())
+                demotions.append(_record(event).as_dict())
     return {
         "canaries_checked": len(records),
         "canary_failures": failures,
@@ -399,7 +401,7 @@ def demote(fmt, config) -> None:
     """Manually demote ``(fmt, config)`` (tests / operator override)."""
     with _LOCK:
         _DEMOTED.add((fmt.significand_bits, config.scheme, config.truncated))
-        _EVENTS.append(
+        _record(
             IntegrityEvent(
                 kind="demotion",
                 site=f"({fmt.name}, {config.name})",
@@ -415,10 +417,14 @@ def demoted_keys() -> list[tuple]:
         return sorted(_DEMOTED)
 
 
-def integrity_events() -> list[IntegrityEvent]:
-    """Every event recorded since the last :func:`reset_integrity`."""
-    with _LOCK:
-        return list(_EVENTS)
+def _record(event: IntegrityEvent) -> IntegrityEvent:
+    _JOURNAL.record("integrity", **dataclasses.asdict(event))
+    return event
+
+
+def integrity_events() -> list[dict]:
+    """This module's journal records since the last :func:`reset_integrity`."""
+    return _JOURNAL.events()
 
 
 def corruption_counts() -> dict[tuple, int]:
@@ -433,7 +439,8 @@ def reset_integrity() -> None:
     Table/canary registrations are kept — they mirror live cache state,
     which a reset does not change.
     """
+    global _JOURNAL
     with _LOCK:
         _CORRUPTIONS.clear()
         _DEMOTED.clear()
-        _EVENTS.clear()
+        _JOURNAL = journal.Channel("integrity")

@@ -171,7 +171,7 @@ def trace_replay_point(params: dict) -> list[dict]:
                         "energy_uj_per_good_sample": (
                             round(arm["energy_uj"] / good, 4) if good else None
                         ),
-                        "sched_events": len(policy.events()),
+                        "sched_events": policy.journal.recorded,
                     }
                 )
     # Pareto front per policy arm over the design grid:

@@ -48,7 +48,7 @@ from .fleet import (
     resolve_backend,
     snapshot_model,
 )
-from .ops import ExecContext, OpSpec, PlanOp, pack_cols
+from .ops import ExecContext, OpSpec, PlanOp
 from .plan import ExecutionPlan, compile_plan, conv_workload, plan_tiers, trace
 from .server import InferenceServer, LoadReport, MicroBatcher, Request, run_load
 
@@ -69,7 +69,6 @@ __all__ = [
     "WorkerCrashError",
     "compile_plan",
     "conv_workload",
-    "pack_cols",
     "plan_digest",
     "plan_tiers",
     "rebuild_plan",

@@ -78,6 +78,7 @@ import time
 
 import numpy as np
 
+from .. import journal
 from ..formats.packed import PackedTensor
 from ..nn.models import model_zoo
 from ..nn.serialize import load_state_bytes, state_bytes
@@ -711,8 +712,8 @@ class FleetServer:
         self._deployments: dict[str, _Deployment] = {}
         self._closed = False
         self._submit_lock = threading.Lock()
-        self._events: list[dict] = []
-        self._events_lock = threading.Lock()
+        self._journal = journal.Channel("fleet")
+        self._journal.owner = f"fleet-{self._journal.key}"
         self._monitor_stop = threading.Event()
         self._monitor: threading.Thread | None = None
         if heartbeat_interval_s is not None:
@@ -757,9 +758,11 @@ class FleetServer:
         adaptive coalescing, admission estimates, worker sizing for
         ``target_sps``, and — for ``kernel="auto"`` snapshots under an
         SLA — pins the kernel tier through the certified SLA router
-        before the fleet spawns.  All of its decisions and correction
-        updates land in :meth:`events`.
+        before the fleet spawns.  The fleet becomes the owner of the
+        policy's journal records, so they show in :meth:`events`.
         """
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         name = snapshot.model
         with self._submit_lock:
             if self._closed:
@@ -809,10 +812,9 @@ class FleetServer:
             warm = policy.predicted_ms_per_sample(policy.max_batch)
             if warm is not None:
                 dep.ewma_ms_per_sample = warm
-        n = workers
-        if n is None and policy is not None:
+        n = workers or self.default_workers
+        if workers is None and policy is not None:
             n = policy.worker_count(self.default_workers)
-        n = n or self.default_workers
         for i in range(n):
             if i == 0 and probe_handle is not None:
                 handle = probe_handle
@@ -829,10 +831,6 @@ class FleetServer:
             )
             dep.handles.append(handle)
             dep.runners.append(runner)
-        if probe_handle is not None:
-            # Worker sizing chose 0 extra slots for the probe worker's
-            # index (cannot happen today — n >= 1 — but stay safe).
-            probe_handle.stop()
         with self._submit_lock:
             self._deployments[name] = dep
         for runner in dep.runners:
@@ -846,12 +844,10 @@ class FleetServer:
         target_sps: float | None,
         seed: int,
     ):
-        """Resolve the ``register(policy=...)`` argument to a policy object.
+        """Resolve the ``register(policy=...)`` argument and take it over.
 
         Mode strings build a :func:`~repro.runtime.scheduler.policy_for_model`
         over the fleet's coalescing knobs; ready policies pass through.
-        Either way the policy's event stream is journalled into
-        :meth:`events`.
         """
         if policy is None:
             return None
@@ -866,10 +862,8 @@ class FleetServer:
                 max_delay_ms=self.max_delay_ms,
                 target_sps=target_sps,
                 seed=seed,
-                on_event=self._record_event,
             )
-        elif policy.on_event is None:
-            policy.on_event = self._record_event
+        policy.journal.owner = self._journal.owner
         return policy
 
     def _probe_warm_start(
@@ -896,13 +890,7 @@ class FleetServer:
         if status == "ok":
             policy.seed_correction(batch, elapsed_ms)
         else:
-            self._record_event(
-                {
-                    "error": "probe_failed",
-                    "model": snapshot.model,
-                    "detail": str(payload),
-                }
-            )
+            self._journal.record("probe_failed", model=snapshot.model, detail=str(payload))
 
     def _pin_tier(self, policy, snapshot: ModelSnapshot) -> ModelSnapshot:
         """SLA-aware tier choice for ``kernel="auto"`` snapshots.
@@ -1255,13 +1243,7 @@ class FleetServer:
             dep.stats["breaker_opens"] += 1
         dep.quarantined = True
         dep.open_until = time.monotonic() + self.breaker_cooldown_s
-        self._record_event(
-            {
-                "error": "circuit_open",
-                "model": model,
-                "cooldown_s": self.breaker_cooldown_s,
-            }
-        )
+        self._journal.record("circuit_open", model=model, cooldown_s=self.breaker_cooldown_s)
         exc = WorkerCrashError(dep.snapshot.model, self.max_retries, reason="circuit open")
         for r in batch:
             self._fail(dep, r, exc)
@@ -1311,27 +1293,20 @@ class FleetServer:
         for runner in dep.runners:
             runner.start()
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        self._record_event({"error": "circuit_closed", "model": model})
+        self._journal.record("circuit_closed", model=model)
 
     # -- health monitor ----------------------------------------------------
 
-    def _record_event(self, event: dict) -> None:
-        with self._events_lock:
-            self._events.append(dict(event))
-
     def events(self) -> list[dict]:
-        """Structured degradation events (breaker trips, demotions, ...)."""
-        with self._events_lock:
-            return list(self._events)
+        """Journal records of this fleet and its policies, oldest first."""
+        return journal.events(owner=self._journal.owner)
 
     def _monitor_loop(self, interval_s: float) -> None:
         while not self._monitor_stop.wait(interval_s):
             try:
                 self._monitor_tick()
             except Exception as exc:  # the monitor itself must survive
-                self._record_event(
-                    {"error": "monitor_error", "detail": f"{type(exc).__name__}: {exc}"}
-                )
+                self._journal.record("monitor_error", detail=f"{type(exc).__name__}: {exc}")
 
     def _monitor_tick(self) -> None:
         """One heartbeat round: revive cooled breakers, respawn dead idlers.
@@ -1379,25 +1354,21 @@ class FleetServer:
         try:
             handle.spawn()
         except BaseException as exc:
-            self._record_event(
-                {
-                    "error": "respawn_failed",
-                    "model": dep.snapshot.model,
-                    "worker": handle.name,
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
+            self._journal.record(
+                "respawn_failed",
+                model=dep.snapshot.model,
+                worker=handle.name,
+                detail=f"{type(exc).__name__}: {exc}",
             )
             return
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
         with dep.lock:
             dep.stats["worker_restarts"] += 1
-        self._record_event(
-            {
-                "error": "worker_respawned",
-                "model": dep.snapshot.model,
-                "worker": handle.name,
-                "recovery_ms": dep.last_recovery_ms,
-            }
+        self._journal.record(
+            "worker_respawned",
+            model=dep.snapshot.model,
+            worker=handle.name,
+            recovery_ms=dep.last_recovery_ms,
         )
 
     def check_health(self, model: str) -> list[dict]:
@@ -1449,14 +1420,12 @@ class FleetServer:
                 handle.kill()
                 handle.spawn()
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        self._record_event(
-            {
-                "error": "integrity",
-                "model": model,
-                "action": "demoted",
-                "kernel": tier,
-                "recovery_ms": dep.last_recovery_ms,
-            }
+        self._journal.record(
+            "integrity",
+            model=model,
+            action="demoted",
+            kernel=tier,
+            recovery_ms=dep.last_recovery_ms,
         )
 
     def plan_digests(self, model: str) -> list[list[str]]:
@@ -1491,6 +1460,7 @@ class FleetServer:
                     else None
                 )
             row["policy"] = dep.policy.mode if dep.policy is not None else "static"
+            row["sched_events"] = dep.policy.journal.recorded if dep.policy is not None else 0
             if dep.policy is not None and dep.policy.correction is not None:
                 row["sched_correction"] = round(dep.policy.correction, 4)
             row["queued_samples"] = dep.batcher.pending_samples

@@ -23,10 +23,10 @@ compiler and the accelerator co-sim
 (:func:`repro.runtime.plan.conv_workload`) consume that one description
 instead of re-walking the module tree with their own shape logic.
 
-Two optimisations over the eager path live here.  :func:`pack_cols`
-packs a convolution *input image* once and gathers the packed bit planes
-through im2col, instead of materialising the ``K*K``-fold redundant
-patch matrix and quantising every copy.  Quantisation is elementwise, so
+Two optimisations over the eager path live here.  The conv ops pack a
+convolution *input image* once and gather the packed bit planes through
+im2col (:func:`gather_packed_cols`), instead of materialising the
+``K*K``-fold redundant patch matrix and quantising every copy.  Quantisation is elementwise, so
 the gathered planes are byte-identical to ``pack(im2col(x))`` — the
 ~``K*K``x cut in quantise/decompose work is free of any numerical
 change.  A conv whose per-group weights are too narrow for their own
@@ -57,7 +57,6 @@ __all__ = [
     "QuantDenseStrategy",
     "PackedKernelStrategy",
     "BackendStrategy",
-    "pack_cols",
     "gather_packed_cols",
     "ConvOp",
     "GroupedConvOp",
@@ -149,7 +148,7 @@ class MatmulStrategy:
     #: byte-identical.
     row_independent = True
     #: Whether the conv path should hand this strategy pre-packed
-    #: im2col planes (see :func:`pack_cols`) instead of a float matrix.
+    #: im2col planes (see :func:`gather_packed_cols`) instead of a float matrix.
     packed_input = False
     #: Whether packed inputs must carry the dense value plane.
     needs_dense = False
@@ -279,6 +278,10 @@ def gather_packed_cols(
 ) -> PackedTensor:
     """Gather already-packed image planes through im2col.
 
+    ``gather_packed_cols(pack(x, fmt), ...)`` is byte-identical to
+    ``pack(im2col(x), fmt)``: quantisation is elementwise, so it
+    commutes with the gather, and zero padding packs to all-zero planes.
+
     Columns come in im2col's ``(c, kh, kw)`` order, so the columns of a
     channel group form one contiguous block (see :func:`_column_block`).
     """
@@ -310,29 +313,6 @@ def _column_block(cols: PackedTensor, start: int, stop: int) -> PackedTensor:
     if cols._dense is not None:
         block._dense = cols._dense[:, start:stop]
     return block
-
-
-def pack_cols(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    fmt: FloatFormat,
-    need_dense: bool = False,
-) -> PackedTensor:
-    """Packed im2col: byte-identical to ``pack(im2col(x), fmt)``, cheaper.
-
-    The eager conv path materialises the ``(N*OH*OW, C*K*K)`` patch
-    matrix and then quantises+decomposes it — every input pixel is
-    re-quantised once per kernel tap (``K*K`` times for stride 1).
-    Quantisation is elementwise, so packing commutes with the gather:
-    this packs the ``(N, C, H, W)`` image once and pulls each packed
-    plane (and the cached scale/dense planes) through the same
-    stride-tricks gather ``im2col`` uses.  Zero padding is exact in
-    either order (zeros pack to all-zero planes with ``+0`` scale).
-    """
-    packed = pack(np.ascontiguousarray(x, dtype=np.float32), fmt)
-    return gather_packed_cols(packed, kernel, stride, padding, need_dense)
 
 
 # --------------------------------------------------------------------------

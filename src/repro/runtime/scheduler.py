@@ -38,8 +38,8 @@ Prediction → correction → decision
   — never an uncertified tier).  Decisions are pure functions of the
   surface, the correction factor and the configured knobs, hence
   deterministic under a fixed seed; every decision and every correction
-  update is emitted as a structured event (the fleet journals them in
-  ``fleet.events()``).
+  update is a record in the process event journal (:mod:`repro.journal`),
+  shown by ``policy.events()`` and by ``fleet.events()`` of its fleet.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import math
 import os
 import threading
 
+from .. import journal
 from ..arch.dse import DEFAULT_BANK_KB, DEFAULT_BANKS
 from ..arch.network_runner import run_network
 from ..arch.workloads import ConvLayer
@@ -197,9 +198,9 @@ class SchedulingPolicy:
         Recorded in every event; decisions are deterministic given the
         same observations, so replaying a seeded trace replays the
         decisions.
-    on_event:
-        Callback for structured decision/correction events (the fleet
-        wires this to its event journal).
+
+    Decision and correction events go to the process event journal
+    through :attr:`journal`; a fleet attaching the policy becomes their owner.
     """
 
     #: EWMA weight of a new correction observation (matches the fleet's
@@ -221,7 +222,6 @@ class SchedulingPolicy:
         max_delay_ms: float = 2.0,
         target_sps: float | None = None,
         seed: int = 0,
-        on_event=None,
     ):
         if mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {mode!r}; one of {POLICY_MODES}")
@@ -234,12 +234,11 @@ class SchedulingPolicy:
         self.max_delay_ms = float(max_delay_ms)
         self.target_sps = target_sps
         self.seed = int(seed)
-        self.on_event = on_event
+        self.journal = journal.Channel("scheduler")
         self._lock = threading.Lock()
         self._correction: float | None = None
         self._last_emitted_correction: float | None = None
         self._last_batch_decision: BatchDecision | None = None
-        self._events: list[dict] = []
 
     # -- correction (the online EWMA term) --------------------------------
 
@@ -271,13 +270,10 @@ class SchedulingPolicy:
                 self._last_emitted_correction = current
         if drifted:
             self._emit(
-                {
-                    "event": "sched_correction",
-                    "model": self.surface.model,
-                    "correction": round(current, 4),
-                    "observed_batch": int(samples),
-                    "observed_ms_per_sample": round(elapsed_ms / max(1, samples), 4),
-                }
+                "sched_correction",
+                correction=round(current, 4),
+                observed_batch=int(samples),
+                observed_ms_per_sample=round(elapsed_ms / max(1, samples), 4),
             )
         return current
 
@@ -289,13 +285,10 @@ class SchedulingPolicy:
             self._correction = ratio
             self._last_emitted_correction = ratio
         self._emit(
-            {
-                "event": "sched_warm_start",
-                "model": self.surface.model,
-                "correction": round(ratio, 4),
-                "probe_batch": int(samples),
-                "probe_ms": round(elapsed_ms, 4),
-            }
+            "sched_warm_start",
+            correction=round(ratio, 4),
+            probe_batch=int(samples),
+            probe_ms=round(elapsed_ms, 4),
         )
         return ratio
 
@@ -347,56 +340,7 @@ class SchedulingPolicy:
         coalescing delay — except when the queue already holds a full
         batch, where waiting buys nothing and the delay drops to zero.
         """
-        if self.mode == "static":
-            decision = BatchDecision(self.max_batch, self.max_delay_ms, "static")
-            self._note_batch_decision(decision, pending_samples)
-            return decision
-        cap = self.max_batch
-        batch_ms = self.predicted_batch_ms(cap)
-        if batch_ms is None:
-            # Uncalibrated: fall back to the static knobs until the
-            # first observation lands.
-            decision = BatchDecision(cap, self.max_delay_ms, "cold")
-            self._note_batch_decision(decision, pending_samples)
-            return decision
-        if self.sla_ms is None:
-            decision = BatchDecision(cap, self.max_delay_ms, "no_sla_throughput_greedy")
-            self._note_batch_decision(decision, pending_samples)
-            return decision
-        if pending_samples >= cap:
-            # Backlog already exceeds a full batch: every queued request
-            # is latency-bound on drain time, so amortisation (largest
-            # batch, no coalescing wait) is also the goodput-optimal
-            # choice — restore SLA headroom as fast as possible.
-            decision = BatchDecision(cap, 0.0, "backlog_drain")
-            self._note_batch_decision(decision, pending_samples)
-            return decision
-        budget_ms = self.sla_ms * self.SLA_SERVICE_FRACTION
-        chosen = None
-        for candidate in self._candidates():
-            service = self.predicted_batch_ms(candidate)
-            if service is not None and service <= budget_ms:
-                chosen = candidate
-        if chosen is None:
-            # Even one sample misses the budget: the SLA is infeasible at
-            # the current corrected speed, so drain at the amortised cap
-            # with no coalescing wait — smaller batches would only slow
-            # the drain further.  Shedding is admission's job.
-            decision = BatchDecision(cap, 0.0, "sla_infeasible_drain")
-            self._note_batch_decision(decision, pending_samples)
-            return decision
-        if pending_samples >= chosen:
-            delay_ms = 0.0
-            reason = "queue_full_batch_no_wait"
-        else:
-            headroom = budget_ms - (self.predicted_batch_ms(chosen) or 0.0)
-            delay_ms = max(0.0, min(self.max_delay_ms, headroom))
-            reason = "sla_batch_fit"
-        decision = BatchDecision(chosen, delay_ms, reason)
-        self._note_batch_decision(decision, pending_samples)
-        return decision
-
-    def _note_batch_decision(self, decision: BatchDecision, pending: int) -> None:
+        decision = self._choose_batch(pending_samples)
         with self._lock:
             last = self._last_batch_decision
             changed = (
@@ -408,16 +352,52 @@ class SchedulingPolicy:
                 self._last_batch_decision = decision
         if changed:
             self._emit(
-                {
-                    "event": "sched_batch_decision",
-                    "model": self.surface.model,
-                    "policy": self.mode,
-                    "max_batch": decision.max_batch,
-                    "max_delay_ms": round(decision.max_delay_ms, 4),
-                    "pending_samples": int(pending),
-                    "reason": decision.reason,
-                }
+                "sched_batch_decision",
+                policy=self.mode,
+                max_batch=decision.max_batch,
+                max_delay_ms=round(decision.max_delay_ms, 4),
+                pending_samples=int(pending_samples),
+                reason=decision.reason,
             )
+        return decision
+
+    def _choose_batch(self, pending_samples: int) -> BatchDecision:
+        if self.mode == "static":
+            return BatchDecision(self.max_batch, self.max_delay_ms, "static")
+        cap = self.max_batch
+        batch_ms = self.predicted_batch_ms(cap)
+        if batch_ms is None:
+            # Uncalibrated: fall back to the static knobs until the
+            # first observation lands.
+            return BatchDecision(cap, self.max_delay_ms, "cold")
+        if self.sla_ms is None:
+            return BatchDecision(cap, self.max_delay_ms, "no_sla_throughput_greedy")
+        if pending_samples >= cap:
+            # Backlog already exceeds a full batch: every queued request
+            # is latency-bound on drain time, so amortisation (largest
+            # batch, no coalescing wait) is also the goodput-optimal
+            # choice — restore SLA headroom as fast as possible.
+            return BatchDecision(cap, 0.0, "backlog_drain")
+        budget_ms = self.sla_ms * self.SLA_SERVICE_FRACTION
+        chosen = None
+        for candidate in self._candidates():
+            service = self.predicted_batch_ms(candidate)
+            if service is not None and service <= budget_ms:
+                chosen = candidate
+        if chosen is None:
+            # Even one sample misses the budget: the SLA is infeasible at
+            # the current corrected speed, so drain at the amortised cap
+            # with no coalescing wait — smaller batches would only slow
+            # the drain further.  Shedding is admission's job.
+            return BatchDecision(cap, 0.0, "sla_infeasible_drain")
+        if pending_samples >= chosen:
+            delay_ms = 0.0
+            reason = "queue_full_batch_no_wait"
+        else:
+            headroom = budget_ms - (self.predicted_batch_ms(chosen) or 0.0)
+            delay_ms = max(0.0, min(self.max_delay_ms, headroom))
+            reason = "sla_batch_fit"
+        return BatchDecision(chosen, delay_ms, reason)
 
     def shard_decision(self, n_samples: int, max_shards: int) -> int:
         """Shard count minimising the amortisation-curve batch time.
@@ -470,15 +450,12 @@ class SchedulingPolicy:
         needed = math.ceil(self.target_sps / capacity_per_worker)
         workers = max(1, min(ceiling, needed))
         self._emit(
-            {
-                "event": "sched_worker_sizing",
-                "model": self.surface.model,
-                "workers": workers,
-                "default_workers": default_workers,
-                "cpu_count": os.cpu_count() or 1,
-                "target_sps": round(self.target_sps, 1),
-                "worker_capacity_sps": round(capacity_per_worker, 1),
-            }
+            "sched_worker_sizing",
+            workers=workers,
+            default_workers=default_workers,
+            cpu_count=os.cpu_count() or 1,
+            target_sps=round(self.target_sps, 1),
+            worker_capacity_sps=round(capacity_per_worker, 1),
         )
         return workers
 
@@ -502,31 +479,22 @@ class SchedulingPolicy:
             fmt, config, predicted_exact_ms=predicted, sla_budget_ms=budget
         )
         self._emit(
-            {
-                "event": "sched_tier_decision",
-                "model": self.surface.model,
-                "kernel": decision.kernel,
-                "reason": decision.reason,
-                "predicted_exact_ms": None if predicted is None else round(predicted, 3),
-                "sla_budget_ms": None if budget is None else round(budget, 3),
-            }
+            "sched_tier_decision",
+            kernel=decision.kernel,
+            reason=decision.reason,
+            predicted_exact_ms=None if predicted is None else round(predicted, 3),
+            sla_budget_ms=None if budget is None else round(budget, 3),
         )
         return decision
 
     # -- events ------------------------------------------------------------
 
-    def _emit(self, event: dict) -> None:
-        event = dict(event)
-        event.setdefault("seed", self.seed)
-        with self._lock:
-            self._events.append(event)
-        if self.on_event is not None:
-            self.on_event(dict(event))
+    def _emit(self, event: str, **fields) -> None:
+        self.journal.record(event, model=self.surface.model, **fields, seed=self.seed)
 
     def events(self) -> list[dict]:
-        """Every decision and correction update, in order."""
-        with self._lock:
-            return [dict(e) for e in self._events]
+        """This policy's decision and correction records still in the journal."""
+        return self.journal.events()
 
     def describe(self) -> dict:
         """JSON-ready snapshot of the surface, knobs and correction."""
@@ -554,7 +522,6 @@ def policy_for_model(
     max_delay_ms: float = 2.0,
     target_sps: float | None = None,
     seed: int = 0,
-    on_event=None,
 ) -> SchedulingPolicy:
     """Build a :class:`SchedulingPolicy` for a zoo model.
 
@@ -569,5 +536,4 @@ def policy_for_model(
         max_delay_ms=max_delay_ms,
         target_sps=target_sps,
         seed=seed,
-        on_event=on_event,
     )

@@ -566,7 +566,6 @@ def replay_trace_benchmark(
                 except TimeoutError:
                     dropped += 1
             elapsed = time.perf_counter() - t_start
-            events = fleet.events()
             fleet_stats = fleet.stats()
         finally:
             fleet.close(drain=True)
@@ -591,9 +590,7 @@ def replay_trace_benchmark(
             "duration_s": round(elapsed, 3),
             "samples_per_s": round(served / elapsed, 1) if elapsed > 0 else 0.0,
             "goodput_samples_per_s": round(good / elapsed, 1) if elapsed > 0 else 0.0,
-            "sched_events": sum(
-                1 for e in events if str(e.get("event", "")).startswith("sched_")
-            ),
+            "sched_events": sum(fleet_stats[name]["sched_events"] for name in models),
         }
         return report, done
 

@@ -123,13 +123,16 @@ class TestVerifyAndHeal:
 
     def test_events_are_structured(self):
         _gemm()
-        _corrupt_one_table()
+        key = _corrupt_one_table()
         verify_tables(heal=True)
         events = integrity_events()
-        assert events and isinstance(events[0], IntegrityEvent)
-        wire = events[0].as_dict()
-        assert wire["error"] == "integrity"
-        assert wire["kind"] == "table_corruption"
+        assert events
+        record = events[0]
+        assert record["source"] == "integrity"
+        assert record["event"] == "integrity"
+        assert record["kind"] == "table_corruption"
+        assert record["site"] == str(key)
+        assert record["action"] == "rebuilt"
 
 
 class TestCanary:

@@ -121,7 +121,7 @@ class TestCircuitBreaker:
             assert stats["breaker_opens"] >= 1
             assert stats["quarantined"] is True
             assert any(
-                e.get("error") == "circuit_open" for e in fleet.events()
+                e["event"] == "circuit_open" for e in fleet.events()
             )
             assert (
                 stats["accepted_requests"]
@@ -153,7 +153,7 @@ class TestCircuitBreaker:
                 fleet.submit("lenet", _x(2, seed=1)).result(timeout=60)
             assert fleet.stats()["lenet"]["breaker_opens"] >= 2
             assert any(
-                e.get("error") == "circuit_closed" for e in fleet.events()
+                e["event"] == "circuit_closed" for e in fleet.events()
             )
 
     def test_quarantine_is_per_model(self):
@@ -221,7 +221,7 @@ class TestHealthAndDemotion:
             stats = fleet.stats()["lenet"]
             assert stats["integrity_demotions"] >= 1
             assert dep.snapshot.kernel == "float_table"
-            assert any(e.get("error") == "integrity" for e in fleet.events())
+            assert any(e["event"] == "integrity" for e in fleet.events())
             # The demoted fleet still serves, byte-identical to a
             # parent-side plan on the demoted snapshot.
             x = _x(2, seed=3)
@@ -247,7 +247,7 @@ class TestHeartbeatMonitor:
             assert stats["worker_restarts"] >= 1
             assert stats["last_recovery_ms"] is not None
             assert any(
-                e.get("error") == "worker_respawned" for e in fleet.events()
+                e["event"] == "worker_respawned" for e in fleet.events()
             )
             # And the respawned worker serves.
             x = _x(2, seed=4)

@@ -136,6 +136,17 @@ class TestFleetByteParity:
             with pytest.raises(ValueError, match="already registered"):
                 fleet.register(snap)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_register_rejects_fewer_than_one_worker(self, workers):
+        """A deployment with no workers would accept requests it never serves."""
+        snap, _ = _reference("lenet", "exact")
+        with _coalescing_fleet(workers=1) as fleet:
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                fleet.register(snap, workers=workers)
+            assert fleet.models() == []
+            with pytest.raises(ValueError, match="unknown model"):
+                fleet.submit("lenet", _x(1))
+
 
 class TestWorkerPlanDigest:
     """The cross-process proof: worker-rebuilt plans carry the same bits."""

@@ -16,8 +16,8 @@ from repro.nn.layers import Linear, Module, ReLU, Sequential
 from repro.nn.models import build_lenet, build_mini_resnet, build_mlp
 from repro.nn.optim import SGD
 from repro.nn.serialize import load_state_dict, state_dict
-from repro.runtime import compile_plan, conv_workload, pack_cols, trace
-from repro.runtime.ops import PackedKernelStrategy
+from repro.runtime import compile_plan, conv_workload, trace
+from repro.runtime.ops import PackedKernelStrategy, gather_packed_cols
 
 
 class TestTrace:
@@ -124,7 +124,7 @@ class TestStaleness:
 
 
 class TestPackCols:
-    """pack_cols is byte-identical to pack(im2col(x)) on every plane."""
+    """Packing the image, then gathering, is byte-identical to pack(im2col(x))."""
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1), (2, 0)])
     def test_planes_match_eager_pipeline(self, stride, padding):
@@ -132,7 +132,7 @@ class TestPackCols:
         x = rng.standard_normal((3, 4, 8, 8)).astype(np.float32)
         x[rng.random(x.shape) < 0.2] = 0.0
         want = pack(F.im2col(x, 3, stride, padding), BFLOAT16)
-        got = pack_cols(x, 3, stride, padding, BFLOAT16, need_dense=True)
+        got = gather_packed_cols(pack(x, BFLOAT16), 3, stride, padding, need_dense=True)
         np.testing.assert_array_equal(got.sign, want.sign)
         np.testing.assert_array_equal(got.exponent, want.exponent)
         np.testing.assert_array_equal(got.significand, want.significand)
@@ -145,7 +145,7 @@ class TestPackCols:
 
     def test_dense_plane_lazy_fallback(self):
         x = np.random.default_rng(1).standard_normal((2, 1, 6, 6)).astype(np.float32)
-        got = pack_cols(x, 3, 1, 1, BFLOAT16, need_dense=False)
+        got = gather_packed_cols(pack(x, BFLOAT16), 3, 1, 1, need_dense=False)
         want = pack(F.im2col(x, 3, 1, 1), BFLOAT16)
         # Not gathered eagerly, but recomposable from the planes.
         np.testing.assert_array_equal(

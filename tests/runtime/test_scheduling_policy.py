@@ -40,7 +40,12 @@ class TestDeterminism:
                 decisions.append(policy.batch_decision(pending))
                 policy.observe(8, 8.0)
                 decisions.append(policy.shard_decision(32, 4))
-            return decisions, policy.events()
+            # seq and t order records across the process journal.
+            events = [
+                {k: v for k, v in e.items() if k not in ("seq", "t")}
+                for e in policy.events()
+            ]
+            return decisions, events
 
         first_decisions, first_events = run_once()
         second_decisions, second_events = run_once()
