@@ -5,12 +5,9 @@ machine-readable artifact so CI can track the perf trajectory over PRs:
 
 * **matmul throughput** across a size grid, for the exact, quantised and
   DAISM backends — the DAISM rows cover the ``float_table`` default and
-  the ``blas_factored`` / ``blas_factored_fast`` fast paths plus
-  the ``auto`` tier router, each timed both with per-call weight packing
-  (``raw``) and against a pre-packed weight (``prepared``);
-* **tier certification** (schema v5): the per-config
-  :func:`~repro.core.router.certify_fast_path` certificates and the
-  tier status behind ``kernel="auto"``;
+  the opt-in ``blas_factored`` fast path, each timed both with per-call
+  weight packing (``raw``) and against a pre-packed weight
+  (``prepared``);
 * **end-to-end network latency**: LeNet inference over a test set under
   the bfloat16 PC3_tr DAISM backend.  The headline ``ms_per_sample`` row
   runs the **compiled execution plan** (:mod:`repro.runtime`) — the
@@ -19,10 +16,10 @@ machine-readable artifact so CI can track the perf trajectory over PRs:
   byte-identical logits asserted and the packing counters recorded to
   prove the steady state performs zero weight re-pack work (and, on the
   plan path, ~K*K less activation quantise work).  Every other
-  registered DAISM kernel keeps its eager latency row, and two extra
-  plan rows close the LUT-vs-BLAS loop: the **router-enabled** plan
-  (``kernel="auto"``) and the quantised **dense-BLAS** plan, with their
-  ratio (``routed_vs_dense_blas_x``) the artifact CI guards;
+  registered DAISM kernel keeps its eager latency row, and the
+  bit-exact plan is timed interleaved with the quantised **dense-BLAS**
+  plan, their ratio (``exact_vs_dense_blas_x``) being the LUT-vs-BLAS
+  ceiling CI guards;
 * **scenario workloads** (schema v6): compiled-plan inference latency
   for the two co-sim-only models — the grouped/depthwise
   ``mobilenet_edge`` stack and the ``transformer_encoder`` block
@@ -57,6 +54,10 @@ machine-readable artifact so CI can track the perf trajectory over PRs:
   cost-model-vs-static goodput ratio; a parity break fails the harness
   itself).
 
+Schema v9 drops the retired fast tier's ``tiers`` section and
+``network.routed`` row; ``network.exact_vs_dense_blas_x`` replaces
+``routed_vs_dense_blas_x``.
+
 Run::
 
     python benchmarks/perf/bench_perf.py --out BENCH_perf.json [--quick]
@@ -77,7 +78,7 @@ import time
 
 import numpy as np
 
-SCHEMA = "repro-perf/8"
+SCHEMA = "repro-perf/9"
 
 #: Scenario-model input geometry for the perf rows.  Reduced from the
 #: canonical sizes (mobilenet_edge is fully convolutional, the
@@ -88,15 +89,10 @@ SCENARIO_INPUTS = {
     "transformer_encoder": (8, 256),
 }
 
-#: DAISM kernels timed per size ("auto" = the certified tier router).
-#: Explicit names, so rows join stably against the committed baseline
-#: whatever the machine's default tier resolves to.
-KERNEL_SUITE = (
-    "float_table",
-    "blas_factored",
-    "blas_factored_fast",
-    "auto",
-)
+#: DAISM kernels timed per size.  Explicit names, so rows join stably
+#: against the committed baseline whatever the machine's default tier
+#: resolves to.
+KERNEL_SUITE = ("float_table", "blas_factored")
 
 
 def _best_of(fn, reps: int) -> float:
@@ -108,23 +104,6 @@ def _best_of(fn, reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def tier_rows() -> dict:
-    """Certified tier-router evidence: per-config certificates."""
-    import dataclasses
-
-    from repro.core.config import all_configs
-    from repro.core.kernels import kernel_tiers
-    from repro.core.router import FAST_TIERS, certify_fast_path
-    from repro.formats.floatfmt import BFLOAT16
-
-    certificates = [
-        dataclasses.asdict(certify_fast_path(BFLOAT16, config, kernel=kernel))
-        for config in all_configs()
-        for kernel in FAST_TIERS
-    ]
-    return {"status": kernel_tiers(), "certificates": certificates}
 
 
 def matmul_rows(quick: bool) -> list[dict]:
@@ -297,49 +276,33 @@ def network_latency(quick: bool) -> dict:
         )
 
     # The LUT-vs-BLAS gap, measured end to end on the plan path: the
-    # router-enabled approximate plan against the quantised dense-BLAS
-    # plan.  Their ratio is the figure CI guards (see
-    # check_perf_regression.py --routed-max-ratio), so the two passes
-    # are interleaved rep by rep — background machine-speed drift hits
-    # both sides of the ratio instead of one.
-    def plan_pass(backend):
-        plan = compile_plan(model.eval(), backend)
-        eng = BatchEngine(plan, shards=1)
+    # bit-exact plan against the quantised dense-BLAS plan.  Their ratio
+    # is the figure CI guards (see check_perf_regression.py
+    # --exact-max-ratio), so the two passes are interleaved rep by rep —
+    # background machine-speed drift hits both sides of the ratio
+    # instead of one.
+    dense_plan = compile_plan(model.eval(), quantized_backend(BFLOAT16))
+    dense_engine = BatchEngine(dense_plan, shards=1)
 
-        def one_pass() -> None:
-            for bx, _by in iterate_batches(data.test_x, data.test_y, batch_size):
-                eng.run(bx)
+    def dense_pass() -> None:
+        for bx, _by in iterate_batches(data.test_x, data.test_y, batch_size):
+            dense_engine.run(bx)
 
-        return plan, one_pass
-
-    routed_plan, routed_pass = plan_pass(
-        daism_backend(PC3_TR, BFLOAT16, kernel="auto")
-    )
-    dense_plan, dense_pass = plan_pass(quantized_backend(BFLOAT16))
-    routed_pass()  # warm (tables, certificates)
-    dense_pass()
-    routed_s = dense_s = float("inf")
+    dense_pass()  # warm
+    exact_s = dense_s = float("inf")
     for _ in range(max(reps, 3)):
         t0 = time.perf_counter()
-        routed_pass()
-        routed_s = min(routed_s, time.perf_counter() - t0)
+        plan_pass()
+        exact_s = min(exact_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
         dense_pass()
         dense_s = min(dense_s, time.perf_counter() - t0)
-    routed_tiers = plan_tiers(routed_plan)
-    dense_tiers = plan_tiers(dense_plan)
-    report["routed"] = {
-        "kernel": "auto",
-        "plan_kernels": routed_tiers,
-        "ms_total": round(routed_s * 1e3, 2),
-        "ms_per_sample": round(routed_s * 1e3 / n_test, 3),
-    }
     report["quantized_dense"] = {
-        "plan_kernels": dense_tiers,
+        "plan_kernels": plan_tiers(dense_plan),
         "ms_total": round(dense_s * 1e3, 2),
         "ms_per_sample": round(dense_s * 1e3 / n_test, 3),
     }
-    report["routed_vs_dense_blas_x"] = round(routed_s / dense_s, 2)
+    report["exact_vs_dense_blas_x"] = round(exact_s / dense_s, 2)
     return report
 
 
@@ -590,7 +553,6 @@ def run(out_path: str, quick: bool = False) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "quick": quick,
-        "tiers": tier_rows(),
         "matmul": matmul_rows(quick),
         "network": network_latency(quick),
         "scenario": scenario_rows(quick),
@@ -616,12 +578,6 @@ def main() -> None:
     report = run(args.out, quick=args.quick)
     net = report["network"]
     print(f"wrote {args.out}")
-    tiers = report["tiers"]
-    certified = sum(1 for c in tiers["certificates"] if c["certified"])
-    print(
-        f"  tiers: exact tier {tiers['status']['exact_tier']},"
-        f" {certified}/{len(tiers['certificates'])} configs certified"
-    )
     for row in report["matmul"]:
         print(
             f"  {row['m']}x{row['k']}x{row['n']} {row['backend']:<24}"
@@ -641,12 +597,10 @@ def main() -> None:
             f" ({krow['ms_per_sample']} ms/sample),"
             f" accuracy_matches_default={krow['accuracy_matches_default']}"
         )
-    routed = net["routed"]
     print(
-        f"  lenet routed plan [{'+'.join(routed['plan_kernels'])}]:"
-        f" {routed['ms_per_sample']} ms/sample vs dense BLAS"
+        f"  lenet bit-exact plan vs dense BLAS"
         f" {net['quantized_dense']['ms_per_sample']} ms/sample"
-        f" -> {net['routed_vs_dense_blas_x']}x"
+        f" -> {net['exact_vs_dense_blas_x']}x"
     )
     for srow in report["scenario"]:
         print(

@@ -11,7 +11,7 @@ Two robustness choices keep shared-runner noise from failing builds:
 
 * only the guarded-tier rows are compared by default (``--kernel
   float_table,blas_factored`` — the bit-exact hot path plus the
-  certified fast path; a comma list restricts further, ``--kernel all``
+  opt-in fast path; a comma list restricts further, ``--kernel all``
   widens to every row).  Rows the baseline lacks are skipped by the
   join, so the guard tightens automatically as the baseline is
   regenerated;
@@ -46,17 +46,17 @@ the same machine-speed proxy as the serving check and guarded under
 ``logits_match_eager`` flag is false regresses unconditionally —
 plan/eager parity is part of the contract, not a latency number.
 
-Schema ``repro-perf/5`` adds the routed-network headline
-``network.routed_vs_dense_blas_x`` — the tier-routed approximate LeNet
-ms/sample as a multiple of the quantised ``dense_blas`` LeNet pass in
-the *same* report.  Being a same-report ratio it needs no baseline or
-machine-speed proxy: the fresh value is guarded against the absolute
-``--routed-max-ratio`` ceiling (default 3.0).  Reports without the
-field (older schemas) skip this check with a note.
+Schema ``repro-perf/9`` carries the network headline
+``network.exact_vs_dense_blas_x`` — the bit-exact LeNet plan's
+ms/sample as a multiple of the quantised ``dense_blas`` LeNet plan,
+timed interleaved in the *same* report.  Being a same-report ratio it
+needs no baseline or machine-speed proxy: the fresh value is guarded
+against the absolute ``--exact-max-ratio`` ceiling (default 3.0).
+Reports without the field (older schemas) skip this check with a note.
 
 Schema ``repro-perf/7`` adds a ``fault_tolerance`` section: the seeded
 chaos-matrix subset (live table bit-flips, a killed worker, latency
-spikes against a real fleet).  Like the routed ratio it needs no
+spikes against a real fleet).  Like the exact ratio it needs no
 baseline: the fresh report's worst-case ``recovery_ms_max`` is guarded
 against the absolute ``--fault-recovery-max-ms`` ceiling, and any
 dropped request, missed corruption detection or post-recovery parity
@@ -65,7 +65,7 @@ numbers.  Reports without the section skip this check with a note.
 
 Schema ``repro-perf/8`` adds a ``scheduling`` section: one
 deterministic Poisson+burst trace replayed under the static and
-cost-model scheduling policies.  Like the routed ratio it is a
+cost-model scheduling policies.  Like the exact ratio it is a
 same-report comparison needing no baseline or machine proxy: the
 cost-model-vs-static ``goodput_ratio`` (aggregated over seeds) is
 guarded against the ``--sched-max-regression`` floor
@@ -320,20 +320,20 @@ def compare_scenarios(
     return checked, regressed
 
 
-def check_routed_ratio(fresh: dict, max_ratio: float) -> tuple[dict | None, bool]:
-    """Guard the routed-vs-dense headline; returns ``(record, regressed)``.
+def check_exact_ratio(fresh: dict, max_ratio: float) -> tuple[dict | None, bool]:
+    """Guard the bit-exact-vs-dense headline; returns ``(record, regressed)``.
 
-    ``network.routed_vs_dense_blas_x`` (schema ``repro-perf/5``) is a
-    same-report ratio — routed approximate LeNet ms/sample over the
-    quantised ``dense_blas`` pass — so it is compared against the
+    ``network.exact_vs_dense_blas_x`` (schema ``repro-perf/9``) is a
+    same-report ratio — bit-exact LeNet plan ms/sample over the
+    quantised ``dense_blas`` plan — so it is compared against the
     absolute ``max_ratio`` ceiling rather than a baseline row.  Returns
     ``(None, False)`` when the fresh report predates the field.
     """
-    ratio = fresh.get("network", {}).get("routed_vs_dense_blas_x")
+    ratio = fresh.get("network", {}).get("exact_vs_dense_blas_x")
     if ratio is None:
         return None, False
     record = {
-        "key": "routed lenet vs quantized dense_blas",
+        "key": "bit-exact lenet vs quantized dense_blas",
         "unit": "x dense_blas ms/sample (ceiling, lower is better)",
         "baseline_score": max_ratio,
         "fresh_score": ratio,
@@ -452,12 +452,12 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--routed-max-ratio",
+        "--exact-max-ratio",
         type=float,
         default=3.0,
         help=(
-            "absolute ceiling on the fresh report's routed-vs-dense "
-            "LeNet ratio (network.routed_vs_dense_blas_x, schema >= 5); "
+            "absolute ceiling on the fresh report's bit-exact-vs-dense "
+            "LeNet ratio (network.exact_vs_dense_blas_x, schema >= 9); "
             "skipped with a note when the field is absent (default 3.0)"
         ),
     )
@@ -551,17 +551,15 @@ def main(argv: list[str] | None = None) -> int:
         regressed.extend(scenario_regressed)
     else:
         print("perf guard: no comparable scenario section; skipping scenario check")
-    routed_record, routed_regressed = check_routed_ratio(
-        fresh, args.routed_max_ratio
-    )
-    if routed_record is not None:
-        checked.append(routed_record)
-        if routed_regressed:
-            regressed.append(routed_record)
+    exact_record, exact_regressed = check_exact_ratio(fresh, args.exact_max_ratio)
+    if exact_record is not None:
+        checked.append(exact_record)
+        if exact_regressed:
+            regressed.append(exact_record)
     else:
         print(
-            "perf guard: fresh report has no routed_vs_dense_blas_x;"
-            " skipping routed-ratio check"
+            "perf guard: fresh report has no exact_vs_dense_blas_x;"
+            " skipping exact-ratio check"
         )
     recovery_record, recovery_regressed = check_fault_recovery(
         fresh, args.fault_recovery_max_ms

@@ -279,9 +279,9 @@ def _kernel_flag(parser: "argparse.ArgumentParser") -> None:
         "--kernel",
         default=None,
         help=(
-            "GEMM kernel tier: a registered kernel name (e.g. "
-            "float_table, blas_factored) or 'auto' for the "
-            "certified tier router; default is the bit-exact default tier"
+            "GEMM kernel: a registered kernel name (e.g. "
+            "float_table, blas_factored); default is the bit-exact "
+            "default tier"
         ),
     )
 

@@ -29,18 +29,9 @@ from .kernels import (
     exact_tier_name,
     get_kernel,
     kernel_names,
-    kernel_tiers,
     register_kernel,
     select_kernel,
-    shape_class,
     table_cache_counters,
-)
-from .router import (
-    TierCertificate,
-    TierDecision,
-    certify_fast_path,
-    route_decision,
-    route_kernel,
 )
 from .related_work import (
     compressed_pp_multiply,
@@ -88,16 +79,9 @@ __all__ = [
     "exact_tier_name",
     "get_kernel",
     "kernel_names",
-    "kernel_tiers",
     "register_kernel",
     "select_kernel",
-    "shape_class",
     "table_cache_counters",
-    "TierCertificate",
-    "TierDecision",
-    "certify_fast_path",
-    "route_decision",
-    "route_kernel",
     "approx_multiply",
     "approx_multiply_truncated",
     "exact_multiply",

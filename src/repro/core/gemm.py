@@ -40,8 +40,7 @@ import numpy as np
 from ..formats.floatfmt import FLOAT32, FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from .config import MultiplierConfig
-from .kernels import select_kernel
-from .router import route_kernel
+from .kernels import get_kernel, select_kernel
 
 __all__ = [
     "approx_matmul",
@@ -62,6 +61,12 @@ def _as_packed(x: np.ndarray | PackedTensor, fmt: FloatFormat, side: str) -> Pac
             )
         return x
     return pack(x, fmt)
+
+
+def _check_kernel(kernel: str | None) -> None:
+    """Fail at construction on an unregistered kernel name."""
+    if kernel is not None:
+        get_kernel(kernel)
 
 
 def approx_matmul(
@@ -89,9 +94,8 @@ def approx_matmul(
         Multiplier configuration (Table I).
     kernel:
         Registered kernel name (see :func:`repro.core.kernels.kernel_names`);
-        ``None`` selects the bit-exact default for ``fmt``, ``"auto"``
-        lets the certified tier router pick per shape (see
-        :func:`repro.core.router.route_kernel`).
+        ``None`` selects the bit-exact default for ``fmt``.  Any other
+        name raises :class:`~repro.core.kernels.UnknownKernelError`.
 
     Returns
     -------
@@ -108,12 +112,9 @@ def approx_matmul(
     if batched:
         batch, m, k = pa.shape
         pa = pa.reshape(batch * m, k)
-    rows, k = pa.shape
-    n = pb.shape[1]
-    found = route_kernel(fmt, config, kernel, shape=(rows, k, n))
-    out = found.run(pa, pb, config)
+    out = select_kernel(fmt, config, kernel).run(pa, pb, config)
     if batched:
-        return out.reshape(batch, m, n)
+        return out.reshape(batch, m, -1)
     return out
 
 
@@ -222,9 +223,8 @@ class QuantizedMatmul(MatmulBackend):
     form is read back, so they interoperate with ``ApproxMatmul`` caches
     of the same format.
 
-    ``kernel=None`` (or ``"auto"`` — exact products have no faster
-    certified tier than BLAS itself) multiplies the quantised dense
-    values with :func:`dense_matmul` (BLAS).  A named kernel routes the
+    ``kernel=None`` multiplies the quantised dense values with
+    :func:`dense_matmul` (BLAS).  A named kernel routes the
     products through the registered packed kernel with an *exact*
     significand multiplier (``config=None``) instead — the
     conventional-multiplier datapath, whose products are re-normalised
@@ -235,6 +235,9 @@ class QuantizedMatmul(MatmulBackend):
 
     fmt: FloatFormat = FLOAT32
     kernel: str | None = None
+
+    def __post_init__(self):
+        _check_kernel(self.kernel)
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -252,7 +255,7 @@ class QuantizedMatmul(MatmulBackend):
 
     def matmul(self, a, b) -> np.ndarray:
         """Exact product of the ``fmt``-quantised operands."""
-        if self.kernel is not None and self.kernel != "auto":
+        if self.kernel is not None:
             pa = _as_packed(a, self.fmt, "a")
             pb = _as_packed(b, self.fmt, "b")
             batched = pa.ndim == 3
@@ -292,15 +295,17 @@ class ApproxMatmul(MatmulBackend):
         Registered kernel name; ``None`` selects the bit-exact default
         tier (``float_table`` for tabulated widths).  ``"blas_factored"``
         opts into the BLAS fast path with its documented parity
-        tolerance (see :class:`repro.core.kernels.BlasFactoredKernel`);
-        ``"auto"`` lets
-        the certified tier router pick per shape
-        (:func:`repro.core.router.route_kernel`).
+        tolerance (see :class:`repro.core.kernels.BlasFactoredKernel`).
+        An unregistered name raises
+        :class:`~repro.core.kernels.UnknownKernelError` here.
     """
 
     fmt: FloatFormat
     config: MultiplierConfig
     kernel: str | None = None
+
+    def __post_init__(self):
+        _check_kernel(self.kernel)
 
     @property
     def name(self) -> str:  # type: ignore[override]

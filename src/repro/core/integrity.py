@@ -18,10 +18,10 @@ recoverable* event:
   source (tables are pure functions of ``(bits, config)``) and
   re-verifies;
 * **demote** — corruption that *recurs* on the same table marks its
-  ``(significand bits, config)`` as demoted; the tier router
-  (:func:`repro.core.router.route_decision`) then pins ``"auto"`` to
-  the bit-exact tier for that config and a structured
-  :class:`IntegrityError` event records the degradation.
+  ``(significand bits, config)`` as demoted and a structured
+  :class:`IntegrityError` event records it; health reports carry the
+  flag, and a fleet respawns a demoted deployment's workers on the
+  bit-exact kernel (:meth:`repro.runtime.fleet.FleetServer.check_health`).
 
 Every detection, heal and demotion is a record in the process event
 journal (:mod:`repro.journal`), read back by :func:`integrity_events`.
@@ -53,7 +53,6 @@ __all__ = [
     "verify_tables",
     "verify_canaries",
     "check_and_heal",
-    "is_demoted",
     "demote",
     "demoted_keys",
     "integrity_events",
@@ -140,8 +139,8 @@ _CORRUPTIONS: dict[tuple, int] = {}
 _DEMOTED: set[tuple] = set()
 _JOURNAL = journal.Channel("integrity")
 
-#: Distinct corruption detections on one site before the router demotes
-#: its config to the bit-exact tier (the "corruption recurs" policy).
+#: Distinct corruption detections on one site before its config is
+#: demoted (the "corruption recurs" policy).
 DEMOTE_AFTER = 2
 
 
@@ -242,8 +241,7 @@ def _note_corruption(key: tuple, kind: str, site: str) -> IntegrityEvent | None:
                 kind="demotion",
                 site=site,
                 action="demoted",
-                detail=f"corruption recurred {_CORRUPTIONS[key]}x; "
-                "router pinned to the bit-exact tier",
+                detail=f"corruption recurred {_CORRUPTIONS[key]}x",
             )
             return _record(event)
     return None
@@ -385,16 +383,8 @@ def check_and_heal() -> dict:
 
 
 # --------------------------------------------------------------------------
-# Demotion state (consulted by the tier router)
+# Demotion state (reported by check_and_heal)
 # --------------------------------------------------------------------------
-
-
-def is_demoted(fmt, config) -> bool:
-    """Has ``(fmt, config)`` been demoted to the bit-exact tier?"""
-    if config is None:
-        return False
-    with _LOCK:
-        return (fmt.significand_bits, config.scheme, config.truncated) in _DEMOTED
 
 
 def demote(fmt, config) -> None:

@@ -7,7 +7,7 @@ float32 product matrix; which kernel runs is selected by name through
 :func:`select_kernel` (plumbed up through ``approx_matmul`` and the
 ``nn`` backend seam).
 
-Four kernels are built in:
+Three kernels are built in:
 
 ``float_table`` (bit-exact default for table-supported widths)
     The float-domain value-table kernel.  A bfloat16-style product is
@@ -25,9 +25,9 @@ Four kernels are built in:
     (:meth:`FloatTableKernel.prepare`) in a layout picked from its shape
     by :func:`weight_layout` — a weight-stationary table, an
     activation-expanded index, or the plain gather — with the same bits.
-    A convolution whose per-group weights are too narrow for their own
-    tables gets one table for all groups and runs as a direct tap loop
-    over the packed image (:meth:`FloatTableKernel.run_direct`).
+    A convolution whose weights fit one table (all groups together) runs
+    as a direct tap loop over the packed image
+    (:meth:`FloatTableKernel.run_direct`).
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -35,16 +35,10 @@ Four kernels are built in:
     The ``mu`` outer term is exactly the quantised dense operands, so it
     routes through ``numpy.matmul`` (BLAS); the correction contracts a
     rank-``r`` SVD factorisation of ``E`` as ``r`` extra BLAS columns.
-    One to two orders of magnitude faster than the gather kernel, but
-    *not* bit-identical: see :class:`BlasFactoredKernel` for the
-    documented parity contract.
-
-``blas_factored_fast`` (the router's certified fast tier)
-    The same kernel at a 25% truncation tolerance (rank ~1-3 instead of
-    ~14 for bfloat16).  Correction cost is linear in rank, so this is
-    the variant that closes the LUT-vs-BLAS gap end to end; the tier
-    router only routes to it when its measured probe error certifies
-    against the config's analytic worst-case bound.
+    Faster than the plain gather kernel per eager GEMM (1.3-7x on the
+    ``BENCH_perf.json`` grid), but *not* bit-identical, so it runs only
+    when named: see
+    :class:`BlasFactoredKernel` for the documented parity contract.
 
 ``generic``
     The per-element FP pipeline for significand widths too wide to
@@ -96,9 +90,6 @@ __all__ = [
     "kernel_names",
     "select_kernel",
     "exact_tier_name",
-    "kernel_tiers",
-    "shape_class",
-    "SHAPE_CLASSES",
     "value_table",
     "factored_tables",
     "table_cache_counters",
@@ -149,34 +140,6 @@ def _accumulate(values: np.ndarray, acc: np.ndarray) -> None:
         np.add.reduce(values, axis=1, out=acc)
     else:
         acc[...] = np.add.accumulate(values, axis=1)[:, -1]
-
-
-#: Coarse problem-size classes the tier router keys on.
-SHAPE_CLASSES = ("tiny", "tall_skinny", "general")
-
-#: A GEMM at or below this many MACs counts as ``tiny``: fixed per-call
-#: overhead (BLAS dispatch, correction setup) dominates there, so the
-#: router keeps tiny problems on the gather tier.
-TINY_SHAPE_MACS = 1 << 14
-
-
-def shape_class(m: int | None, k: int, n: int) -> str:
-    """Classify an ``(m, k, n)`` problem into one of :data:`SHAPE_CLASSES`.
-
-    ``m=None`` means the batch dimension is unknown (plan compile time
-    resolves kernels before any input arrives) and maps to ``general``
-    — the conservative class serving batches actually land in.  The
-    tall-skinny threshold reuses ``FloatTableKernel.TRANSPOSE_ASPECT``
-    so the class boundary coincides with the kernel's own orientation
-    switch.
-    """
-    if m is None:
-        return "general"
-    if m * k * n <= TINY_SHAPE_MACS:
-        return "tiny"
-    if m >= FloatTableKernel.TRANSPOSE_ASPECT * max(1, n):
-        return "tall_skinny"
-    return "general"
 
 
 # --------------------------------------------------------------------------
@@ -436,9 +399,10 @@ def weight_layout(k: int, n: int, bits: int) -> str:
     * :data:`ACTIVATION_EXPANDED` when ``n`` reaches ``2^(bits-1)``
       (128 for bfloat16): expanding one activation element costs one row
       of ``2^(bits-1) + 1`` values, which ``n`` products then share;
-    * :data:`GATHER` (the plain kernel) otherwise.  A convolution's
-      narrow weights can still run :data:`DIRECT`
-      (:meth:`FloatTableKernel.prepare_direct`).
+    * :data:`GATHER` (the plain kernel) otherwise.
+
+    A convolution whose table fits runs :data:`DIRECT` instead
+    (:meth:`FloatTableKernel.prepare_direct`), whatever this returns.
 
     A function of the weight's shape alone, never of the batch, so a
     plan's layouts — and its bits — are the same in every process.
@@ -782,16 +746,16 @@ class FloatTableKernel(GemmKernel):
     def prepare_direct(self, weights, config) -> PreparedWeight | None:
         """One :data:`DIRECT` table for a convolution's per-group ``(K, fg)`` weights.
 
-        For weights narrower than :data:`WS_MIN_N` (LeNet's first conv,
-        depthwise groups), whose per-group GEMMs gather.  The groups'
-        weights are interleaved tap by tap into one ``(K * G, fg)`` weight
-        and expanded into its weight-stationary table, capped at
-        :data:`WS_MAX_BYTES`; ``None`` when the weights are wider, the
-        table would not fit, or a significand is not row-addressable.
+        The groups' weights are interleaved tap by tap into one
+        ``(K * G, fg)`` weight and expanded into its weight-stationary
+        table, capped at :data:`WS_MAX_BYTES`; ``None`` when the table
+        would not fit or a significand is not row-addressable.  For a
+        ``groups=1`` conv that is the weight's own weight-stationary
+        table: same content, same cache key.
         """
         k, n = weights[0].shape
         rows = _significand_rows(weights[0].fmt.significand_bits)[0].size
-        if n >= WS_MIN_N or len(weights) * k * rows * n * 4 > WS_MAX_BYTES:
+        if len(weights) * k * rows * n * 4 > WS_MAX_BYTES:
             return None
         # Row t * G + g is group g's tap t: one contiguous block per tap.
         def interleave(planes):
@@ -1015,14 +979,9 @@ class BlasFactoredKernel(GemmKernel):
     an order of magnitude below the ~7% arithmetic approximation error
     it perturbs.
 
-    Two instances are registered: ``blas_factored`` (default 5%
-    truncation tolerance, rank ~14 for bfloat16) and
-    ``blas_factored_fast`` (25% tolerance, rank ~1-3) — the correction
-    cost scales linearly with rank, so the fast variant trades a still-
-    certified deviation (~2% on gaussian operands, an order of magnitude
-    inside the analytic bound) for most of the remaining LUT-vs-BLAS
-    gap.  The tier router (:mod:`repro.core.router`) only ever routes to
-    either after measuring that trade on a probe GEMM.
+    One instance is registered, ``blas_factored`` (default 5% truncation
+    tolerance, rank ~14 for bfloat16); it runs only when named.  The
+    ``tier_certification`` experiment sweeps the rank.
     """
 
     name = "blas_factored"
@@ -1033,13 +992,10 @@ class BlasFactoredKernel(GemmKernel):
         rank: int | None = None,
         tol: float = 0.05,
         max_rank: int = 32,
-        name: str | None = None,
     ):
         self.rank = rank
         self.tol = tol
         self.max_rank = max_rank
-        if name is not None:
-            self.name = name
 
     def supports(self, fmt: FloatFormat, config: MultiplierConfig | None) -> bool:
         """Table-supported significand widths (see ``MAX_TABLE_BITS``)."""
@@ -1182,18 +1138,6 @@ def exact_tier_name(fmt: FloatFormat) -> str:
     return "float_table" if table_supported(fmt.significand_bits) else "generic"
 
 
-def kernel_tiers() -> dict:
-    """Tier introspection for reports and benches.
-
-    Returns ``{"kernels": [...], "exact_tier": <bf16 default tier>}`` —
-    the snapshot the serving benches and the perf harness embed so
-    recorded numbers always say which tier produced them.
-    """
-    from ..formats.floatfmt import BFLOAT16
-
-    return {"kernels": kernel_names(), "exact_tier": exact_tier_name(BFLOAT16)}
-
-
 def select_kernel(
     fmt: FloatFormat,
     config: MultiplierConfig | None = None,
@@ -1204,9 +1148,7 @@ def select_kernel(
     ``kernel=None`` picks the bit-exact default tier
     (:func:`exact_tier_name`): ``float_table`` for table-supported
     significand widths, ``generic`` otherwise.  A named kernel is
-    validated against the registry and against ``kernel.supports``.  (The shape-aware
-    ``"auto"`` policy lives one level up, in
-    :func:`repro.core.router.route_kernel`.)
+    validated against the registry and against ``kernel.supports``.
     """
     if kernel is None:
         return _KERNELS[exact_tier_name(fmt)]
@@ -1221,5 +1163,4 @@ def select_kernel(
 
 register_kernel(FloatTableKernel())
 register_kernel(BlasFactoredKernel())
-register_kernel(BlasFactoredKernel(tol=0.25, name="blas_factored_fast"))
 register_kernel(GenericKernel())

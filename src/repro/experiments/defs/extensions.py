@@ -183,24 +183,20 @@ def kernel_speedup_point(params: dict) -> list[dict]:
 
 
 def tier_certification_point(params: dict) -> list[dict]:
-    """Rank-vs-error study behind the certified tier router, one config.
+    """Rank-vs-error study of the ``blas_factored`` kernel, one config.
 
     Sweeps the BLAS-factored fast path's correction rank (including the
     registry default's automatic choice) against the bit-exact tier on a
     fixed probe GEMM, reporting per rank the truncated table's residual,
     the measured relative Frobenius deviation, and how far inside the
-    paper's analytic ``worst_case_relative_error`` bound it sits.  The
-    final row is the router's verdict at the default margin: whether
-    ``kernel="auto"`` sends non-tiny shapes of this config to the fast
-    path or keeps them on the bit-exact tier.  Fixed probe and seed —
-    deterministic and cache-safe.
+    paper's analytic ``worst_case_relative_error`` bound it sits.  Fixed
+    probe and seed — deterministic and cache-safe.
     """
     import numpy as np
 
     from ...core.config import MultiplierConfig
     from ...core.error_bounds import worst_case_relative_error
     from ...core.kernels import BlasFactoredKernel, get_kernel
-    from ...core.router import CERT_MARGIN, FAST_TIERS, certify_fast_path
     from ...formats.floatfmt import format_by_name
     from ...formats.packed import pack
 
@@ -214,45 +210,20 @@ def tier_certification_point(params: dict) -> list[dict]:
     denom = float(np.linalg.norm(exact)) or 1.0
     bound = float(worst_case_relative_error(config, fmt.significand_bits))
 
-    def measure(kernel) -> tuple[dict, float]:
-        got = kernel.run(pa, pb, config)
-        info = kernel.correction_info(fmt, config)
-        return info, float(np.linalg.norm(got - exact)) / denom
-
     rows = []
     for rank in (0, 1, 2, 4, 8, 16, None):
-        info, measured = measure(BlasFactoredKernel(rank=rank))
+        kernel = BlasFactoredKernel(rank=rank)
+        info = kernel.correction_info(fmt, config)
+        measured = float(np.linalg.norm(kernel.run(pa, pb, config) - exact)) / denom
         rows.append(
             {
-                "rank": "auto" if rank is None else rank,
+                "rank": "default" if rank is None else rank,
                 "table residual": f"{info['rel_frobenius_residual']:.1%}",
                 "measured rel err": f"{measured:.2e}",
                 "analytic bound": f"{bound:.3g}",
                 "measured/bound": f"{measured / bound:.3f}",
-                "within margin": "yes" if measured <= CERT_MARGIN * bound else "no",
             }
         )
-    cert = None
-    for candidate in FAST_TIERS:
-        cert = certify_fast_path(
-            fmt, config, shape=(m, k, n), seed=params["seed"], kernel=candidate
-        )
-        if cert.certified:
-            break
-    rows.append(
-        {
-            "rank": f"router/{cert.kernel} (rank {cert.rank})",
-            "table residual": f"{cert.rel_frobenius_residual:.1%}",
-            "measured rel err": f"{cert.measured_rel_error:.2e}",
-            "analytic bound": f"{cert.analytic_bound:.3g}",
-            "measured/bound": f"{cert.measured_rel_error / cert.analytic_bound:.3f}",
-            "within margin": (
-                f"certified -> {cert.kernel}"
-                if cert.certified
-                else "NOT certified -> bit-exact tier"
-            ),
-        }
-    )
     return rows
 
 
@@ -384,14 +355,11 @@ register(
     Experiment(
         name="tier_certification",
         artifact="Extension",
-        title="Certified tier routing: rank-vs-error study per config",
+        title="BLAS-factored kernel: correction rank vs error vs bound",
         description=(
-            "The evidence behind kernel='auto': the BLAS-factored fast "
-            "path's measured deviation from the bit-exact tier as its "
-            "correction rank grows, against the paper's analytic worst-"
-            "case bound, ending with the router's verdict at the default "
-            "margin. A config only ever routes to the fast path when its "
-            "measured error clears margin x bound on the fixed probe."
+            "The opt-in blas_factored kernel's measured deviation from "
+            "the bit-exact tier as its correction rank grows, against "
+            "the paper's analytic worst-case bound, on a fixed probe GEMM."
         ),
         run=tier_certification_point,
         space={"config": ("FLA", "PC2", "PC3", "PC2_tr", "PC3_tr")},

@@ -110,8 +110,7 @@ def quantized_backend(
 
     ``kernel`` optionally routes the exact products through a registered
     packed GEMM kernel instead of dense BLAS (see
-    :class:`repro.core.gemm.QuantizedMatmul`); ``"auto"`` resolves to
-    dense BLAS — exact products have no faster certified tier.
+    :class:`repro.core.gemm.QuantizedMatmul`).
     """
     return QuantizedMatmul(fmt, kernel=kernel)
 
@@ -124,8 +123,8 @@ def daism_backend(
     ``kernel`` selects a registered GEMM kernel by name — ``None`` is
     the bit-exact default tier (``float_table``);
     ``"blas_factored"`` opts into the BLAS exact+correction fast path
-    with its documented parity tolerance; ``"auto"`` lets the certified
-    tier router pick per shape (:mod:`repro.core.router`).
+    with its documented parity tolerance.  An unregistered name raises
+    :class:`~repro.core.kernels.UnknownKernelError`.
     """
     return ApproxMatmul(fmt=fmt, config=config, kernel=kernel)
 

@@ -145,7 +145,7 @@ def conv2d_backward(
     backend = backend or default_backend()
     f, c, kernel, _ = weight.shape
     n = x_shape[0]
-    grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
+    grad_mat = _grad_rows(grad_out)
 
     dbias = grad_mat.sum(axis=0)
     dweight = backend.matmul(grad_mat.T, cols).reshape(f, c, kernel, kernel)
@@ -206,6 +206,16 @@ def grouped_conv2d_forward(
     return np.ascontiguousarray(out, dtype=np.float32), cols_cache
 
 
+def _grad_rows(grad_out: np.ndarray) -> np.ndarray:
+    """``grad_out`` as ``(N*OH*OW, F)`` GEMM rows.
+
+    A view or a copy depending on the shape.  The bias gradient sums
+    these rows in an order that follows that layout, so grouped and
+    dense convs build them with this one expression.
+    """
+    return grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])
+
+
 def grouped_conv2d_backward(
     grad_out: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -219,15 +229,19 @@ def grouped_conv2d_backward(
     """Gradients of the grouped convolution: ``(dx, dweight, dbias)``.
 
     Each group's backward is the dense :func:`conv2d_backward` pair of
-    GEMMs on that group's slice of the gradient and patch cache.
+    GEMMs and bias sum on that group's contiguous slice of the gradient
+    and patch cache, so ``dbias`` has the dense path's bits.
     """
     backend = backend or default_backend()
     f, cg, kernel, _ = weight.shape
     n, c, h, w = x_shape
     fg = f // groups
-    grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
+    grad_mat = _grad_rows(grad_out)
+    group_grads = [
+        np.ascontiguousarray(grad_out[:, g * fg : (g + 1) * fg]) for g in range(groups)
+    ]
 
-    dbias = grad_mat.sum(axis=0)
+    dbias = np.concatenate([_grad_rows(grad).sum(axis=0) for grad in group_grads])
     dweight = np.empty_like(weight)
     dx_groups: list[np.ndarray] = []
     group_shape = (n, cg, h, w)

@@ -111,8 +111,8 @@ def resolve_backend(backend: str, kernel: str | None = None):
     The fleet ships backend *names* (not objects) to workers so
     snapshots stay small and pickle-stable; each side resolves the name
     into the same deterministic backend construction.  ``kernel`` must
-    be ``None``, ``"auto"`` (tier router), or a registered kernel name
-    — unknown names fail fast here, with the structured
+    be ``None`` or a registered kernel name — unknown names (the retired
+    ``"auto"`` among them) fail fast here, with the structured
     :class:`~repro.core.kernels.UnknownKernelError` listing the
     registry, instead of surfacing at the first matmul in a worker.
     """
@@ -121,7 +121,7 @@ def resolve_backend(backend: str, kernel: str | None = None):
     from ..formats.floatfmt import BFLOAT16
     from ..nn.backend import daism_backend, exact_backend, quantized_backend
 
-    if kernel is not None and kernel != "auto":
+    if kernel is not None:
         get_kernel(kernel)
     if backend == "daism":
         return daism_backend(PC3_TR, BFLOAT16, kernel=kernel)
@@ -247,9 +247,9 @@ def plan_digest(plan: ExecutionPlan) -> list[str]:
     Two plans with equal digests run the same arithmetic on the same
     bits — the round-trip proof that a worker-rebuilt plan matches its
     parent without shipping the plan itself across the process boundary.
-    Hashing the kernel name makes tier choice part of that proof: a
-    worker whose router resolved ``"auto"`` differently produces a
-    different digest instead of a silent arithmetic mismatch.
+    Hashing the kernel name makes the kernel part of that proof: a
+    worker on another kernel produces a different digest instead of a
+    silent arithmetic mismatch.
     """
     digests: list[str] = []
     for op in plan.ops:
@@ -755,14 +755,18 @@ class FleetServer:
         corrected steady-state prediction (not the raw probe) becomes
         the admission estimate — first-request SLA decisions stop being
         guesswork.  In cost-model mode the policy additionally drives
-        adaptive coalescing, admission estimates, worker sizing for
-        ``target_sps``, and — for ``kernel="auto"`` snapshots under an
-        SLA — pins the kernel tier through the certified SLA router
-        before the fleet spawns.  The fleet becomes the owner of the
-        policy's journal records, so they show in :meth:`events`.
+        adaptive coalescing, admission estimates and worker sizing for
+        ``target_sps``.  The fleet becomes the owner of the policy's
+        journal records, so they show in :meth:`events`.
+
+        A snapshot whose kernel wire name is not registered (an old
+        ``"auto"`` snapshot) raises
+        :class:`~repro.core.kernels.UnknownKernelError` before any
+        worker spawns.
         """
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
+        resolve_backend(snapshot.backend, snapshot.kernel)
         name = snapshot.model
         with self._submit_lock:
             if self._closed:
@@ -777,22 +781,6 @@ class FleetServer:
                 self._ctx, snapshot, f"repro-fleet-{name}-0", self.ready_timeout_s
             )
             self._probe_warm_start(policy, snapshot, probe_handle)
-        if (
-            policy is not None
-            and policy.mode == "cost_model"
-            and snapshot.kernel == "auto"
-            and resolved_sla is not None
-        ):
-            pinned = self._pin_tier(policy, snapshot)
-            if pinned is not snapshot:
-                snapshot = pinned
-                if probe_handle is not None:
-                    # The probe worker compiled on "auto"; respawn it on
-                    # the pinned tier so every worker's plan digest (and
-                    # arithmetic) matches the recorded decision.
-                    probe_handle.snapshot = snapshot
-                    probe_handle.kill()
-                    probe_handle.spawn()
         dep = _Deployment(
             snapshot,
             max_batch=self.max_batch,
@@ -891,26 +879,6 @@ class FleetServer:
             policy.seed_correction(batch, elapsed_ms)
         else:
             self._journal.record("probe_failed", model=snapshot.model, detail=str(payload))
-
-    def _pin_tier(self, policy, snapshot: ModelSnapshot) -> ModelSnapshot:
-        """SLA-aware tier choice for ``kernel="auto"`` snapshots.
-
-        Asks the policy (which delegates to the certified
-        :func:`~repro.core.router.route_decision_sla`) whether the
-        bit-exact tier meets the SLA service budget; the decided kernel
-        is pinned into the snapshot so every worker — and every plan
-        digest — reflects one recorded, certified decision instead of a
-        per-worker router resolution.
-        """
-        backend = resolve_backend(snapshot.backend, None)
-        fmt = getattr(backend, "fmt", None)
-        config = getattr(backend, "config", None)
-        if fmt is None:
-            return snapshot
-        decision = policy.tier_decision(fmt, config)
-        if decision.kernel == snapshot.kernel:
-            return snapshot
-        return dataclasses.replace(snapshot, kernel=decision.kernel)
 
     def models(self) -> list[str]:
         """Registered model names."""

@@ -29,11 +29,10 @@ im2col (:func:`gather_packed_cols`), instead of materialising the
 ``K*K``-fold redundant patch matrix and quantising every copy.  Quantisation is elementwise, so
 the gathered planes are byte-identical to ``pack(im2col(x))`` — the
 ~``K*K``x cut in quantise/decompose work is free of any numerical
-change.  A conv whose per-group weights are too narrow for their own
-weight-stationary tables (LeNet's first conv, depthwise groups) skips
-im2col altogether: one table serves all its groups, and a tap loop over
-the packed image sums the same products in the same order (see
-:class:`_Conv`).
+change.  A conv whose table fits (LeNet's convs, MobileNet's stem and
+depthwise convs) skips im2col altogether: one table serves all its
+groups, and a tap loop over the packed image sums the same products in
+the same order (see :class:`_Conv`).
 """
 
 from __future__ import annotations

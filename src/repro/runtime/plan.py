@@ -35,7 +35,6 @@ from ..arch.workloads import ConvLayer
 from ..core.gemm import ApproxMatmul, ExactMatmul, MatmulBackend, QuantizedMatmul
 from ..core.integrity import register_canary
 from ..core.kernels import select_kernel
-from ..core.router import route_kernel
 from ..formats.packed import PackedTensor
 from ..nn.backend import default_backend
 from ..nn.layers import Module, Parameter, Residual, Sequential
@@ -147,18 +146,10 @@ def _resolve_strategy(
     if isinstance(backend, ExactMatmul):
         return ExactStrategy(prepared), prepared
     if isinstance(backend, ApproxMatmul):
-        # Per-op tier resolution: the router sees this op's (K, N); the
-        # batch dimension is unknown until requests arrive, so it routes
-        # the conservative "general" class.  Deterministic per process
-        # set, so fleet workers rebuilding the plan pick the same tier
-        # (cross-process plan_digest parity).
-        k, n = prepared.shape
-        kernel = route_kernel(
-            backend.fmt, backend.config, backend.kernel, shape=(None, k, n)
-        )
+        kernel = select_kernel(backend.fmt, backend.config, backend.kernel)
         strategy = PackedKernelStrategy(backend.fmt, backend.config, kernel, prepared)
     elif isinstance(backend, QuantizedMatmul):
-        if backend.kernel is None or backend.kernel == "auto":
+        if backend.kernel is None:
             return QuantDenseStrategy(backend.fmt, prepared.dense()), prepared
         kernel = select_kernel(backend.fmt, None, backend.kernel)
         strategy = PackedKernelStrategy(backend.fmt, None, kernel, prepared)

@@ -3,8 +3,8 @@
 The paper's claim is that the DAISM cost models predict latency and
 energy well enough to steer design choices.  This module turns that
 claim into the *serving* scheduler: the same ``arch/`` tables that rank
-accelerator designs offline now pick micro-batch size, shard split,
-worker count and kernel tier online.
+accelerator designs offline now pick micro-batch size, shard split and
+worker count online.
 
 Prediction → correction → decision
 ----------------------------------
@@ -32,10 +32,8 @@ Prediction → correction → decision
   size and coalescing delay under the SLA),
   :meth:`SchedulingPolicy.shard_decision` (shard split from the
   amortisation curve: each shard re-pays the first-image cost),
-  :meth:`SchedulingPolicy.worker_count` (per-model fleet sizing for a
-  target rate) and :meth:`SchedulingPolicy.tier_decision` (SLA-aware
-  certified tier choice through :func:`repro.core.router.route_decision_sla`
-  — never an uncertified tier).  Decisions are pure functions of the
+  and :meth:`SchedulingPolicy.worker_count` (per-model fleet sizing for
+  a target rate).  Decisions are pure functions of the
   surface, the correction factor and the configured knobs, hence
   deterministic under a fixed seed; every decision and every correction
   update is a record in the process event journal (:mod:`repro.journal`),
@@ -458,34 +456,6 @@ class SchedulingPolicy:
             worker_capacity_sps=round(capacity_per_worker, 1),
         )
         return workers
-
-    def tier_decision(self, fmt, config, batch: int | None = None):
-        """SLA-aware certified tier choice (``kernel="auto"`` only).
-
-        Delegates to :func:`repro.core.router.route_decision_sla`: the
-        bit-exact tier wins whenever its corrected prediction meets the
-        SLA service budget; a *certified* fast tier is only chosen under
-        genuine SLA pressure, and an uncertified tier is never chosen.
-        The decision is emitted as an event either way.
-        """
-        from ..core.router import route_decision_sla
-
-        batch = batch if batch is not None else self.max_batch
-        predicted = self.predicted_batch_ms(batch)
-        budget = (
-            self.sla_ms * self.SLA_SERVICE_FRACTION if self.sla_ms is not None else None
-        )
-        decision = route_decision_sla(
-            fmt, config, predicted_exact_ms=predicted, sla_budget_ms=budget
-        )
-        self._emit(
-            "sched_tier_decision",
-            kernel=decision.kernel,
-            reason=decision.reason,
-            predicted_exact_ms=None if predicted is None else round(predicted, 3),
-            sla_budget_ms=None if budget is None else round(budget, 3),
-        )
-        return decision
 
     # -- events ------------------------------------------------------------
 

@@ -2,9 +2,8 @@
 
 The contract under test: every registered table's corruption is
 detected (the digest covers every byte), healing restores byte-exact
-behaviour, recurring corruption demotes the config's ``"auto"`` route
-to the bit-exact tier, and the whole loop is observable through
-structured events.
+behaviour, recurring corruption demotes the config, and the whole
+loop is observable through structured events.
 """
 
 import numpy as np
@@ -22,15 +21,13 @@ from repro.core.integrity import (
     demote,
     demoted_keys,
     integrity_events,
-    is_demoted,
     registered_canaries,
     registered_tables,
     reset_integrity,
     verify_canaries,
     verify_tables,
 )
-from repro.core.kernels import exact_tier_name, get_kernel
-from repro.core.router import AUTO_KERNEL, route_decision
+from repro.core.kernels import get_kernel
 from repro.formats.floatfmt import BFLOAT16
 
 
@@ -39,7 +36,7 @@ def _clean_integrity():
     reset_integrity()
     yield
     # Heal anything a test corrupted and forgot, then drop the
-    # demotion/event state so the router is back on its normal policy.
+    # demotion/event state.
     check_and_heal()
     reset_integrity()
 
@@ -177,14 +174,6 @@ class TestDemotion:
         assert demoted_keys()
         assert max(corruption_counts().values()) >= integrity.DEMOTE_AFTER
 
-    def test_router_pins_demoted_config_to_exact_tier(self):
-        assert not is_demoted(BFLOAT16, PC3_TR)
-        demote(BFLOAT16, PC3_TR)
-        assert is_demoted(BFLOAT16, PC3_TR)
-        decision = route_decision(BFLOAT16, PC3_TR, AUTO_KERNEL, shape=(256, 288, 64))
-        assert decision.kernel == exact_tier_name(BFLOAT16)
-        assert "demotion" in decision.reason
-
     def test_integrity_error_carries_wire_dict(self):
         event = IntegrityEvent(kind="demotion", site="x", action="demoted")
         exc = IntegrityError(event)
@@ -253,13 +242,15 @@ class TestWeightStationaryTables:
     def test_direct_table_flip_is_detected_and_healed(self):
         plan, x = self._plan_and_input()
         pristine = plan.execute(x)
-        (key,) = [op.direct.table_key for op in plan.ops if getattr(op, "layout", None) == "direct"]
+        (conv1,) = [op for op in plan.ops if op.name == "conv1"]
+        assert conv1.layout == "direct"
+        key = conv1.direct.table_key
         self._flip(kernels.peek_table(key), slice(None))
         assert not np.array_equal(plan.execute(x), pristine)
         report = integrity.verify_tables()
         assert str(key) in report["corrupted_tables"]
         assert checksum_value(kernels.peek_table(key)) == checksum_value(
-            kernels._build_stationary(plan.ops[0].direct.weight, PC3_TR)
+            kernels._build_stationary(conv1.direct.weight, PC3_TR)
         )
         np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))
 

@@ -21,6 +21,7 @@ from repro.core import kernels
 from repro.core.config import FLA, PC3, PC3_TR, all_configs
 from repro.core.kernels import (
     BlasFactoredKernel,
+    UnknownKernelError,
     exact_tier_name,
     factored_tables,
     get_kernel,
@@ -120,13 +121,37 @@ def _extreme_operands(rng, shape, zero_frac=0.1):
 
 class TestRegistry:
     def test_builtin_kernels_registered(self):
-        assert {"float_table", "blas_factored", "blas_factored_fast", "generic"} == set(
-            kernel_names()
-        )
+        assert {"float_table", "blas_factored", "generic"} == set(kernel_names())
 
     def test_get_kernel_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown GEMM kernel"):
             get_kernel("no_such_kernel")
+
+    def test_retired_auto_name_fails_at_every_entry_point(self):
+        # "auto" named the retired shape router; an old fleet snapshot or
+        # script carrying it must fail before any GEMM runs.
+        import dataclasses
+
+        from repro.core.gemm import approx_matmul
+        from repro.nn.backend import daism_backend
+        from repro.runtime.fleet import FleetServer, resolve_backend, snapshot_model
+
+        a = np.ones((2, 3), dtype=np.float32)
+        b = np.ones((3, 2), dtype=np.float32)
+        old_snapshot = dataclasses.replace(snapshot_model("lenet"), kernel="auto")
+        with FleetServer(workers=1) as fleet:
+            entry_points = (
+                lambda: resolve_backend("daism", "auto"),
+                lambda: daism_backend(PC3_TR, BFLOAT16, kernel="auto"),
+                lambda: approx_matmul(a, b, BFLOAT16, PC3_TR, kernel="auto"),
+                lambda: fleet.register(old_snapshot),
+            )
+            for call in entry_points:
+                with pytest.raises(UnknownKernelError) as err:
+                    call()
+                assert err.value.kernel == "auto"
+                assert "float_table" in err.value.registered
+            assert fleet.models() == []
 
     def test_default_selection_by_format(self):
         assert select_kernel(BFLOAT16, PC3_TR).name == exact_tier_name(BFLOAT16)

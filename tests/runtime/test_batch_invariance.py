@@ -27,11 +27,22 @@ BACKENDS = ["exact", "quantized", "daism"]
 SHAPES = {"mobilenet_edge": (3, 16, 16), "transformer_encoder": (4, 256)}
 
 
-@functools.lru_cache(maxsize=None)
-def _plan(model, backend):
-    module = model_zoo()[model]
-    module.eval()
-    return compile_plan(module, resolve_backend(backend))
+@pytest.fixture(scope="module")
+def plan_for():
+    """Plans compiled once per module and released at its end.
+
+    A plan holds its weight-stationary tables in the kernel cache; a
+    process-wide cache here would keep them alive for later modules.
+    """
+
+    @functools.cache
+    def compile_one(model, backend):
+        module = model_zoo()[model]
+        module.eval()
+        return compile_plan(module, resolve_backend(backend))
+
+    yield compile_one
+    compile_one.cache_clear()
 
 
 def _input(model, batch, seed):
@@ -55,10 +66,10 @@ def _assert_batch_invariant(plan, x):
 @pytest.mark.parametrize("model", MODELS)
 @settings(max_examples=3, deadline=None)
 @given(batch=st.integers(min_value=1, max_value=16), seed=st.integers(0, 2**16))
-def test_sample_bits_independent_of_batch(model, backend, batch, seed):
-    _assert_batch_invariant(_plan(model, backend), _input(model, batch, seed))
+def test_sample_bits_independent_of_batch(plan_for, model, backend, batch, seed):
+    _assert_batch_invariant(plan_for(model, backend), _input(model, batch, seed))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_lenet_batch_64(backend):
-    _assert_batch_invariant(_plan("lenet", backend), _input("lenet", 64, seed=7))
+def test_lenet_batch_64(plan_for, backend):
+    _assert_batch_invariant(plan_for("lenet", backend), _input("lenet", 64, seed=7))

@@ -157,8 +157,13 @@ class TestDirectConv:
 
     def test_wide_or_oversized_weights_keep_their_per_group_layouts(self):
         rng = np.random.default_rng(3)
-        wide = compile_plan(Conv2d(2, 32, 3, groups=2, rng=rng), BF16)
-        assert wide.describe()[0]["layout"] == "weight_stationary"  # fg = 16
+        # fg = 16 fits one table for both groups: direct.
+        fits = compile_plan(Conv2d(2, 32, 3, groups=2, rng=rng), BF16)
+        assert fits.describe()[0]["layout"] == "direct"
+        # 72 taps x 129 rows x 32 columns x 4 bytes fits per group, not x 2.
+        wide = compile_plan(Conv2d(16, 64, 3, groups=2, rng=rng), BF16)
+        assert wide.ops[0].direct is None
+        assert wide.describe()[0]["layout"] == "weight_stationary"
         # 25 taps x 64 groups x 129 rows x 15 columns x 4 bytes > 2 MiB.
         big = compile_plan(Conv2d(64, 64 * 15, 5, groups=64, rng=rng), BF16)
         assert big.ops[0].direct is None

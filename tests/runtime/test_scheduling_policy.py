@@ -239,24 +239,3 @@ class TestPolicyByteParity:
         assert any(
             e["event"] == "sched_batch_decision" for e in cost.events()
         )
-
-
-class TestTierDecision:
-    def test_exact_when_prediction_meets_budget(self):
-        policy = _calibrated(per_sample_ms=0.0001, sla_ms=1000.0)
-        backend = resolve_backend("daism", None)
-        decision = policy.tier_decision(backend.fmt, backend.config)
-        assert "bit-exact" in decision.reason
-
-    def test_pressure_only_picks_certified_tiers(self):
-        from repro.core.router import FAST_TIERS
-
-        policy = _calibrated(per_sample_ms=1000.0, sla_ms=1.0)
-        backend = resolve_backend("daism", None)
-        decision = policy.tier_decision(backend.fmt, backend.config)
-        if decision.kernel in FAST_TIERS:
-            assert decision.certificate is not None
-            assert decision.certificate.certified
-        else:
-            # No certified fast tier on this host: must stay bit-exact.
-            assert "staying bit-exact" in decision.reason

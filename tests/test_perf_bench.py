@@ -35,31 +35,23 @@ def quick_report(tmp_path_factory):
 
 def test_quick_run_writes_valid_artifact(quick_report):
     report, _path = quick_report
-    assert report["schema"] == "repro-perf/8"
+    assert report["schema"] == "repro-perf/9"
     assert report["quick"] is True
 
-    # 1 size x (exact + quantized + 4 kernels x raw/prepared) = 10 rows.
-    assert len(report["matmul"]) == 10
+    # 1 size x (exact + quantized + 2 kernels x raw/prepared) = 6 rows.
+    assert len(report["matmul"]) == 6
     for row in report["matmul"]:
         assert row["ms_per_call"] > 0
         assert row["mmacs_per_s"] > 0
     combos = {(r["backend"], r["kernel"], r["variant"]) for r in report["matmul"]}
     assert ("exact_float32", "-", "raw") in combos
     assert ("quantized_bfloat16", "dense_blas", "raw") in combos
-    for kernel in ("float_table", "blas_factored", "blas_factored_fast", "auto"):
+    for kernel in ("float_table", "blas_factored"):
         assert ("approx_bfloat16_PC3_tr", kernel, "raw") in combos
         assert ("approx_bfloat16_PC3_tr", kernel, "prepared") in combos
 
-    tiers = report["tiers"]
-    # Both fast-tier candidates certified per Table I config (5 x 2).
-    assert len(tiers["certificates"]) == 10
-    assert all(cert["certified"] for cert in tiers["certificates"])
-    assert {cert["kernel"] for cert in tiers["certificates"]} == {
-        "blas_factored",
-        "blas_factored_fast",
-    }
-    # The artifact records which gather tier ran.
-    assert tiers["status"]["exact_tier"] == "float_table"
+    # The retired fast tier left no sections behind.
+    assert "tiers" not in report
 
     net = report["network"]
     assert net["model"] == "lenet"
@@ -79,14 +71,12 @@ def test_quick_run_writes_valid_artifact(quick_report):
     # The plan packs conv images, not K*K-redundant patch matrices.
     assert net["steady_state_elements_packed"] < net["eager_elements_packed"]
     by_kernel = {row["kernel"]: row for row in net["kernels"]}
-    assert {"blas_factored", "blas_factored_fast", "auto"} <= set(by_kernel)
+    assert set(by_kernel) == {"blas_factored"}
 
-    # The LUT-vs-BLAS headline: router-enabled plan vs dense BLAS plan.
-    assert net["routed"]["kernel"] == "auto"
-    assert net["routed"]["plan_kernels"]
-    assert net["routed"]["ms_per_sample"] > 0
+    # The LUT-vs-BLAS headline: bit-exact plan vs dense BLAS plan.
+    assert "routed" not in net
     assert net["quantized_dense"]["plan_kernels"] == ["dense_blas"]
-    assert net["routed_vs_dense_blas_x"] > 0
+    assert net["exact_vs_dense_blas_x"] > 0
 
     scenario = report["scenario"]
     assert [row["model"] for row in scenario] == [
@@ -212,7 +202,7 @@ def _write_report(
     samples_per_s: float | None = None,
     goodput: float | None = None,
     dropped: int = 0,
-    routed_ratio: float | None = None,
+    exact_ratio: float | None = None,
     scenario_ms: float | None = None,
     scenario_parity: bool = True,
     fault_tolerance: dict | None = None,
@@ -246,8 +236,8 @@ def _write_report(
     report: dict = {"schema": "repro-perf/5", "matmul": rows}
     if samples_per_s is not None:
         report["serving"] = {"model": "lenet", "load": {"samples_per_s": samples_per_s}}
-    if routed_ratio is not None:
-        report["network"] = {"routed_vs_dense_blas_x": routed_ratio}
+    if exact_ratio is not None:
+        report["network"] = {"exact_vs_dense_blas_x": exact_ratio}
     if goodput is not None:
         report["fleet"] = {
             "models": ["lenet"],
@@ -306,16 +296,16 @@ class TestRegressionGuard:
         )
         assert result.returncode == 1
 
-    def test_routed_ratio_within_ceiling_passes(self, tmp_path):
-        fresh = _write_report(tmp_path / "fresh.json", 100.0, routed_ratio=2.1)
+    def test_exact_ratio_within_ceiling_passes(self, tmp_path):
+        fresh = _write_report(tmp_path / "fresh.json", 100.0, exact_ratio=2.1)
         base = _write_report(tmp_path / "base.json", 100.0)
         result = _run_guard("--fresh", str(fresh), "--baseline", str(base))
         assert result.returncode == 0, result.stdout
-        assert "routed lenet vs quantized dense_blas" in result.stdout
+        assert "bit-exact lenet vs quantized dense_blas" in result.stdout
 
-    def test_routed_ratio_above_ceiling_fails(self, tmp_path):
+    def test_exact_ratio_above_ceiling_fails(self, tmp_path):
         """The LUT-vs-BLAS acceptance gap is an absolute ceiling, no baseline."""
-        fresh = _write_report(tmp_path / "fresh.json", 100.0, routed_ratio=3.4)
+        fresh = _write_report(tmp_path / "fresh.json", 100.0, exact_ratio=3.4)
         base = _write_report(tmp_path / "base.json", 100.0)
         result = _run_guard("--fresh", str(fresh), "--baseline", str(base))
         assert result.returncode == 1
@@ -323,16 +313,16 @@ class TestRegressionGuard:
         # The flag tunes the ceiling.
         result = _run_guard(
             "--fresh", str(fresh), "--baseline", str(base),
-            "--routed-max-ratio", "4.0",
+            "--exact-max-ratio", "4.0",
         )
         assert result.returncode == 0, result.stdout
 
-    def test_routed_ratio_skipped_when_absent(self, tmp_path):
+    def test_exact_ratio_skipped_when_absent(self, tmp_path):
         fresh = _write_report(tmp_path / "fresh.json", 100.0)
         base = _write_report(tmp_path / "base.json", 100.0)
         result = _run_guard("--fresh", str(fresh), "--baseline", str(base))
         assert result.returncode == 0, result.stdout
-        assert "skipping routed-ratio check" in result.stdout
+        assert "skipping exact-ratio check" in result.stdout
 
     def test_kernel_flag_accepts_comma_list(self, tmp_path):
         # A list naming only an absent kernel leaves no matmul rows to
@@ -341,7 +331,7 @@ class TestRegressionGuard:
         base = _write_report(tmp_path / "base.json", 100.0)
         result = _run_guard(
             "--fresh", str(fresh), "--baseline", str(base),
-            "--kernel", "blas_factored_fast,blas_factored",
+            "--kernel", "generic,blas_factored",
         )
         assert result.returncode == 1
         assert "no comparable" in result.stdout
@@ -616,7 +606,7 @@ class TestServingGuard:
             "--scenario-max-regression", "0.99",
             "--sched-max-regression", "0.99",
             "--fleet-max-regression", "0.99",
-            "--routed-max-ratio", "1e9",
+            "--exact-max-ratio", "1e9",
             "--fault-recovery-max-ms", "1e9",
         )
         assert result.returncode == 0, result.stdout + result.stderr
