@@ -58,6 +58,11 @@ Schema v9 drops the retired fast tier's ``tiers`` section and
 ``network.routed`` row; ``network.exact_vs_dense_blas_x`` replaces
 ``routed_vs_dense_blas_x``.
 
+Schema v10 adds the ``training`` section: eager SGD on LeNet at batch
+32 on the kernel layouts, interleaved rep by rep with the same job on
+the plain gather kernel (eager training before the layouts), with the
+two loss trajectories asserted bit-identical.
+
 Run::
 
     python benchmarks/perf/bench_perf.py --out BENCH_perf.json [--quick]
@@ -78,7 +83,7 @@ import time
 
 import numpy as np
 
-SCHEMA = "repro-perf/9"
+SCHEMA = "repro-perf/10"
 
 #: Scenario-model input geometry for the perf rows.  Reduced from the
 #: canonical sizes (mobilenet_edge is fully convolutional, the
@@ -256,9 +261,9 @@ def network_latency(quick: bool) -> dict:
         "eager_elements_packed": second["elements_packed"],
         # With warm weight caches, every pack in a steady-state pass is an
         # activation; two identical passes must pack identically (no
-        # creeping weight re-pack work).  The plan path packs whole conv
-        # images instead of K*K-redundant patch matrices, so its element
-        # count is a fraction of the eager one.
+        # creeping weight re-pack work).  Both paths run LeNet's convs
+        # as direct tap loops over packed whole images, so they pack
+        # the same elements.
         "repack_free": second == third and plan_second == plan_third,
         "kernels": [],
     }
@@ -373,6 +378,126 @@ def scenario_rows(quick: bool) -> list[dict]:
             }
         )
     return rows
+
+
+def training_rows(quick: bool) -> dict:
+    """Eager LeNet SGD at batch 32: the kernel layouts against the plain gather kernel.
+
+    The ``plain_gather`` arm is the DAISM backend with no kernel
+    arrangements, so every GEMM runs the plain gather kernel, as eager
+    training did before the layouts.  Each rep runs one whole training
+    job (fresh model, fixed data and shuffle order) per arm, the arms
+    alternating, so machine-speed drift hits both.  A rep's figure is
+    its median ms/step; the row keeps min, median and IQR over reps,
+    the median forward and backward ms/step, the layout each layer's
+    weights ran, and the loss digest, which both arms must share bit
+    for bit (asserted).
+    """
+    import hashlib
+
+    from repro.core.config import PC3_TR
+    from repro.core.gemm import ApproxMatmul
+    from repro.formats.floatfmt import BFLOAT16
+    from repro.nn import functional as F
+    from repro.nn.backend import daism_backend, use_backend
+    from repro.nn.data import iterate_batches, shapes_dataset
+    from repro.nn.layers import Conv2d, Linear
+    from repro.nn.models import build_lenet
+    from repro.nn.optim import SGD
+
+    class PlainGather(ApproxMatmul):
+        def packed_kernel(self):
+            return None
+
+    batch, seed = 32, 1
+    train_samples, epochs, reps = (64, 1, 2) if quick else (256, 2, 7)
+    data = shapes_dataset(n_train=train_samples, n_test=1, seed=seed)
+    arms = {
+        "layouts": daism_backend(PC3_TR, BFLOAT16),
+        "plain_gather": PlainGather(BFLOAT16, PC3_TR),
+    }
+
+    def job(backend):
+        model = build_lenet()
+        optimiser = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+        rng = np.random.default_rng(seed)
+        times: dict[str, list[float]] = {"forward": [], "backward": [], "step": []}
+        losses = []
+        with use_backend(backend):
+            for _epoch in range(epochs):
+                for bx, by in iterate_batches(data.train_x, data.train_y, batch, rng):
+                    t0 = time.perf_counter()
+                    logits = model(bx)
+                    losses.append(F.cross_entropy(logits, by))
+                    t1 = time.perf_counter()
+                    model.backward(F.cross_entropy_grad(logits, by))
+                    t2 = time.perf_counter()
+                    optimiser.step()
+                    optimiser.zero_grad()
+                    t3 = time.perf_counter()
+                    times["forward"].append(t1 - t0)
+                    times["backward"].append(t2 - t1)
+                    times["step"].append(t3 - t0)
+        return model, times, losses
+
+    def digest(losses) -> str:
+        arr = np.asarray(losses)
+        h = hashlib.sha256()
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+        return h.hexdigest()[:16]
+
+    per_rep = {arm: [] for arm in arms}
+    phases = {arm: {"forward": [], "backward": []} for arm in arms}
+    digests = set()
+    for _ in range(reps):
+        for arm, backend in arms.items():
+            model, times, losses = job(backend)
+            per_rep[arm].append(float(np.median(times["step"])) * 1e3)
+            for phase in phases[arm]:
+                phases[arm][phase].extend(times[phase])
+            digests.add(digest(losses))
+            if arm == "layouts":
+                # Layer names as compile_plan tags them: conv1, conv2, fc1, ...
+                convs = [m for m in model.modules if isinstance(m, Conv2d)]
+                fcs = [m for m in model.modules if isinstance(m, Linear)]
+                layouts = {
+                    f"{kind}{i + 1}": m._prepared.layouts()
+                    for kind, layers in (("conv", convs), ("fc", fcs))
+                    for i, m in enumerate(layers)
+                }
+    assert len(digests) == 1, f"training losses differ across arms/reps: {digests}"
+
+    def summary(arm: str) -> dict:
+        q25, q75 = np.percentile(per_rep[arm], [25, 75])
+        return {
+            "ms_per_step_min": round(min(per_rep[arm]), 2),
+            "ms_per_step_median": round(float(np.median(per_rep[arm])), 2),
+            "ms_per_step_iqr": round(float(q75 - q25), 2),
+            "forward_ms": round(float(np.median(phases[arm]["forward"])) * 1e3, 2),
+            "backward_ms": round(float(np.median(phases[arm]["backward"])) * 1e3, 2),
+            "ms_per_step_reps": [round(v, 2) for v in per_rep[arm]],
+        }
+
+    report = {
+        "model": "lenet",
+        "backend": arms["layouts"].name,
+        "batch_size": batch,
+        "steps_per_rep": len(losses),
+        "reps": reps,
+        "seed": seed,
+        "loss_digest": digests.pop(),
+        "layouts": layouts,
+        "layouts_arm": summary("layouts"),
+        "plain_gather_arm": summary("plain_gather"),
+    }
+    report["speedup_x"] = round(
+        report["plain_gather_arm"]["ms_per_step_median"]
+        / report["layouts_arm"]["ms_per_step_median"],
+        2,
+    )
+    return report
 
 
 def serving_rows(quick: bool) -> dict:
@@ -556,6 +681,7 @@ def run(out_path: str, quick: bool = False) -> dict:
         "matmul": matmul_rows(quick),
         "network": network_latency(quick),
         "scenario": scenario_rows(quick),
+        "training": training_rows(quick),
         "serving": serving_rows(quick),
         "fleet": fleet_rows(quick),
         "fault_sweep": fault_sweep(quick),
@@ -609,6 +735,16 @@ def main() -> None:
             f" ({srow['ms_per_sample']} ms/sample, {srow['plan_ops']} plan ops,"
             f" logits_match_eager={srow['logits_match_eager']})"
         )
+    tr = report["training"]
+    for arm in ("layouts", "plain_gather"):
+        row = tr[f"{arm}_arm"]
+        print(
+            f"  training lenet/{tr['backend']} batch {tr['batch_size']} [{arm}]:"
+            f" {row['ms_per_step_median']} ms/step median (min {row['ms_per_step_min']},"
+            f" IQR {row['ms_per_step_iqr']}, {tr['reps']} reps), forward {row['forward_ms']}"
+            f" / backward {row['backward_ms']} ms"
+        )
+    print(f"  training speedup {tr['speedup_x']}x, loss digest {tr['loss_digest']}")
     serve = report["serving"]["load"]
     print(
         f"  serving lenet/{report['serving']['backend']}:"

@@ -40,7 +40,7 @@ import numpy as np
 from ..formats.floatfmt import FLOAT32, FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from .config import MultiplierConfig
-from .kernels import get_kernel, select_kernel
+from .kernels import GemmKernel, PreparedWeight, get_kernel, select_kernel
 
 __all__ = [
     "approx_matmul",
@@ -71,7 +71,7 @@ def _check_kernel(kernel: str | None) -> None:
 
 def approx_matmul(
     a: np.ndarray | PackedTensor,
-    b: np.ndarray | PackedTensor,
+    b: np.ndarray | PackedTensor | PreparedWeight,
     fmt: FloatFormat,
     config: MultiplierConfig,
     kernel: str | None = None,
@@ -86,7 +86,10 @@ def approx_matmul(
         are quantised to ``fmt`` internally (once); packed inputs are
         consumed as-is with zero re-quantise/decompose work.
     b:
-        ``(K, N)`` float array or ``PackedTensor``.
+        ``(K, N)`` float array or ``PackedTensor``, or a
+        :class:`~repro.core.kernels.PreparedWeight` the kernel arranged
+        under ``config`` (same bits, see
+        :meth:`~repro.core.kernels.GemmKernel.run_prepared`).
     fmt:
         Operand floating point format (e.g. bfloat16).  Packed operands
         must have been packed to the same format.
@@ -103,8 +106,11 @@ def approx_matmul(
     strictly left to right over K, so each row's bits are independent of
     the other rows in the call.
     """
+    prepared = b if isinstance(b, PreparedWeight) else None
+    if prepared is not None and prepared.config != config:
+        raise ValueError("prepared operand b was arranged under another multiplier config")
     pa = _as_packed(a, fmt, "a")
-    pb = _as_packed(b, fmt, "b")
+    pb = _as_packed(b.weight if prepared is not None else b, fmt, "b")
     if pa.ndim not in (2, 3) or pb.ndim != 2 or pa.shape[-1] != pb.shape[0]:
         raise ValueError(f"shape mismatch for matmul: {pa.shape} @ {pb.shape}")
 
@@ -112,7 +118,11 @@ def approx_matmul(
     if batched:
         batch, m, k = pa.shape
         pa = pa.reshape(batch * m, k)
-    out = select_kernel(fmt, config, kernel).run(pa, pb, config)
+    found = select_kernel(fmt, config, kernel)
+    if prepared is not None:
+        out = found.run_prepared(pa, prepared)
+    else:
+        out = found.run(pa, pb, config)
     if batched:
         return out.reshape(batch, m, -1)
     return out
@@ -164,6 +174,9 @@ class MatmulBackend:
     keys match produce interchangeable prepared operands (e.g. every
     ``ApproxMatmul`` config over bfloat16 shares the same packed planes),
     which lets callers cache one prepared tensor across backends.
+    ``packed_kernel()`` names the kernel that runs those planes, for
+    callers that also arrange a prepared operand per config
+    (:meth:`~repro.core.kernels.GemmKernel.prepare`).
     """
 
     name = "abstract"
@@ -180,6 +193,10 @@ class MatmulBackend:
     def prepare_key(self) -> str:
         """Cache key identifying the representation ``prepare`` produces."""
         return self.name
+
+    def packed_kernel(self) -> tuple[GemmKernel, MultiplierConfig | None] | None:
+        """``(kernel, config)`` whose arrangements ``matmul`` accepts; ``None`` by default."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -313,8 +330,16 @@ class ApproxMatmul(MatmulBackend):
         return f"approx_{self.fmt.name}_{self.config.name}"
 
     def matmul(self, a, b) -> np.ndarray:
-        """DAISM approximate product (see :func:`approx_matmul`)."""
+        """DAISM approximate product (see :func:`approx_matmul`).
+
+        ``b`` may be a :class:`~repro.core.kernels.PreparedWeight` from
+        :meth:`packed_kernel`'s ``prepare``; the kernel then runs its layout.
+        """
         return approx_matmul(a, b, self.fmt, self.config, kernel=self.kernel)
+
+    def packed_kernel(self) -> tuple[GemmKernel, MultiplierConfig]:
+        """The kernel :func:`approx_matmul` selects, with this backend's config."""
+        return select_kernel(self.fmt, self.config, self.kernel), self.config
 
     def prepare(self, b: np.ndarray) -> PackedTensor:
         """Quantise + decompose a static operand once (see ``pack``)."""

@@ -161,7 +161,21 @@ def register_table(key: tuple, value, rebuild, source: tuple | None = None) -> N
     """
     digest = checksum_value(value)
     with _LOCK:
+        _forget_released()
         _TABLES[key] = _TableRecord(digest=digest, rebuild=rebuild, source=source)
+
+
+def _forget_released() -> None:
+    """Drop the records of tables released from the cache (call under ``_LOCK``).
+
+    A weight-stationary or direct table leaves the cache with the last
+    weight using it; training releases one per layer and step, and
+    never verifies, so this runs on every registration as well.
+    """
+    from . import kernels
+
+    for key in kernels.drain_released():
+        _TABLES.pop(key, None)
 
 
 def _probe_digest(fmt, config, kernel) -> str:
@@ -276,6 +290,7 @@ def verify_tables(heal: bool = True) -> dict:
                 demotions.append(event.as_dict())
 
     with _LOCK:
+        _forget_released()
         records = list(_TABLES.items())
     for key, record in records:
         live = kernels.peek_table(key)

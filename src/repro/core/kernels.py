@@ -21,7 +21,8 @@ Three kernels are built in:
     ``significand_bits + 1`` significant bits, overflow to inf falls out
     of float32 naturally (bfloat16 and float32 share ``emax``), and a
     cheap subnormal-flush mask reproduces the datapath's flush-to-zero
-    underflow exactly.  Compiled plans arrange each static weight once
+    underflow exactly.  Compiled plans, and the eager layers once per
+    weight version, arrange each static weight
     (:meth:`FloatTableKernel.prepare`) in a layout picked from its shape
     by :func:`weight_layout` — a weight-stationary table, an
     activation-expanded index, or the plain gather — with the same bits.
@@ -477,11 +478,17 @@ def _row_plane(packed: PackedTensor) -> np.ndarray:
 
 
 #: Live :class:`PreparedWeight` count per weight-stationary table key.
-#: A table leaves the cache with the last plan that uses it, and its
-#: integrity record at the next verification.  The release runs in a
-#: finalizer, in whatever thread drops the plan, so it takes only the
-#: table lock (no path holding that lock waits on another).
+#: A table leaves the cache with the last plan (or layer cache entry)
+#: that uses it.  The release runs in a finalizer, in whatever thread
+#: drops the weight, so it takes only the table lock (no path holding
+#: that lock waits on another).
 _TABLE_REFS: dict[tuple, int] = {}
+#: Keys whose table was released, queued for the integrity registry to
+#: drop their records (each record's rebuild closure pins a packed
+#: weight).  Written under the table lock; read by
+#: :func:`drain_released` through atomic dict operations only, so the
+#: integrity layer drains it under its own lock without taking this one.
+_RELEASED: dict[tuple, None] = {}
 
 
 def _retain(key: tuple) -> None:
@@ -496,14 +503,33 @@ def _release(key: tuple) -> None:
             _TABLE_REFS[key] = left
             return
         _TABLE_CACHE.pop(key, None)
+        _RELEASED[key] = None
+
+
+def drain_released() -> list[tuple]:
+    """Keys released since the last drain.
+
+    Takes no lock: each ``popitem`` is atomic.  A key whose table was
+    rebuilt since is still queued only if its registration has not run
+    yet (registration drains first), so dropping the key's record here
+    never loses a live table's.
+    """
+    keys = []
+    while _RELEASED:
+        try:
+            keys.append(_RELEASED.popitem()[0])
+        except KeyError:
+            break
+    return keys
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PreparedWeight:
     """A static packed weight arranged once for a kernel's hot loop.
 
-    Built by :meth:`GemmKernel.prepare` when a plan compiles and consumed
-    by :meth:`GemmKernel.run_prepared`.  ``layout`` names the arrangement
+    Built by :meth:`GemmKernel.prepare` when a plan compiles (or an
+    eager layer caches a weight version) and consumed by
+    :meth:`GemmKernel.run_prepared`.  ``layout`` names the arrangement
     (see :func:`weight_layout`; ``None`` for kernels without layouts).
     A weight-stationary or direct layout keeps only the ``table_key`` of
     its table in the table cache and looks the table up on every call,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.gemm import MatmulBackend
+from ..formats.packed import pack
 from .backend import default_backend
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "col2im",
     "conv2d_forward",
     "conv2d_backward",
+    "direct_conv2d",
     "grouped_conv2d_forward",
     "grouped_conv2d_backward",
     "maxpool2d_forward",
@@ -91,6 +93,40 @@ def col2im(
     return padded
 
 
+def direct_conv2d(
+    kernel, packed, direct, bias: np.ndarray | None, size: int, stride: int, padding: int,
+    groups: int,
+) -> np.ndarray | None:
+    """A :data:`~repro.core.kernels.DIRECT` conv of a packed image, plus bias.
+
+    ``kernel`` is the :class:`~repro.core.kernels.FloatTableKernel` and
+    ``direct`` its :meth:`~repro.core.kernels.FloatTableKernel.prepare_direct`
+    weight (``None`` when the table did not fit).  Returns the NCHW
+    float32 output, or ``None`` when the caller must take the im2col
+    GEMMs instead (no direct weight, or a call outside ``f32_exact``);
+    both give the same bits.  The eager layers and the compiled conv
+    ops share this one path.
+    """
+    if direct is None:
+        return None
+    out = kernel.run_direct(packed, direct, size, stride, padding, groups)
+    if out is None:
+        return None
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return np.ascontiguousarray(out, dtype=np.float32)
+
+
+def _eager_direct(backend, x, direct, bias, size, stride, padding, groups):
+    """:func:`direct_conv2d` of a float image on ``backend``'s kernel."""
+    if direct is None:
+        return None
+    packed = pack(x, direct.weight.fmt)
+    return direct_conv2d(
+        backend.packed_kernel()[0], packed, direct, bias, size, stride, padding, groups
+    )
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -99,6 +135,7 @@ def conv2d_forward(
     padding: int,
     backend: MatmulBackend | None = None,
     prepared_weight=None,
+    direct=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convolution via one batched im2col GEMM.  Returns ``(output, cols_cache)``.
 
@@ -106,8 +143,11 @@ def conv2d_forward(
     single ``(N, OH*OW, C*K*K) @ (C*K*K, F)`` GEMM on the backend.
     ``prepared_weight``, when given, is a backend-prepared form of the
     flattened-transposed kernel matrix (``backend.prepare`` of the
-    ``(C*K*K, F)`` matrix) — layers pass their cached packed weights here
-    so inference performs zero per-call weight packing.
+    ``(C*K*K, F)`` matrix, or its kernel arrangement) — layers pass
+    their cached weights here so inference performs zero per-call
+    weight packing.  ``direct``, a direct-layout weight on the backend's
+    kernel, runs the conv as a tap loop instead (:func:`direct_conv2d`);
+    the patch matrix is still returned for the weight gradient.
     """
     backend = backend or default_backend()
     n, _c, h, w = x.shape
@@ -116,6 +156,9 @@ def conv2d_forward(
     ow = _out_size(w, kernel, stride, padding)
 
     cols = im2col(x, kernel, stride, padding)
+    out = _eager_direct(backend, x, direct, bias, kernel, stride, padding, 1)
+    if out is not None:
+        return out, cols
     wmat = prepared_weight if prepared_weight is not None else weight.reshape(f, -1).T
     out = backend.matmul(cols.reshape(n, oh * ow, -1), wmat)
     if bias is not None:
@@ -164,6 +207,7 @@ def grouped_conv2d_forward(
     groups: int,
     backend: MatmulBackend | None = None,
     prepared_weights=None,
+    direct=None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Grouped/depthwise convolution: one batched GEMM per channel group.
 
@@ -174,8 +218,10 @@ def grouped_conv2d_forward(
     exactly the block-diagonal structure of the dense kernel matrix, so
     ``groups=1`` degenerates to the dense path.  ``prepared_weights`` is
     an optional sequence of backend-prepared per-group ``(C/G*K*K, F/G)``
-    matrices (the layers cache these).  Returns ``(output, cols_cache)``
-    with one patch matrix per group for the backward pass.
+    matrices (the layers cache these).  ``direct`` runs all groups as
+    one tap loop instead, as in :func:`conv2d_forward`.  Returns
+    ``(output, cols_cache)`` with one patch matrix per group for the
+    backward pass.
     """
     backend = backend or default_backend()
     n, c, h, w = x.shape
@@ -189,16 +235,19 @@ def grouped_conv2d_forward(
     oh = _out_size(h, kernel, stride, padding)
     ow = _out_size(w, kernel, stride, padding)
 
-    cols_cache: list[np.ndarray] = []
+    cols_cache = [
+        im2col(x[:, g * cg : (g + 1) * cg], kernel, stride, padding) for g in range(groups)
+    ]
+    out = _eager_direct(backend, x, direct, bias, kernel, stride, padding, groups)
+    if out is not None:
+        return out, cols_cache
     outs: list[np.ndarray] = []
-    for g in range(groups):
-        cols = im2col(x[:, g * cg : (g + 1) * cg], kernel, stride, padding)
+    for g, cols in enumerate(cols_cache):
         if prepared_weights is not None:
             wmat = prepared_weights[g]
         else:
             wmat = weight[g * fg : (g + 1) * fg].reshape(fg, -1).T
         outs.append(backend.matmul(cols.reshape(n, oh * ow, -1), wmat))
-        cols_cache.append(cols)
     out = np.concatenate(outs, axis=2)
     if bias is not None:
         out = out + bias[None, None, :]
@@ -225,12 +274,15 @@ def grouped_conv2d_backward(
     padding: int,
     groups: int,
     backend: MatmulBackend | None = None,
+    prepared_weights=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the grouped convolution: ``(dx, dweight, dbias)``.
 
     Each group's backward is the dense :func:`conv2d_backward` pair of
     GEMMs and bias sum on that group's contiguous slice of the gradient
     and patch cache, so ``dbias`` has the dense path's bits.
+    ``prepared_weights`` is an optional sequence of backend-prepared
+    per-group ``(F/G, C/G*K*K)`` weight rows for the ``dcols`` GEMMs.
     """
     backend = backend or default_backend()
     f, cg, kernel, _ = weight.shape
@@ -251,7 +303,10 @@ def grouped_conv2d_backward(
         dweight[g * fg : (g + 1) * fg] = backend.matmul(grad_g.T, cols).reshape(
             fg, cg, kernel, kernel
         )
-        wrows = weight[g * fg : (g + 1) * fg].reshape(fg, -1)
+        if prepared_weights is not None:
+            wrows = prepared_weights[g]
+        else:
+            wrows = weight[g * fg : (g + 1) * fg].reshape(fg, -1)
         dcols = backend.matmul(grad_g, wrows)
         dx_groups.append(col2im(dcols, group_shape, kernel, stride, padding))
     dx = np.concatenate(dx_groups, axis=1)

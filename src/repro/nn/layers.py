@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.gemm import MatmulBackend
+from ..core.kernels import FloatTableKernel
 from . import functional as F
 from .backend import default_backend
 
@@ -134,39 +135,115 @@ def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 class _PreparedWeightCache:
     """Backend-prepared (e.g. packed) views of one Parameter, cached.
 
-    Entries are keyed by ``(backend.prepare_key, orientation)`` and
-    stamped with the parameter's version: an optimiser step (or weight
-    load) bumps the version and silently invalidates every entry, while
-    repeated inference reuses the prepared operand with zero re-quantise
-    or decompose work.  Backends with the same ``prepare_key`` (every
-    DAISM config over one format — whichever GEMM kernel it selects —
-    plus the quantised backend of that format) share a single entry: a
-    cached ``PackedTensor`` carries the planes, the dense values and the
-    scale plane, which covers every kernel in
-    :mod:`repro.core.kernels`.
+    Every entry is stamped with the parameter's version: an optimiser
+    step (or weight load) bumps the version and silently invalidates
+    every entry, while repeated inference reuses the prepared operand
+    with zero re-quantise or decompose work.  Two tiers of entries:
+
+    * the prepared operand, keyed by ``(backend.prepare_key,
+      orientation)``.  Backends with the same ``prepare_key`` (every
+      DAISM config over one format — whichever GEMM kernel it selects —
+      plus the quantised backend of that format) share a single entry:
+      a cached ``PackedTensor`` carries the planes, the dense values and
+      the scale plane;
+    * for a backend with a packed kernel
+      (:meth:`~repro.core.gemm.MatmulBackend.packed_kernel`), that
+      kernel's arrangement of the shared planes, keyed per config by
+      ``(backend.name, kernel name, orientation)``.  It is picked from
+      the weight's shape the way compiled plans pick it
+      (:meth:`~repro.core.kernels.GemmKernel.prepare`, and
+      :meth:`~repro.core.kernels.FloatTableKernel.prepare_direct` for a
+      conv forward), and a layout never changes a bit.
+
+    A stale entry is dropped before its successor is built, so a
+    released layout table leaves the table cache, and its integrity
+    record, before the next one is registered.
     """
 
     _MAX_ENTRIES = 8
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], tuple[int, object]] = {}
+        self._entries: dict[tuple, tuple[int, object]] = {}
 
-    def get(self, backend: MatmulBackend, param: Parameter, orientation: str, build):
-        key = (backend.prepare_key, orientation)
+    def _lookup(self, key: tuple, version: int, build):
         hit = self._entries.get(key)
-        if hit is not None and hit[0] == param.version:
+        if hit is not None and hit[0] == version:
             return hit[1]
-        built = build()
-        if isinstance(built, (list, tuple)):
-            # Grouped layers prepare one operand per channel group under
-            # a single cache entry, invalidated together.
-            prepared = tuple(backend.prepare(b) for b in built)
-        else:
-            prepared = backend.prepare(built)
-        if key not in self._entries and len(self._entries) >= self._MAX_ENTRIES:
+        # Drop the stale entry first, so its tables are released before
+        # the successor's are built.
+        hit = None
+        self._entries.pop(key, None)
+        value = build()
+        if len(self._entries) >= self._MAX_ENTRIES:
             self._entries.pop(next(iter(self._entries)))  # FIFO, evict one
-        self._entries[key] = (param.version, prepared)
-        return prepared
+        self._entries[key] = (version, value)
+        return value
+
+    def get(
+        self, backend: MatmulBackend, param: Parameter, orientation: str, build,
+        direct: bool = False,
+    ):
+        """The operand for ``build()``'s matrix, or a tuple for a list of matrices.
+
+        Grouped layers build one matrix per channel group under a single
+        entry, invalidated together.  ``direct`` (a conv forward, always
+        a list) returns ``(direct_weight, per_group)``: ``direct_weight``
+        is the whole conv's direct layout, or ``None`` when the kernel
+        has none for it.
+        """
+
+        def prepared():
+            return self._lookup(
+                (backend.prepare_key, orientation), param.version,
+                lambda: _prepare(backend, build()),
+            )
+
+        target = backend.packed_kernel()
+        if target is None:
+            return (None, prepared()) if direct else prepared()
+        kernel, config = target
+        return self._lookup(
+            (backend.name, kernel.name, orientation),
+            param.version,
+            lambda: _arrange(kernel, config, prepared(), direct),
+        )
+
+    def layouts(self) -> dict[str, str | None]:
+        """``{orientation: layout}`` of the cached kernel arrangements (for reports).
+
+        A per-group entry reports its first group's layout.
+        """
+        found = {}
+        for key, (_version, value) in self._entries.items():
+            if len(key) == 3:  # (backend.name, kernel name, orientation)
+                while isinstance(value, tuple):
+                    value = next(v for v in value if v is not None)
+                found[key[2]] = value.layout
+        return found
+
+
+def _prepare(backend: MatmulBackend, built):
+    """``backend.prepare`` of a matrix, or a tuple of them for a list."""
+    if isinstance(built, list):
+        return tuple(backend.prepare(b) for b in built)
+    return backend.prepare(built)
+
+
+def _arrange(kernel, config, packed, direct: bool):
+    """``kernel``'s arrangement of packed weights (see :meth:`_PreparedWeightCache.get`).
+
+    A conv with a direct layout keeps its per-group planes unarranged:
+    they serve only the im2col fallback outside ``f32_exact``, where
+    every layout runs the plain kernel.
+    """
+    if not isinstance(packed, tuple):
+        return kernel.prepare(packed, config)
+    if direct and isinstance(kernel, FloatTableKernel):
+        weight = kernel.prepare_direct(list(packed), config)
+        if weight is not None:
+            return weight, packed
+    arranged = tuple(kernel.prepare(w, config) for w in packed)
+    return (None, arranged) if direct else arranged
 
 
 class Conv2d(Module):
@@ -230,29 +307,29 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         backend = self.backend or default_backend()
         f = self.weight.data.shape[0]
-        if self.groups == 1:
-            wmat = self._prepared.get(
-                backend, self.weight, "fwd", lambda: self.weight.data.reshape(f, -1).T
-            )
-            out, cols = F.conv2d_forward(
-                x, self.weight.data, self.bias.data if self.bias else None,
-                self.stride, self.padding, backend, prepared_weight=wmat,
-            )
-            self._cache = (x.shape, cols)
-            return out
         fg = f // self.groups
-        wmats = self._prepared.get(
-            backend, self.weight, "fwd",
-            lambda: [
+
+        def matrices():
+            if self.groups == 1:
+                return [self.weight.data.reshape(f, -1).T]
+            return [
                 np.ascontiguousarray(self.weight.data[g * fg : (g + 1) * fg].reshape(fg, -1).T)
                 for g in range(self.groups)
-            ],
-        )
-        out, cols_cache = F.grouped_conv2d_forward(
-            x, self.weight.data, self.bias.data if self.bias else None,
-            self.stride, self.padding, self.groups, backend, prepared_weights=wmats,
-        )
-        self._cache = (x.shape, cols_cache)
+            ]
+
+        direct, wmats = self._prepared.get(backend, self.weight, "fwd", matrices, direct=True)
+        bias = self.bias.data if self.bias is not None else None
+        if self.groups == 1:
+            out, cols = F.conv2d_forward(
+                x, self.weight.data, bias, self.stride, self.padding, backend,
+                prepared_weight=wmats[0], direct=direct,
+            )
+        else:
+            out, cols = F.grouped_conv2d_forward(
+                x, self.weight.data, bias, self.stride, self.padding, self.groups, backend,
+                prepared_weights=wmats, direct=direct,
+            )
+        self._cache = (x.shape, cols)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -260,13 +337,21 @@ class Conv2d(Module):
             raise RuntimeError("backward called before forward")
         backend = self.backend or default_backend()
         x_shape, cols = self._cache
+        f = self.weight.data.shape[0]
         if self.groups > 1:
+            fg = f // self.groups
+            wrows = self._prepared.get(
+                backend, self.weight, "bwd",
+                lambda: [
+                    self.weight.data[g * fg : (g + 1) * fg].reshape(fg, -1)
+                    for g in range(self.groups)
+                ],
+            )
             dx, dw, db = F.grouped_conv2d_backward(
                 grad, x_shape, cols, self.weight.data,
-                self.stride, self.padding, self.groups, backend,
+                self.stride, self.padding, self.groups, backend, prepared_weights=wrows,
             )
         else:
-            f = self.weight.data.shape[0]
             wrows = self._prepared.get(
                 backend, self.weight, "bwd", lambda: self.weight.data.reshape(f, -1)
             )

@@ -370,18 +370,12 @@ class _Conv(PlanOp):
 
     def _run_direct(self, packed: PackedTensor, strategies) -> np.ndarray | None:
         """The direct layout's NCHW output plus bias; ``None`` to take im2col."""
-        if self.direct is None:
-            return None
         if not all(isinstance(s.kernel, FloatTableKernel) for s in strategies):
             return None
-        out = strategies[0].kernel.run_direct(
-            packed, self.direct, self.kernel, self.stride, self.padding, self.groups
+        return F.direct_conv2d(
+            strategies[0].kernel, packed, self.direct, self.bias,
+            self.kernel, self.stride, self.padding, self.groups,
         )
-        if out is None:
-            return None
-        if self.bias is not None:
-            out = out + self.bias[None, :, None, None]
-        return np.ascontiguousarray(out, dtype=np.float32)
 
     def _finish(self, out: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
         """``(N * OH * OW, F)`` GEMM rows plus bias, as contiguous NCHW float32."""

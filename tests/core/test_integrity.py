@@ -275,3 +275,77 @@ class TestWeightStationaryTables:
             report = check_and_heal()
         assert {str(v0_key), str(key)} <= set(report["corrupted_tables"])
         np.testing.assert_array_equal(plan.execute(x).view(np.uint32), pristine.view(np.uint32))
+
+
+class TestReleasedRecords:
+    """A released table's record leaves the registry without a verification."""
+
+    def test_registration_drops_released_records(self):
+        from repro.formats.packed import pack
+
+        kernel = get_kernel("float_table")
+        rng = np.random.default_rng(3)
+        weight = pack(rng.standard_normal((8, 16)).astype(np.float32), BFLOAT16)
+        prepared = kernel.prepare(weight, PC3_TR)
+        key = prepared.table_key
+        assert key in registered_tables()
+        del prepared  # releases the table
+        assert kernels.peek_table(key) is None
+        other = kernel.prepare(pack(weight.dense() * 2, BFLOAT16), PC3_TR)
+        assert other.table_key in registered_tables()
+        assert key not in registered_tables()
+        del other  # released, then rebuilt under the same key
+        again = kernel.prepare(pack(weight.dense() * 2, BFLOAT16), PC3_TR)
+        assert again.table_key in registered_tables()
+
+    def test_live_tables_keep_records_under_concurrent_release_and_rebuild(self):
+        # Threads prepare and drop the same three content-keyed weights,
+        # so tables are released and rebuilt under one key while other
+        # threads register and verify: a drain that dropped a rebuilt
+        # table's record would leave a live table without one.
+        import sys
+        import threading
+        import time
+
+        from repro.formats.packed import pack
+
+        kernel = get_kernel("float_table")
+        rng = np.random.default_rng(4)
+        weights = [
+            pack(rng.standard_normal((8, 16)).astype(np.float32), BFLOAT16) for _ in range(3)
+        ]
+        deadline = time.monotonic() + 1.5
+        kept: list = []
+        errors: list = []
+
+        def churn(seed):
+            order = np.random.default_rng(seed)
+            last = None
+            try:
+                while time.monotonic() < deadline:
+                    last = kernel.prepare(weights[order.integers(3)], PC3_TR)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+            kept.append(last)
+
+        def verify():
+            while time.monotonic() < deadline:
+                verify_tables(heal=False)
+
+        threads = [threading.Thread(target=churn, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=verify))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        records = set(registered_tables())
+        live = {p.table_key for p in kept if p is not None}
+        assert live and live <= records
+        assert verify_tables(heal=False)["corrupted_tables"] == []

@@ -145,3 +145,16 @@ class TestConvWeightCache:
         # dweight GEMM packs grad + cols, dcols GEMM packs grad again; the
         # dcols weight operand comes from the cache, so exactly 3 packs.
         assert _packs() - before == 3
+
+    def test_grouped_backward_uses_cached_weight_rows(self):
+        rng = np.random.default_rng(10)
+        layer = Conv2d(4, 6, kernel=3, groups=2, backend=daism_backend(PC3_TR), rng=rng)
+        x = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
+        out = layer(x)
+        layer.backward(np.ones_like(out))  # packs each group's (F/G, C/G*K*K) rows
+        layer(x)
+        before = _packs()
+        layer.backward(np.ones_like(out))
+        # Per group: the dweight GEMM packs grad + cols, the dcols GEMM
+        # packs grad again; the weight rows come from the cache.
+        assert _packs() - before == 3 * 2

@@ -35,7 +35,7 @@ def quick_report(tmp_path_factory):
 
 def test_quick_run_writes_valid_artifact(quick_report):
     report, _path = quick_report
-    assert report["schema"] == "repro-perf/9"
+    assert report["schema"] == "repro-perf/10"
     assert report["quick"] is True
 
     # 1 size x (exact + quantized + 2 kernels x raw/prepared) = 6 rows.
@@ -68,8 +68,9 @@ def test_quick_run_writes_valid_artifact(quick_report):
     # The acceptance property: a steady-state inference pass performs no
     # weight re-quantise/decompose work.
     assert net["repack_free"] is True
-    # The plan packs conv images, not K*K-redundant patch matrices.
-    assert net["steady_state_elements_packed"] < net["eager_elements_packed"]
+    # Plan and eager layers both pack whole conv images for the direct
+    # tap loops, not K*K-redundant patch matrices.
+    assert net["steady_state_elements_packed"] == net["eager_elements_packed"]
     by_kernel = {row["kernel"]: row for row in net["kernels"]}
     assert set(by_kernel) == {"blas_factored"}
 
@@ -89,6 +90,22 @@ def test_quick_run_writes_valid_artifact(quick_report):
         assert row["plan_ops"] > 0
         # The timed plan pass replays the eager batch stream byte for byte.
         assert row["logits_match_eager"] is True
+
+    training = report["training"]
+    assert training["batch_size"] == 32
+    # Eager training picks layouts from the weight shapes as plans do:
+    # LeNet's convs run direct, the backward dX GEMMs their own layouts.
+    assert training["layouts"] == {
+        "conv1": {"fwd": "direct", "bwd": "gather"},
+        "conv2": {"fwd": "direct", "bwd": "weight_stationary"},
+        "fc1": {"fwd": "gather", "bwd": "activation_expanded"},
+        "fc2": {"fwd": "gather", "bwd": "weight_stationary"},
+    }
+    for arm in ("layouts_arm", "plain_gather_arm"):
+        row = training[arm]
+        assert len(row["ms_per_step_reps"]) == training["reps"]
+        assert row["ms_per_step_min"] <= row["ms_per_step_median"]
+        assert row["forward_ms"] > 0 and row["backward_ms"] > 0
 
     serving = report["serving"]
     assert serving["model"] == "lenet"
