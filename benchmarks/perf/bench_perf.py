@@ -63,6 +63,11 @@ Schema v10 adds the ``training`` section: eager SGD on LeNet at batch
 the plain gather kernel (eager training before the layouts), with the
 two loss trajectories asserted bit-identical.
 
+Schema v11 adds the ``sharding`` section: per zoo model and batch,
+the compiled plan on one shard against two, interleaved rep by rep
+(median and IQR), with the weight MACs a shard carries — the sweep the
+engine's work rule (``SHARD_MIN_MACS``) is set from.
+
 Run::
 
     python benchmarks/perf/bench_perf.py --out BENCH_perf.json [--quick]
@@ -83,7 +88,7 @@ import time
 
 import numpy as np
 
-SCHEMA = "repro-perf/10"
+SCHEMA = "repro-perf/11"
 
 #: Scenario-model input geometry for the perf rows.  Reduced from the
 #: canonical sizes (mobilenet_edge is fully convolutional, the
@@ -378,6 +383,87 @@ def scenario_rows(quick: bool) -> list[dict]:
             }
         )
     return rows
+
+
+#: The ``sharding`` sweep: model -> (build kwargs, sample shape, batches).
+#: The ``offline_zoo`` geometries, at batches around the ones it runs.
+SHARDING_SWEEP = {
+    "lenet": ({}, (1, 16, 16), (8, 32, 64, 128)),
+    "mobilenet_edge": ({"size": 48}, (3, 48, 48), (2, 4, 8)),
+    "transformer_encoder": ({}, (8, 256), (2, 4, 8)),
+}
+
+
+def sharding_rows(quick: bool) -> dict:
+    """One shard against two for the bit-exact zoo plans: the work rule's evidence.
+
+    Per (model, batch) the engine runs the batch on one shard and on
+    two, alternating rep by rep so machine-speed drift hits both arms,
+    with the two outputs asserted byte-identical.  A row keeps each
+    arm's median and IQR in ms and the weight MACs a shard carries at
+    two shards.  The engine's ``SHARD_MIN_MACS`` is set from these rows
+    (the per-shard work separating losses from wins, where the models
+    order by it); ``order_breaks`` lists the rows on the wrong side of
+    it (a loss above, or a win below).
+    """
+    from repro.core.config import PC3_TR
+    from repro.formats.floatfmt import BFLOAT16
+    from repro.nn.backend import daism_backend
+    from repro.nn.models import build_lenet, build_mobilenet_edge, build_transformer_encoder
+    from repro.runtime import BatchEngine, compile_plan
+    from repro.runtime.engine import SHARD_MIN_MACS
+
+    builders = {
+        "lenet": build_lenet,
+        "mobilenet_edge": build_mobilenet_edge,
+        "transformer_encoder": build_transformer_encoder,
+    }
+    reps = 3 if quick else 15
+    rng = np.random.default_rng(0)
+    backend = daism_backend(PC3_TR, BFLOAT16)
+    rows: list[dict] = []
+    for model, (kwargs, shape, batches) in SHARDING_SWEEP.items():
+        plan = compile_plan(builders[model](**kwargs).eval(), backend)
+        macs = plan.macs_per_sample(shape)
+        with BatchEngine(plan, shards=2) as engine:
+            for batch in batches[-1:] if quick else batches:
+                x = rng.standard_normal((batch, *shape)).astype(np.float32)
+                times: dict[int, list[float]] = {1: [], 2: []}
+                outputs = {s: engine.run(x, shards=s) for s in times}  # warm
+                assert np.array_equal(outputs[1].view(np.uint32), outputs[2].view(np.uint32))
+                for _ in range(reps):
+                    for shards in times:
+                        t0 = time.perf_counter()
+                        engine.run(x, shards=shards)
+                        times[shards].append((time.perf_counter() - t0) * 1e3)
+                row = {
+                    "model": model,
+                    "batch": batch,
+                    "macs_per_sample": macs,
+                    "macs_per_shard_at_2": batch * macs // 2,
+                    "work_rule_shards": BatchEngine(plan).shard_count(x),
+                }
+                for shards, label in ((1, "one_shard"), (2, "two_shards")):
+                    q25, q50, q75 = np.percentile(times[shards], [25, 50, 75])
+                    row[f"{label}_ms_median"] = round(float(q50), 2)
+                    row[f"{label}_ms_iqr"] = round(float(q75 - q25), 2)
+                row["two_shards_win"] = row["two_shards_ms_median"] < row["one_shard_ms_median"]
+                rows.append(row)
+    lost = [r["macs_per_shard_at_2"] for r in rows if not r["two_shards_win"]]
+    won = [r["macs_per_shard_at_2"] for r in rows if r["two_shards_win"]]
+    return {
+        "backend": backend.name,
+        "reps": reps,
+        "shard_min_macs": SHARD_MIN_MACS,
+        "largest_losing_shard_macs": max(lost, default=None),
+        "smallest_winning_shard_macs": min(won, default=None),
+        "order_breaks": [
+            f"{r['model']}@{r['batch']}"
+            for r in rows
+            if r["two_shards_win"] != (r["macs_per_shard_at_2"] >= SHARD_MIN_MACS)
+        ],
+        "rows": rows,
+    }
 
 
 def training_rows(quick: bool) -> dict:
@@ -681,6 +767,7 @@ def run(out_path: str, quick: bool = False) -> dict:
         "matmul": matmul_rows(quick),
         "network": network_latency(quick),
         "scenario": scenario_rows(quick),
+        "sharding": sharding_rows(quick),
         "training": training_rows(quick),
         "serving": serving_rows(quick),
         "fleet": fleet_rows(quick),
@@ -735,6 +822,20 @@ def main() -> None:
             f" ({srow['ms_per_sample']} ms/sample, {srow['plan_ops']} plan ops,"
             f" logits_match_eager={srow['logits_match_eager']})"
         )
+    sh = report["sharding"]
+    for row in sh["rows"]:
+        print(
+            f"  sharding {row['model']} batch {row['batch']}:"
+            f" 1 shard {row['one_shard_ms_median']} ms (IQR {row['one_shard_ms_iqr']})"
+            f" vs 2 shards {row['two_shards_ms_median']} ms (IQR {row['two_shards_ms_iqr']}),"
+            f" {row['macs_per_shard_at_2'] / 1e6:.2f} M MACs per shard,"
+            f" work rule {row['work_rule_shards']}"
+        )
+    print(
+        f"  sharding: SHARD_MIN_MACS {sh['shard_min_macs']}, largest losing shard"
+        f" {sh['largest_losing_shard_macs']}, smallest winning {sh['smallest_winning_shard_macs']},"
+        f" order breaks {sh['order_breaks']}"
+    )
     tr = report["training"]
     for arm in ("layouts", "plain_gather"):
         row = tr[f"{arm}_arm"]

@@ -157,6 +157,11 @@ def _flatten_batch(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...] | None]:
     return a, None
 
 
+def _check_pairs(a, b) -> None:
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ValueError(f"shape mismatch for matmul_pairs: {a.shape} @ {b.shape}")
+
+
 class MatmulBackend:
     """Interface: a named object computing ``matmul(a, b) -> (M, N)``.
 
@@ -177,6 +182,8 @@ class MatmulBackend:
     ``packed_kernel()`` names the kernel that runs those planes, for
     callers that also arrange a prepared operand per config
     (:meth:`~repro.core.kernels.GemmKernel.prepare`).
+    ``matmul_pairs(a, b)`` multiplies stacks of operand pairs, neither
+    side static — attention's ``Q K^T`` and ``A V`` products.
     """
 
     name = "abstract"
@@ -184,6 +191,19 @@ class MatmulBackend:
     def matmul(self, a: np.ndarray, b) -> np.ndarray:
         """Product of ``a`` and ``b`` under this backend's arithmetic."""
         raise NotImplementedError
+
+    def matmul_pairs(self, a, b) -> np.ndarray:
+        """``(B, M, K) @ (B, K, N)``: one product per leading index.
+
+        The default runs one :meth:`matmul` per pair, so each pair keeps
+        the bits (and, for batch-coupled arithmetic, the shared
+        exponents) of its own call.
+        """
+        _check_pairs(a, b)
+        out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
+        for i in range(len(out)):
+            out[i] = self.matmul(a[i], b[i])
+        return out
 
     def prepare(self, b: np.ndarray):
         """Pre-convert a static ``(K, N)`` operand; identity by default."""
@@ -336,6 +356,17 @@ class ApproxMatmul(MatmulBackend):
         :meth:`packed_kernel`'s ``prepare``; the kernel then runs its layout.
         """
         return approx_matmul(a, b, self.fmt, self.config, kernel=self.kernel)
+
+    def matmul_pairs(self, a, b) -> np.ndarray:
+        """Every pair in one :meth:`~repro.core.kernels.GemmKernel.run_pairs` call.
+
+        Each side is packed once; the bits equal one :meth:`matmul` per pair.
+        """
+        _check_pairs(a, b)
+        pa = _as_packed(a, self.fmt, "a")
+        pb = _as_packed(b, self.fmt, "b")
+        kernel = select_kernel(self.fmt, self.config, self.kernel)
+        return kernel.run_pairs(pa, pb, self.config)
 
     def packed_kernel(self) -> tuple[GemmKernel, MultiplierConfig]:
         """The kernel :func:`approx_matmul` selects, with this backend's config."""

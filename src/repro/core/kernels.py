@@ -582,6 +582,21 @@ class GemmKernel:
         """Compute the product of 2-D packed operands."""
         raise NotImplementedError
 
+    def run_pairs(
+        self,
+        pa: PackedTensor,
+        pb: PackedTensor,
+        config: MultiplierConfig | None,
+    ) -> np.ndarray:
+        """``(B, M, K) @ (B, K, N)``: one product per leading index.
+
+        The default runs :meth:`run` once per pair.
+        """
+        out = np.empty((pa.shape[0], pa.shape[1], pb.shape[2]), dtype=np.float32)
+        for i in range(len(out)):
+            out[i] = self.run(pa[i], pb[i], config)
+        return out
+
     def prepare(self, pb: PackedTensor, config: MultiplierConfig | None) -> PreparedWeight:
         """Arrange a static weight once for :meth:`run_prepared`.
 
@@ -748,6 +763,55 @@ class FloatTableKernel(GemmKernel):
                     self._apply_masks(values, *masks[1:])
                     _accumulate(values, acc)
                 out[m0:m1] = acc.T
+        return out
+
+    def run_pairs(self, pa, pb, config):
+        """All pairs' products in one gather per tile of pairs.
+
+        Each tile gathers ``V0`` for a block of pairs at once and runs
+        the scale multiplies, range masks and :func:`_accumulate` of
+        :meth:`run` on its ``(pairs * M, k_step, N)`` view: the same
+        exact products, summed left to right over K.  The regime and the
+        masks are taken over all pairs together; a pair inside
+        ``f32_exact`` is exact under either multiply order, and masks it
+        does not need leave its products alone, so every pair's bits
+        equal its own :meth:`run` (in either orientation).  A pair too
+        large for one tile runs :meth:`run` on its own.
+        """
+        pairs, m, k = pa.shape
+        n = pb.shape[2]
+        k_step, row_block = _tiling(pairs * m, k, n)
+        if row_block < m or not (m and n):
+            return super().run_pairs(pa, pb, config)
+        masks = self._range_masks(pa, pb)
+        table = value_table(pa.fmt.significand_bits, config)
+        flat = table.reshape(-1)
+        mai = pa.significand.astype(np.intp)
+        mai *= table.shape[0]
+        mbi = pb.significand
+        alpha, beta = pa.scale(), pb.scale()
+
+        out = np.zeros((pairs, m, n), dtype=np.float32)
+        pair_block = row_block // m
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p0 in range(0, pairs, pair_block):
+                p1 = min(pairs, p0 + pair_block)
+                acc = out[p0:p1].reshape(-1, n)
+                for c0 in range(0, k, k_step):
+                    c1 = min(k, c0 + k_step)
+                    idx = mai[p0:p1, :, c0:c1, None] + mbi[p0:p1, None, c0:c1, :]
+                    values = flat.take(idx)
+                    a = alpha[p0:p1, :, c0:c1, None]
+                    b = beta[p0:p1, None, c0:c1, :]
+                    if masks[0]:
+                        values *= a
+                        values *= b
+                    else:
+                        scaled = a * b
+                        scaled *= values
+                        values = scaled
+                    self._apply_masks(values, *masks[1:])
+                    _accumulate(values.reshape(-1, c1 - c0, n), acc)
         return out
 
     def prepare(self, pb, config):

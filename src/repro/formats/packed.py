@@ -152,6 +152,15 @@ class PackedTensor:
         out._scale = None if self._scale is None else self._scale.reshape(*shape)
         return out
 
+    def __getitem__(self, index) -> "PackedTensor":
+        """The planes at ``index`` (numpy basic indexing: views, caches kept)."""
+        out = PackedTensor(
+            self.fmt, self.sign[index], self.exponent[index], self.significand[index]
+        )
+        out._dense = None if self._dense is None else self._dense[index]
+        out._scale = None if self._scale is None else self._scale[index]
+        return out
+
     def __repr__(self) -> str:
         return f"PackedTensor(fmt={self.fmt.name}, shape={self.shape})"
 

@@ -421,6 +421,16 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3).reshape(n, t, h * dh))
 
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """``(N, H, T, D) -> (N*H, T, D)``: one GEMM operand per (sample, head) pair."""
+    return x.reshape(-1, *x.shape[2:])
+
+
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """The pairs of ``x`` with their two trailing axes swapped, contiguous."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+
 def attention_core(
     q: np.ndarray,
     k: np.ndarray,
@@ -432,12 +442,14 @@ def attention_core(
 
     ``q``/``k``/``v`` are ``(N, H, T, Dh)``.  Unlike the weight GEMMs,
     ``Q K^T`` and ``A V`` multiply two *activations* — there is no static
-    operand to pre-pack, so each (sample, head) pair runs as its own
-    2-D ``backend.matmul`` (on the accelerator these are the products
-    DAISM must stream both operands for).  Per-pair products keep
-    samples independent, which is what makes attention shard-safe even
-    on batch-coupled backends: the GEMM shapes depend only on
-    ``(T, Dh)``, never on the batch size.
+    operand to pre-pack (on the accelerator these are the products DAISM
+    must stream both operands for).  Each product is one
+    ``backend.matmul_pairs`` call over all ``N * H`` (sample, head)
+    pairs, and softmax runs over all their scores at once; the
+    semantics stay per pair — every pair's bits equal its own 2-D
+    ``backend.matmul``, and its GEMM shapes depend only on ``(T, Dh)``,
+    never on the batch size — which is what makes attention shard-safe
+    even on batch-coupled backends.
 
     Returns ``(context, probs)`` with ``context`` ``(N, H, T, Dh)`` and
     the post-softmax attention weights ``probs`` ``(N, H, T, T)``.
@@ -449,16 +461,10 @@ def attention_core(
     if scale is None:
         scale = 1.0 / np.sqrt(dh)
     scale = np.float32(scale)
-    probs = np.empty((n, h, t, t), dtype=np.float32)
-    context = np.empty((n, h, t, dh), dtype=np.float32)
-    for i in range(n):
-        for j in range(h):
-            kt = np.ascontiguousarray(k[i, j].T)
-            scores = (backend.matmul(q[i, j], kt) * scale).astype(np.float32)
-            p = softmax(scores).astype(np.float32)
-            probs[i, j] = p
-            context[i, j] = backend.matmul(p, v[i, j])
-    return context, probs
+    scores = (backend.matmul_pairs(_pairs(q), _transposed(_pairs(k))) * scale).astype(np.float32)
+    probs = softmax(scores).astype(np.float32)
+    context = backend.matmul_pairs(probs, _pairs(v))
+    return context.reshape(n, h, t, dh), probs.reshape(n, h, t, t)
 
 
 def attention_core_backward(
@@ -470,25 +476,19 @@ def attention_core_backward(
     backend: MatmulBackend | None = None,
     scale: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of :func:`attention_core`: ``(dq, dk, dv)``."""
+    """Gradients of :func:`attention_core`: ``(dq, dk, dv)``, one call per product."""
     backend = backend or default_backend()
-    n, h, t, dh = q.shape
+    dh = q.shape[-1]
     if scale is None:
         scale = 1.0 / np.sqrt(dh)
     scale = np.float32(scale)
-    dq = np.empty_like(q)
-    dk = np.empty_like(k)
-    dv = np.empty_like(v)
-    for i in range(n):
-        for j in range(h):
-            p = probs[i, j]
-            g = grad[i, j]
-            dv[i, j] = backend.matmul(np.ascontiguousarray(p.T), g)
-            dp = backend.matmul(g, np.ascontiguousarray(v[i, j].T))
-            ds = softmax_backward(dp, p) * scale
-            dq[i, j] = backend.matmul(ds, k[i, j])
-            dk[i, j] = backend.matmul(np.ascontiguousarray(ds.T), q[i, j])
-    return dq, dk, dv
+    p, g = _pairs(probs), _pairs(grad)
+    dv = backend.matmul_pairs(_transposed(p), g)
+    dp = backend.matmul_pairs(g, _transposed(_pairs(v)))
+    ds = softmax_backward(dp, p) * scale
+    dq = backend.matmul_pairs(ds, _pairs(k))
+    dk = backend.matmul_pairs(_transposed(ds), _pairs(q))
+    return dq.reshape(q.shape), dk.reshape(k.shape), dv.reshape(v.shape)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

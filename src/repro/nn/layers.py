@@ -583,9 +583,10 @@ class MultiHeadAttention(Module):
 
     The QKV and output projections are :class:`Linear` layers (prepared
     approximate GEMMs over the batch-folded rows); the per-head
-    ``Q K^T`` and ``A V`` products stream through the backend per
-    (sample, head) pair via :func:`repro.nn.functional.attention_core`,
-    so every multiply in the block lands on the DAISM datapath.
+    ``Q K^T`` and ``A V`` products stream through the backend, one
+    ``matmul_pairs`` call over all (sample, head) pairs, via
+    :func:`repro.nn.functional.attention_core`, so every multiply in the
+    block lands on the DAISM datapath.
     """
 
     def __init__(

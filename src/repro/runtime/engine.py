@@ -1,11 +1,26 @@
 """Shard-parallel batch execution over a compiled plan.
 
 A :class:`BatchEngine` splits a large batch into contiguous shards along
-the sample axis and executes them on a thread pool over one shared
-:class:`~repro.runtime.plan.ExecutionPlan`.  Plans are immutable and
-thread-safe, and every op is row-independent (sample ``i`` depends only
-on sample ``i``), so the result is **byte-identical** to a
-single-threaded pass over the whole batch, shard count notwithstanding.
+the sample axis and executes them over one shared
+:class:`~repro.runtime.plan.ExecutionPlan`: shard 0 in the calling
+thread, the others on a pool of ``shards - 1`` threads (one dispatch
+and one thread's malloc arena fewer than a pool of ``shards``).  Plans
+are immutable and thread-safe, and every op is row-independent (sample
+``i`` depends only on sample ``i``), so the result is
+**byte-identical** to a single-threaded pass over the whole batch,
+shard count notwithstanding.
+
+**The work rule.**  With no shard count given, a batch of ``n`` samples
+runs on ``min(cpu_count, n, n * macs // SHARD_MIN_MACS)`` shards, at
+least 1, where ``macs`` is the plan's weight-GEMM multiply-accumulates
+per sample (:meth:`~repro.runtime.plan.ExecutionPlan.macs_per_sample`):
+a shard is worth a thread only when it carries at least
+:data:`SHARD_MIN_MACS` of work.  At the ``offline_zoo`` batches that
+keeps LeNet (0.1 M MACs per sample, batch 64) on one core and splits
+the batch-8 ``mobilenet_edge`` and ``transformer_encoder`` plans
+(5.6 M and 6.3 M) across two.  An explicit count — the constructor's,
+a call's, or a scheduling policy's ``shard_decision`` — is honoured,
+clamped to the batch's rows with a :class:`ShardClampWarning`.
 
 Pool workers are initialised with
 :func:`repro.nn.backend.inherit_default_backend`, so an engine created
@@ -17,16 +32,15 @@ hold).
 
 Plans that contain a batch-coupled strategy (e.g. the block-floating-
 point backend, whose shared exponent spans the whole operand) report
-``row_independent=False`` and are rejected for ``shards > 1``.
+``row_independent=False``: they are rejected for an explicit
+``shards > 1``, and the work rule keeps them on one shard.
 
-A note on the BLAS-backed strategies (exact / quantised-dense /
-``blas_factored``): their per-row bits additionally rely on the BLAS
-library computing each output row identically regardless of how many
-rows the call carries.  That holds for the row counts real shards see
-(and is covered by the parity tests), but BLAS may switch kernels for
-degenerate few-row GEMMs — one reason ``min_shard_samples`` keeps
-shards from becoming slivers.  The packed table kernels are
-shard-stable by construction.
+A note on BLAS: the exact and quantised-dense strategies run
+:func:`~repro.core.gemm.dense_matmul`, whose calls have a fixed 64-row
+height whatever the shard's, and the packed table kernels are
+shard-stable by construction.  Only the opt-in ``blas_factored``
+tolerance kernel still makes raw ``np.matmul`` calls whose bits can
+depend on the shard height (BLAS picks its kernel from the call shape).
 """
 
 from __future__ import annotations
@@ -41,7 +55,15 @@ import numpy as np
 from ..nn.backend import inherit_default_backend
 from .plan import ExecutionPlan
 
-__all__ = ["BatchEngine", "ShardClampWarning"]
+__all__ = ["BatchEngine", "ShardClampWarning", "SHARD_MIN_MACS"]
+
+#: Weight multiply-accumulates a shard must carry before the work rule
+#: gives it a thread of its own.  Set from the ``sharding`` sweep in
+#: ``BENCH_perf.json``: the round number above the largest per-shard
+#: work at which two shards lost to one (``transformer_encoder`` at one
+#: sample per shard, 6.3 M).  Some smaller LeNet and ``mobilenet_edge``
+#: shards won; the sweep lists them as ``order_breaks``.
+SHARD_MIN_MACS = 8_000_000
 
 
 class ShardClampWarning(UserWarning):
@@ -71,39 +93,40 @@ class BatchEngine:
     plan:
         The shared :class:`~repro.runtime.plan.ExecutionPlan`.
     shards:
-        Default shard count for :meth:`run`; ``None`` uses the CPU
-        count.  ``1`` executes inline with no pool at all.
-    min_shard_samples:
-        Batches are never split below this many samples per shard —
-        tiny shards cost more in dispatch than they recover in
-        parallelism.
+        Default shard count for :meth:`run`.  ``None`` applies the work
+        rule (see the module docstring); an explicit count is honoured,
+        clamped to the batch's rows.  ``1`` executes inline with no
+        pool at all.
     policy:
         Optional :class:`~repro.runtime.scheduler.SchedulingPolicy`.
         When set, calls without an explicit ``shards`` override ask the
         policy for a shard count from its cost-model amortisation curve
         (each shard re-pays the first-image latency); the engine's
-        ``shards`` becomes the ceiling.
+        ``shards`` (or the CPU count) becomes the ceiling.
     """
 
     def __init__(
         self,
         plan: ExecutionPlan,
         shards: int | None = None,
-        min_shard_samples: int = 8,
         policy=None,
     ):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
-        self.plan = plan
-        self.shards = shards if shards is not None else (os.cpu_count() or 1)
-        if self.shards > 1 and not plan.row_independent:
+        if shards is not None and shards > 1 and not plan.row_independent:
             raise ValueError(
                 f"plan over backend {plan.backend_name!r} couples samples "
                 "(row_independent=False); shard-parallel execution would "
                 "change results — use shards=1"
             )
-        self.min_shard_samples = max(1, int(min_shard_samples))
+        self.plan = plan
+        self.shards = shards
         self.policy = policy
+        #: Most shards the pool serves at once: shard 0 runs in the
+        #: calling thread, so the pool has one worker fewer.
+        self._max_shards = shards if shards is not None else (os.cpu_count() or 1)
+        #: Weight MACs per sample, by sample shape (the work rule's input).
+        self._macs: dict[tuple[int, ...], int] = {}
         # Capture the construction-time default backend now: the pool is
         # created lazily, possibly after the creating use_backend scope
         # has exited, and the documented contract is that workers inherit
@@ -116,45 +139,69 @@ class BatchEngine:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.shards,
+                    max_workers=max(1, self._max_shards - 1),
                     thread_name_prefix="repro-shard",
                     initializer=self._worker_initializer,
                 )
             return self._pool
 
-    def run(self, x: np.ndarray, shards: int | None = None) -> np.ndarray:
-        """Plan output for the full batch ``x``; byte-identical at any shard count.
+    def shard_count(self, x: np.ndarray, shards: int | None = None) -> int:
+        """The number of shards :meth:`run` splits ``x`` into.
 
-        ``shards`` overrides the engine default for this call.  The
-        effective count is clamped so every shard holds at least
-        ``min_shard_samples`` samples.
+        ``shards`` overrides the engine default for this call.  An
+        explicit count (per call, from the constructor, or from the
+        policy) above the batch's rows is clamped with a
+        :class:`ShardClampWarning`; with none, the work rule decides.
         """
-        x = np.asarray(x, dtype=np.float32)
         n = len(x)
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
         if shards is None and self.policy is not None:
-            want = self.policy.shard_decision(n, self.shards)
-        else:
-            want = self.shards if shards is None else int(shards)
-        if want > 1 and not self.plan.row_independent:
+            shards = self.policy.shard_decision(n, self._max_shards)
+        elif shards is None:
+            shards = self.shards
+        if shards is None:
+            return self._work_shards(n, x.shape[1:])
+        if shards > 1 and not self.plan.row_independent:
             raise ValueError("plan couples samples; cannot shard")
-        if want > n > 0:
-            # Validate up front: more shards than rows cannot be
-            # honoured.  Clamp loudly (structured warning) instead of
-            # silently degrading.
-            warnings.warn(ShardClampWarning(want, n, n), stacklevel=2)
-            want = n
-        effective = max(1, min(want, n // self.min_shard_samples or 1))
-        if effective == 1:
+        if shards > n > 0:
+            # More shards than rows cannot be honoured.  Clamp loudly
+            # (structured warning) instead of silently degrading.
+            warnings.warn(ShardClampWarning(shards, n, n), stacklevel=3)
+        return max(1, min(shards, n))
+
+    def _work_shards(self, n: int, sample_shape: tuple[int, ...]) -> int:
+        """``min(cpu_count, n, n * macs // SHARD_MIN_MACS)``, at least 1."""
+        if not self.plan.row_independent:
+            return 1
+        macs = self._macs.get(sample_shape)
+        if macs is None:
+            macs = self._macs[sample_shape] = self.plan.macs_per_sample(sample_shape)
+        return max(1, min(os.cpu_count() or 1, n, n * macs // SHARD_MIN_MACS))
+
+    def run(self, x: np.ndarray, shards: int | None = None) -> np.ndarray:
+        """Plan output for the full batch ``x``; byte-identical at any shard count.
+
+        ``shards`` overrides the engine default for this call (see
+        :meth:`shard_count`).  Shard 0 runs in the calling thread while
+        the pool runs the others.
+        """
+        x = np.asarray(x, dtype=np.float32)
+        count = self.shard_count(x, shards)
+        if count == 1:
             return self.plan.execute(x)
         pool = self._ensure_pool()
-        bounds = np.linspace(0, n, effective + 1, dtype=int)
+        bounds = np.linspace(0, len(x), count + 1, dtype=int)
         futures = [
             pool.submit(self.plan.execute, x[i0:i1])
-            for i0, i1 in zip(bounds[:-1], bounds[1:])
+            for i0, i1 in zip(bounds[1:-1], bounds[2:])
         ]
-        return np.concatenate([f.result() for f in futures], axis=0)
+        try:
+            head = self.plan.execute(x[: bounds[1]])
+        except BaseException:
+            concurrent.futures.wait(futures)
+            raise
+        return np.concatenate([head, *(f.result() for f in futures)], axis=0)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

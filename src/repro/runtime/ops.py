@@ -517,8 +517,8 @@ class AttentionOp(PlanOp):
 
     The QKV and output projections run through compiled
     :class:`MatmulStrategy` instances (pre-packed weights); the
-    per-(sample, head) ``Q K^T``/``A V`` products call
-    the captured backend through the same
+    ``Q K^T``/``A V`` products of all (sample, head) pairs call the
+    captured backend's ``matmul_pairs`` through the same
     :func:`repro.nn.functional.attention_core` the eager layer uses, so
     the whole block is byte-identical by construction.  Those inner
     GEMM shapes depend only on ``(T, Dh)``, never the batch, which

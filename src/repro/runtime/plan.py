@@ -68,6 +68,7 @@ __all__ = [
     "compile_plan",
     "ExecutionPlan",
     "conv_workload",
+    "cosim_shape",
     "plan_tiers",
     "op_strategies",
 ]
@@ -187,12 +188,16 @@ class ExecutionPlan:
     row_independent:
         Whether every op is row-independent — the precondition for
         shard-parallel execution being byte-identical.
+    specs:
+        The traced op specs the plan was compiled from, which
+        :func:`conv_workload` walks for the plan's layer shapes.
     """
 
     ops: tuple[PlanOp, ...]
     backend_name: str
     params: tuple[tuple[Parameter, int], ...]
     row_independent: bool
+    specs: tuple[OpSpec, ...]
 
     def execute(self, x: np.ndarray) -> np.ndarray:
         """Run the plan on a batch (or any slice of one).
@@ -224,6 +229,16 @@ class ExecutionPlan:
                     f"(version {param.version} != captured {version}); "
                     "recompile with compile_plan()"
                 )
+
+    def macs_per_sample(self, sample_shape: tuple[int, ...]) -> int:
+        """Weight-GEMM multiply-accumulates of one sample of ``sample_shape``.
+
+        The sum over the plan's :func:`conv_workload` layers, padding
+        taps included (the GEMMs compute them); the attention products
+        ``Q K^T`` and ``A V`` have no weight and do not count.  The
+        sample shape maps to the co-sim's as :func:`cosim_shape` says.
+        """
+        return sum(layer.macs_dense for layer in conv_workload(self, cosim_shape(sample_shape)))
 
     def describe(self) -> list[dict[str, object]]:
         """One printable row per op (kind, name, strategy, kernel, weight layout)."""
@@ -266,12 +281,13 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
     ops: list[PlanOp] = []
     params: list[tuple[Parameter, int]] = []
     counts: dict[str, int] = {}
+    specs = tuple(trace(model))
 
     def tag(kind: str) -> str:
         counts[kind] = counts.get(kind, 0) + 1
         return f"{kind}{counts[kind]}"
 
-    for spec in trace(model):
+    for spec in specs:
         kind = spec.kind
         layer = spec.module
         if kind == "conv2d":
@@ -393,18 +409,37 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
         backend_name=backend.name,
         params=tuple(params),
         row_independent=all(op.row_independent for op in ops),
+        specs=specs,
     )
 
 
+def cosim_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """The co-sim's ``(channels, height, width)`` for one input sample.
+
+    Images ``(C, H, W)`` pass through; a sequence sample ``(T, D)`` is
+    the symbolic ``(D, T, 1)`` map its token projections run over, and
+    a flat ``(D,)`` vector is ``(D, 1, 1)``.
+    """
+    if len(sample_shape) == 3:
+        return tuple(sample_shape)
+    if len(sample_shape) == 2:
+        seq_len, d_model = sample_shape
+        return (d_model, seq_len, 1)
+    if len(sample_shape) == 1:
+        return (sample_shape[0], 1, 1)
+    raise ValueError(f"no co-sim shape for a sample of shape {tuple(sample_shape)}")
+
+
 def conv_workload(
-    model: Module,
+    model: Module | ExecutionPlan,
     input_shape: tuple[int, int, int],
     include_fc: bool = True,
     prefix: str = "",
 ) -> list[ConvLayer]:
     """Derive the accelerator workload from the same trace the runtime runs.
 
-    Walks the traced op specs of ``model`` with a symbolic
+    Walks the traced op specs of ``model`` (a compiled plan's own
+    :attr:`ExecutionPlan.specs`, or a module's fresh trace) with a symbolic
     ``(channels, height, width)`` shape and emits one
     :class:`~repro.arch.workloads.ConvLayer` per convolution (and, when
     ``include_fc`` is set, one ``1x1`` layer per fully connected layer —
@@ -421,7 +456,8 @@ def conv_workload(
     layers: list[ConvLayer] = []
     shape_stack: list[tuple[int, int, int]] = []
     conv_i = fc_i = 0
-    for spec in trace(model):
+    specs = model.specs if isinstance(model, ExecutionPlan) else trace(model)
+    for spec in specs:
         kind = spec.kind
         if kind == "conv2d":
             conv_i += 1

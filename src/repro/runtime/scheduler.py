@@ -67,7 +67,7 @@ POLICY_MODES = ("static", "cost_model")
 def _workload_layers(model: str) -> list[ConvLayer]:
     """The traced GEMM geometry for a zoo model (single source of shapes)."""
     from ..nn.models import model_input_shape, model_zoo
-    from .plan import conv_workload
+    from .plan import conv_workload, cosim_shape
 
     try:
         module = model_zoo()[model]
@@ -75,13 +75,7 @@ def _workload_layers(model: str) -> list[ConvLayer]:
         raise ValueError(
             f"unknown model {model!r}; zoo: {sorted(model_zoo())}"
         ) from exc
-    shape = model_input_shape(model)
-    if len(shape) == 2:
-        # Sequence models feed (seq_len, d_model); the trace walks a
-        # symbolic (channels, height, width) = (d_model, seq_len, 1).
-        seq_len, d_model = shape
-        shape = (d_model, seq_len, 1)
-    return conv_workload(module, shape)
+    return conv_workload(module, cosim_shape(model_input_shape(model)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -56,9 +56,11 @@ def _assert_batch_invariant(plan, x):
     for i in range(len(x)):
         alone = plan.execute(x[i : i + 1]).view(np.uint32)
         np.testing.assert_array_equal(full[i : i + 1], alone, err_msg=f"sample {i}")
-    with BatchEngine(plan, shards=8, min_shard_samples=1) as engine:
+    with BatchEngine(plan, shards=8) as engine:
         for shards in (1, 2, 8):
-            got = engine.run(x, shards=min(shards, len(x)))
+            count = min(shards, len(x))
+            assert engine.shard_count(x, count) == count
+            got = engine.run(x, shards=count)
             np.testing.assert_array_equal(got.view(np.uint32), full, err_msg=f"{shards} shards")
 
 

@@ -1,5 +1,6 @@
 """Shard engine mechanics and counter thread-safety."""
 
+import functools
 import threading
 
 import numpy as np
@@ -13,40 +14,98 @@ from repro.core.kernels import (
 )
 from repro.formats.floatfmt import BFLOAT16
 from repro.formats.packed import pack, packing_counters, reset_packing_counters
-from repro.nn.backend import daism_backend, exact_backend
-from repro.nn.models import build_lenet, build_mlp
+from repro.nn.backend import bfp_backend, daism_backend, exact_backend
+from repro.nn.models import (
+    build_lenet,
+    build_mlp,
+    build_mobilenet_edge,
+    build_transformer_encoder,
+)
 from repro.runtime import BatchEngine, compile_plan
+from repro.runtime import engine as engine_module
 
 
 class TestBatchEngine:
-    def test_shard_clamping_respects_min_samples(self):
-        plan = compile_plan(build_mlp().eval(), exact_backend())
-        engine = BatchEngine(plan, shards=8, min_shard_samples=8)
-        x = np.random.default_rng(0).standard_normal((16, 32)).astype(np.float32)
-        out = engine.run(x)  # 16 samples / min 8 -> at most 2 shards
-        assert out.shape == (16, 4)
-        engine.close()
-
     def test_invalid_shards_rejected(self):
         plan = compile_plan(build_mlp().eval(), exact_backend())
         with pytest.raises(ValueError, match="shards"):
             BatchEngine(plan, shards=0)
 
-    def test_close_is_idempotent_and_context_managed(self):
+    def test_close_is_idempotent_and_context_managed(self, shard_calls):
         plan = compile_plan(build_mlp().eval(), exact_backend())
-        with BatchEngine(plan, shards=2, min_shard_samples=1) as engine:
+        with BatchEngine(plan, shards=2) as engine:
             x = np.random.default_rng(0).standard_normal((4, 32)).astype(np.float32)
+            calls = shard_calls(plan)
             engine.run(x)
+            assert [rows for rows, _ in calls] == [2, 2]
         engine.close()  # second close is a no-op
 
-    def test_uneven_split_covers_every_sample(self):
+    def test_uneven_split_covers_every_sample(self, shard_calls):
         plan = compile_plan(build_mlp().eval(), exact_backend())
         x = np.random.default_rng(1).standard_normal((13, 32)).astype(np.float32)
-        with BatchEngine(plan, shards=4, min_shard_samples=1) as engine:
-            np.testing.assert_array_equal(
-                engine.run(x).view(np.uint32), plan.execute(x).view(np.uint32)
-            )
+        want = plan.execute(x)
+        with BatchEngine(plan, shards=4) as engine:
+            calls = shard_calls(plan)
+            got = engine.run(x)
+        assert sorted(rows for rows, _ in calls) == [3, 3, 3, 4]
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
+
+#: ``offline_zoo`` geometry: model builder, sample shape, batch.
+OFFLINE_ZOO = {
+    "lenet": (build_lenet, (1, 16, 16), 64),
+    "mobilenet_edge": (functools.partial(build_mobilenet_edge, size=48), (3, 48, 48), 8),
+    "transformer_encoder": (build_transformer_encoder, (8, 256), 8),
+}
+
+
+class TestWorkRule:
+    """With no shard count given, shards follow each shard's weight MACs."""
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize(
+        "model, shards", [("lenet", 1), ("mobilenet_edge", 2), ("transformer_encoder", 2)]
+    )
+    def test_offline_zoo_batches_get_the_sweeps_counts(self, two_cores, model, shards):
+        build, shape, batch = OFFLINE_ZOO[model]
+        plan = compile_plan(build().eval(), exact_backend())
+        engine = BatchEngine(plan)
+        x = np.zeros((batch, *shape), dtype=np.float32)
+        macs = plan.macs_per_sample(shape)
+        assert engine.shard_count(x) == shards == max(
+            1, min(2, batch, batch * macs // engine_module.SHARD_MIN_MACS)
+        )
+        assert engine.shard_count(x[:1]) == 1
+
+    def test_batch_coupled_plan_stays_on_one_shard(self, two_cores):
+        plan = compile_plan(build_mlp().eval(), bfp_backend())
+        assert not plan.row_independent
+        x = np.zeros((4096, 32), dtype=np.float32)
+        assert BatchEngine(plan).shard_count(x) == 1
+
+    def test_one_shard_runs_inline_without_a_pool(self, two_cores, shard_calls):
+        plan = compile_plan(build_mlp().eval(), exact_backend())
+        x = np.random.default_rng(2).standard_normal((8, 32)).astype(np.float32)
+        with BatchEngine(plan) as engine:
+            calls = shard_calls(plan)
+            engine.run(x)
+            assert engine._pool is None
+        assert calls == [(8, threading.current_thread().name)]
+
+    def test_pool_has_one_worker_fewer_than_shards(self, shard_calls):
+        plan = compile_plan(build_mlp().eval(), exact_backend())
+        x = np.random.default_rng(3).standard_normal((9, 32)).astype(np.float32)
+        with BatchEngine(plan, shards=3) as engine:
+            calls = shard_calls(plan)
+            engine.run(x)
+            assert engine._pool._max_workers == 2
+        caller = threading.current_thread().name
+        assert sorted(rows for rows, _ in calls) == [3, 3, 3]
+        assert [name for _, name in calls].count(caller) == 1
+        assert all(name == caller or name.startswith("repro-shard") for _, name in calls)
 
 class TestCounterThreadSafety:
     def test_packing_counters_exact_under_contention(self):
@@ -98,8 +157,9 @@ class TestCounterThreadSafety:
         reset_packing_counters()
         plan.execute(x)
         serial = packing_counters()
-        with BatchEngine(plan, shards=4, min_shard_samples=1) as engine:
+        with BatchEngine(plan, shards=4) as engine:
             reset_packing_counters()
+            assert engine.shard_count(x, 4) == 4
             engine.run(x, shards=4)
             parallel = packing_counters()
         # 4 shards pack 4 smaller activations per GEMM layer instead of

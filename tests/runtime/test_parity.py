@@ -51,10 +51,11 @@ class TestPlanParity:
         with use_backend(backend):
             want = model(x).view(np.uint32)
         plan = compile_plan(model, backend)
-        engine = BatchEngine(plan, shards=8, min_shard_samples=1)
+        engine = BatchEngine(plan, shards=8)
         try:
             np.testing.assert_array_equal(plan.execute(x).view(np.uint32), want)
             for shards in (1, 2, 8):
+                assert engine.shard_count(x, shards) == shards
                 got = engine.run(x, shards=shards)
                 np.testing.assert_array_equal(got.view(np.uint32), want)
         finally:

@@ -13,10 +13,19 @@ from repro.formats.packed import pack
 from repro.nn import functional as F
 from repro.nn.backend import daism_backend, exact_backend
 from repro.nn.layers import Linear, Module, ReLU, Sequential
-from repro.nn.models import build_lenet, build_mini_resnet, build_mlp
+from repro.nn.models import (
+    build_lenet,
+    build_mini_resnet,
+    build_mlp,
+    build_mobilenet_edge,
+    build_transformer_encoder,
+    model_input_shape,
+    model_zoo,
+)
 from repro.nn.optim import SGD
 from repro.nn.serialize import load_state_dict, state_dict
 from repro.runtime import compile_plan, conv_workload, trace
+from repro.runtime.plan import cosim_shape
 from repro.runtime.ops import PackedKernelStrategy, gather_packed_cols
 
 
@@ -190,6 +199,40 @@ class TestConvWorkload:
         via_layers = run_network(design, conv_workload(model, (1, 16, 16)))
         assert via_module.total_cycles == via_layers.total_cycles
         assert via_module.total_macs == via_layers.total_macs
+
+    def test_plan_walks_its_own_specs(self):
+        model = build_lenet()
+        plan = compile_plan(model, exact_backend())
+        assert [spec.kind for spec in plan.specs] == [spec.kind for spec in trace(model)]
+        assert conv_workload(plan, (1, 16, 16)) == conv_workload(model, (1, 16, 16))
+
+
+class TestMacsPerSample:
+    @pytest.mark.parametrize("name", sorted(model_zoo()))
+    def test_equals_the_workload_sum_for_every_zoo_model(self, name):
+        module = model_zoo()[name]
+        plan = compile_plan(module.eval(), exact_backend())
+        shape = model_input_shape(name)
+        layers = conv_workload(module, cosim_shape(shape))
+        assert plan.macs_per_sample(shape) == sum(l.macs_dense for l in layers) > 0
+
+    def test_offline_zoo_samples(self):
+        """Per-sample weight MACs of the ``offline_zoo`` geometries."""
+        cases = [
+            (build_lenet(), (1, 16, 16), 100_480),
+            (build_mobilenet_edge(size=48), (3, 48, 48), 5_631_488),
+            # A (T, D) sequence sample is the co-sim's (D, T, 1).
+            (build_transformer_encoder(), (8, 256), 6_291_456),
+        ]
+        for module, shape, macs in cases:
+            assert compile_plan(module, exact_backend()).macs_per_sample(shape) == macs
+
+    def test_cosim_shape(self):
+        assert cosim_shape((3, 48, 48)) == (3, 48, 48)
+        assert cosim_shape((8, 256)) == (256, 8, 1)
+        assert cosim_shape((32,)) == (32, 1, 1)
+        with pytest.raises(ValueError):
+            cosim_shape((1, 2, 3, 4))
 
 
 class TestWeightLayouts:

@@ -175,16 +175,17 @@ class TestShardValidation:
         module.eval()
         return compile_plan(module, resolve_backend("daism"))
 
-    def test_clamp_warns_and_stays_byte_identical(self, plan):
+    def test_clamp_warns_and_stays_byte_identical(self, plan, shard_calls):
         x = np.random.default_rng(0).standard_normal((4, 1, 16, 16)).astype(np.float32)
-        engine = BatchEngine(plan, shards=2, min_shard_samples=1)
+        want = plan.execute(x)
+        engine = BatchEngine(plan, shards=2)
+        calls = shard_calls(plan)
         with pytest.warns(ShardClampWarning) as caught:
             got = engine.run(x, shards=8)
         warning = caught[0].message
         assert (warning.requested, warning.effective, warning.samples) == (8, 4, 4)
-        np.testing.assert_array_equal(
-            got.view(np.uint32), plan.execute(x).view(np.uint32)
-        )
+        assert [rows for rows, _ in calls] == [1, 1, 1, 1]
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_invalid_shards_rejected_up_front(self, plan):
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -193,18 +194,19 @@ class TestShardValidation:
         with pytest.raises(ValueError, match="shards must be >= 1"):
             engine.run(np.zeros((2, 1, 16, 16), dtype=np.float32), shards=-1)
 
-    def test_policy_shard_decision_drives_engine(self, plan):
+    def test_policy_shard_decision_drives_engine(self, plan, shard_calls):
         policy = _calibrated()
-        engine = BatchEngine(plan, shards=4, min_shard_samples=1, policy=policy)
+        engine = BatchEngine(plan, shards=4, policy=policy)
         x = np.random.default_rng(1).standard_normal((8, 1, 16, 16)).astype(np.float32)
+        want = plan.execute(x)
+        calls = shard_calls(plan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no clamp warning expected
             got = engine.run(x)
-        np.testing.assert_array_equal(
-            got.view(np.uint32), plan.execute(x).view(np.uint32)
-        )
-        want = policy.shard_decision(8, 4)
-        assert 1 <= want <= 4
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        decided = policy.shard_decision(8, 4)
+        assert 1 <= decided <= 4
+        assert len(calls) == engine.shard_count(x) == decided
 
 
 class TestPolicyByteParity:

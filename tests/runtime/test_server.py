@@ -126,14 +126,15 @@ class TestInferenceServer:
             with pytest.raises(RuntimeError, match="stale plan"):
                 fut.result(timeout=5)
 
-    def test_accepts_prebuilt_engine(self):
+    def test_accepts_prebuilt_engine(self, shard_calls):
         plan = _plan()
-        engine = BatchEngine(plan, shards=2, min_shard_samples=1)
+        want = plan.execute(_x(4))
+        engine = BatchEngine(plan, shards=2)
+        calls = shard_calls(plan)
         with InferenceServer(engine, max_batch=8, max_delay_ms=1.0) as server:
             got = server.submit(_x(4)).result(timeout=5)
-        np.testing.assert_array_equal(
-            got.view(np.uint32), plan.execute(_x(4)).view(np.uint32)
-        )
+        assert [rows for rows, _ in calls] == [2, 2]
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestCoalescingDeadline:

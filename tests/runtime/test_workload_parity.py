@@ -68,9 +68,10 @@ class TestThreeRegimeMatrix:
 
         plan = compile_plan(module, resolved)
         np.testing.assert_array_equal(plan.execute(x).view(np.uint32), want)
-        engine = BatchEngine(plan, shards=8, min_shard_samples=1)
+        engine = BatchEngine(plan, shards=8)
         try:
             for shards in (1, 2, 8):
+                assert engine.shard_count(x, shards) == shards
                 got = engine.run(x, shards=shards)
                 np.testing.assert_array_equal(got.view(np.uint32), want)
         finally:

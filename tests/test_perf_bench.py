@@ -35,7 +35,7 @@ def quick_report(tmp_path_factory):
 
 def test_quick_run_writes_valid_artifact(quick_report):
     report, _path = quick_report
-    assert report["schema"] == "repro-perf/10"
+    assert report["schema"] == "repro-perf/11"
     assert report["quick"] is True
 
     # 1 size x (exact + quantized + 2 kernels x raw/prepared) = 6 rows.
@@ -90,6 +90,19 @@ def test_quick_run_writes_valid_artifact(quick_report):
         assert row["plan_ops"] > 0
         # The timed plan pass replays the eager batch stream byte for byte.
         assert row["logits_match_eager"] is True
+
+    sharding = report["sharding"]
+    # Quick mode keeps each model's largest sweep batch.
+    assert [(row["model"], row["batch"]) for row in sharding["rows"]] == [
+        ("lenet", 128),
+        ("mobilenet_edge", 8),
+        ("transformer_encoder", 8),
+    ]
+    for row in sharding["rows"]:
+        assert row["macs_per_shard_at_2"] == row["batch"] * row["macs_per_sample"] // 2
+        assert row["one_shard_ms_median"] > 0 and row["two_shards_ms_median"] > 0
+        assert row["work_rule_shards"] >= 1
+    assert sharding["shard_min_macs"] > 0
 
     training = report["training"]
     assert training["batch_size"] == 32
