@@ -20,8 +20,6 @@ __all__ = [
     "conv2d_forward",
     "conv2d_backward",
     "direct_conv2d",
-    "grouped_conv2d_forward",
-    "grouped_conv2d_backward",
     "maxpool2d_forward",
     "maxpool2d_backward",
     "avgpool_global_forward",
@@ -134,92 +132,23 @@ def conv2d_forward(
     stride: int,
     padding: int,
     backend: MatmulBackend | None = None,
-    prepared_weight=None,
-    direct=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution via one batched im2col GEMM.  Returns ``(output, cols_cache)``.
-
-    ``weight`` has shape ``(F, C, K, K)``.  The whole batch runs as a
-    single ``(N, OH*OW, C*K*K) @ (C*K*K, F)`` GEMM on the backend.
-    ``prepared_weight``, when given, is a backend-prepared form of the
-    flattened-transposed kernel matrix (``backend.prepare`` of the
-    ``(C*K*K, F)`` matrix, or its kernel arrangement) — layers pass
-    their cached weights here so inference performs zero per-call
-    weight packing.  ``direct``, a direct-layout weight on the backend's
-    kernel, runs the conv as a tap loop instead (:func:`direct_conv2d`);
-    the patch matrix is still returned for the weight gradient.
-    """
-    backend = backend or default_backend()
-    n, _c, h, w = x.shape
-    f, _, kernel, _ = weight.shape
-    oh = _out_size(h, kernel, stride, padding)
-    ow = _out_size(w, kernel, stride, padding)
-
-    cols = im2col(x, kernel, stride, padding)
-    out = _eager_direct(backend, x, direct, bias, kernel, stride, padding, 1)
-    if out is not None:
-        return out, cols
-    wmat = prepared_weight if prepared_weight is not None else weight.reshape(f, -1).T
-    out = backend.matmul(cols.reshape(n, oh * ow, -1), wmat)
-    if bias is not None:
-        out = out + bias[None, None, :]
-    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out, dtype=np.float32), cols
-
-
-def conv2d_backward(
-    grad_out: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    cols: np.ndarray,
-    weight: np.ndarray,
-    stride: int,
-    padding: int,
-    backend: MatmulBackend | None = None,
-    prepared_weight=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the im2col convolution: ``(dx, dweight, dbias)``.
-
-    The two backward GEMMs also run on the configured backend — on the
-    accelerator, training's backward passes are the same in-SRAM GEMMs
-    (the paper targets "DNN Training and Inference").  ``prepared_weight``
-    is an optional backend-prepared form of the flattened ``(F, C*K*K)``
-    kernel matrix used by the ``dcols`` GEMM.
-    """
-    backend = backend or default_backend()
-    f, c, kernel, _ = weight.shape
-    n = x_shape[0]
-    grad_mat = _grad_rows(grad_out)
-
-    dbias = grad_mat.sum(axis=0)
-    dweight = backend.matmul(grad_mat.T, cols).reshape(f, c, kernel, kernel)
-    wrows = prepared_weight if prepared_weight is not None else weight.reshape(f, -1)
-    dcols = backend.matmul(grad_mat, wrows)
-    dx = col2im(dcols, x_shape, kernel, stride, padding)
-    return dx.astype(np.float32), dweight.astype(np.float32), dbias.astype(np.float32)
-
-
-def grouped_conv2d_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    stride: int,
-    padding: int,
-    groups: int,
-    backend: MatmulBackend | None = None,
+    *,
+    groups: int = 1,
     prepared_weights=None,
     direct=None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Grouped/depthwise convolution: one batched GEMM per channel group.
+    """Convolution as one batched im2col GEMM per channel group.
 
     ``weight`` has shape ``(F, C // groups, K, K)``: input channel group
-    ``g`` only meets filters ``[g*F/G, (g+1)*F/G)``.  Each group runs the
-    same im2col GEMM as :func:`conv2d_forward` on its channel slice, and
-    the per-group outputs are concatenated along the filter axis —
-    exactly the block-diagonal structure of the dense kernel matrix, so
-    ``groups=1`` degenerates to the dense path.  ``prepared_weights`` is
-    an optional sequence of backend-prepared per-group ``(C/G*K*K, F/G)``
-    matrices (the layers cache these).  ``direct`` runs all groups as
-    one tap loop instead, as in :func:`conv2d_forward`.  Returns
+    ``g`` only meets filters ``[g*F/G, (g+1)*F/G)``, so each group runs
+    a ``(N, OH*OW, C/G*K*K) @ (C/G*K*K, F/G)`` GEMM on its channel slice
+    and the outputs join along the filter axis — the block-diagonal
+    kernel matrix, of which ``groups=1`` is the one-block case.
+    ``prepared_weights`` is an optional sequence of backend-prepared
+    per-group ``(C/G*K*K, F/G)`` matrices — layers pass their cached
+    weights here so inference performs zero per-call weight packing.
+    ``direct``, a direct-layout weight on the backend's kernel, runs all
+    groups as one tap loop instead (:func:`direct_conv2d`).  Returns
     ``(output, cols_cache)`` with one patch matrix per group for the
     backward pass.
     """
@@ -228,7 +157,7 @@ def grouped_conv2d_forward(
     f, cg, kernel, _ = weight.shape
     if c != cg * groups or f % groups:
         raise ValueError(
-            f"grouped conv shape mismatch: input {c} channels, weight "
+            f"conv shape mismatch: input {c} channels, weight "
             f"{cg} channels/group x {groups} groups, {f} filters"
         )
     fg = f // groups
@@ -248,68 +177,61 @@ def grouped_conv2d_forward(
         else:
             wmat = weight[g * fg : (g + 1) * fg].reshape(fg, -1).T
         outs.append(backend.matmul(cols.reshape(n, oh * ow, -1), wmat))
-    out = np.concatenate(outs, axis=2)
+    out = outs[0] if groups == 1 else np.concatenate(outs, axis=2)
     if bias is not None:
         out = out + bias[None, None, :]
     out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(out, dtype=np.float32), cols_cache
 
 
-def _grad_rows(grad_out: np.ndarray) -> np.ndarray:
-    """``grad_out`` as ``(N*OH*OW, F)`` GEMM rows.
-
-    A view or a copy depending on the shape.  The bias gradient sums
-    these rows in an order that follows that layout, so grouped and
-    dense convs build them with this one expression.
-    """
-    return grad_out.transpose(0, 2, 3, 1).reshape(-1, grad_out.shape[1])
-
-
-def grouped_conv2d_backward(
+def conv2d_backward(
     grad_out: np.ndarray,
     x_shape: tuple[int, int, int, int],
     cols_cache: list[np.ndarray],
     weight: np.ndarray,
     stride: int,
     padding: int,
-    groups: int,
     backend: MatmulBackend | None = None,
+    *,
+    groups: int = 1,
     prepared_weights=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the grouped convolution: ``(dx, dweight, dbias)``.
+    """Gradients of :func:`conv2d_forward`: ``(dx, dweight, dbias)``.
 
-    Each group's backward is the dense :func:`conv2d_backward` pair of
-    GEMMs and bias sum on that group's contiguous slice of the gradient
-    and patch cache, so ``dbias`` has the dense path's bits.
-    ``prepared_weights`` is an optional sequence of backend-prepared
-    per-group ``(F/G, C/G*K*K)`` weight rows for the ``dcols`` GEMMs.
+    The backward GEMMs also run on the configured backend — on the
+    accelerator, training's backward passes are the same in-SRAM GEMMs
+    (the paper targets "DNN Training and Inference").  Each group's
+    backward is the one-group backward of its contiguous slice of the
+    gradient and its patch matrix: a bias sum, a ``dweight`` GEMM and a
+    ``dcols`` GEMM folded back by :func:`col2im`.  ``prepared_weights``
+    is an optional sequence of backend-prepared per-group
+    ``(F/G, C/G*K*K)`` weight rows for the ``dcols`` GEMMs.
     """
     backend = backend or default_backend()
     f, cg, kernel, _ = weight.shape
-    n, c, h, w = x_shape
+    n, _c, h, w = x_shape
     fg = f // groups
-    grad_mat = _grad_rows(grad_out)
-    group_grads = [
-        np.ascontiguousarray(grad_out[:, g * fg : (g + 1) * fg]) for g in range(groups)
-    ]
-
-    dbias = np.concatenate([_grad_rows(grad).sum(axis=0) for grad in group_grads])
-    dweight = np.empty_like(weight)
-    dx_groups: list[np.ndarray] = []
-    group_shape = (n, cg, h, w)
-    for g in range(groups):
-        grad_g = np.ascontiguousarray(grad_mat[:, g * fg : (g + 1) * fg])
-        cols = cols_cache[g]
-        dweight[g * fg : (g + 1) * fg] = backend.matmul(grad_g.T, cols).reshape(
-            fg, cg, kernel, kernel
-        )
+    parts = []
+    for g, cols in enumerate(cols_cache):
+        filters = slice(g * fg, (g + 1) * fg)
+        grad = np.ascontiguousarray(grad_out[:, filters])
+        # ``(N*OH*OW, F/G)`` GEMM rows, a view or a copy depending on the
+        # shape; the bias sum follows that layout.
+        rows = grad.transpose(0, 2, 3, 1).reshape(-1, fg)
         if prepared_weights is not None:
             wrows = prepared_weights[g]
         else:
-            wrows = weight[g * fg : (g + 1) * fg].reshape(fg, -1)
-        dcols = backend.matmul(grad_g, wrows)
-        dx_groups.append(col2im(dcols, group_shape, kernel, stride, padding))
-    dx = np.concatenate(dx_groups, axis=1)
+            wrows = weight[filters].reshape(fg, -1)
+        dweight = backend.matmul(rows.T, cols).reshape(fg, cg, kernel, kernel)
+        dx = col2im(backend.matmul(rows, wrows), (n, cg, h, w), kernel, stride, padding)
+        parts.append((dx, dweight, rows.sum(axis=0)))
+    if groups == 1:
+        dx, dweight, dbias = parts[0]
+    else:
+        dxs, dweights, dbiases = zip(*parts)
+        dx = np.concatenate(dxs, axis=1)
+        dweight = np.concatenate(dweights)
+        dbias = np.concatenate(dbiases)
     return dx.astype(np.float32), dweight.astype(np.float32), dbias.astype(np.float32)
 
 

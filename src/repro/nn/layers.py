@@ -185,7 +185,7 @@ class _PreparedWeightCache:
     ):
         """The operand for ``build()``'s matrix, or a tuple for a list of matrices.
 
-        Grouped layers build one matrix per channel group under a single
+        Conv layers build one matrix per channel group under a single
         entry, invalidated together.  ``direct`` (a conv forward, always
         a list) returns ``(direct_weight, per_group)``: ``direct_weight``
         is the whole conv's direct layout, or ``None`` when the kernel
@@ -251,9 +251,9 @@ class Conv2d(Module):
 
     ``groups > 1`` makes it a grouped convolution (``groups ==
     in_channels == out_channels`` is depthwise): the weight holds
-    ``in_channels // groups`` channels per filter and the forward runs
-    one batched approximate GEMM per group, each group's weight matrix
-    prepared (packed) once and cached like the dense path.
+    ``in_channels // groups`` channels per filter.  The forward runs one
+    batched GEMM per group (one in all for ``groups=1``), each group's
+    weight matrix prepared (packed) once and cached.
     """
 
     def __init__(
@@ -304,31 +304,23 @@ class Conv2d(Module):
             label=self.label,
         )
 
+    def _group_rows(self) -> list[np.ndarray]:
+        """Each channel group's ``(F/G, C/G*K*K)`` kernel rows."""
+        fg = self.weight.data.shape[0] // self.groups
+        return [
+            self.weight.data[g * fg : (g + 1) * fg].reshape(fg, -1) for g in range(self.groups)
+        ]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         backend = self.backend or default_backend()
-        f = self.weight.data.shape[0]
-        fg = f // self.groups
-
-        def matrices():
-            if self.groups == 1:
-                return [self.weight.data.reshape(f, -1).T]
-            return [
-                np.ascontiguousarray(self.weight.data[g * fg : (g + 1) * fg].reshape(fg, -1).T)
-                for g in range(self.groups)
-            ]
-
-        direct, wmats = self._prepared.get(backend, self.weight, "fwd", matrices, direct=True)
+        direct, wmats = self._prepared.get(
+            backend, self.weight, "fwd", lambda: [r.T for r in self._group_rows()], direct=True
+        )
         bias = self.bias.data if self.bias is not None else None
-        if self.groups == 1:
-            out, cols = F.conv2d_forward(
-                x, self.weight.data, bias, self.stride, self.padding, backend,
-                prepared_weight=wmats[0], direct=direct,
-            )
-        else:
-            out, cols = F.grouped_conv2d_forward(
-                x, self.weight.data, bias, self.stride, self.padding, self.groups, backend,
-                prepared_weights=wmats, direct=direct,
-            )
+        out, cols = F.conv2d_forward(
+            x, self.weight.data, bias, self.stride, self.padding, backend,
+            groups=self.groups, prepared_weights=wmats, direct=direct,
+        )
         self._cache = (x.shape, cols)
         return out
 
@@ -337,28 +329,11 @@ class Conv2d(Module):
             raise RuntimeError("backward called before forward")
         backend = self.backend or default_backend()
         x_shape, cols = self._cache
-        f = self.weight.data.shape[0]
-        if self.groups > 1:
-            fg = f // self.groups
-            wrows = self._prepared.get(
-                backend, self.weight, "bwd",
-                lambda: [
-                    self.weight.data[g * fg : (g + 1) * fg].reshape(fg, -1)
-                    for g in range(self.groups)
-                ],
-            )
-            dx, dw, db = F.grouped_conv2d_backward(
-                grad, x_shape, cols, self.weight.data,
-                self.stride, self.padding, self.groups, backend, prepared_weights=wrows,
-            )
-        else:
-            wrows = self._prepared.get(
-                backend, self.weight, "bwd", lambda: self.weight.data.reshape(f, -1)
-            )
-            dx, dw, db = F.conv2d_backward(
-                grad, x_shape, cols, self.weight.data, self.stride, self.padding, backend,
-                prepared_weight=wrows,
-            )
+        wrows = self._prepared.get(backend, self.weight, "bwd", self._group_rows)
+        dx, dw, db = F.conv2d_backward(
+            grad, x_shape, cols, self.weight.data, self.stride, self.padding, backend,
+            groups=self.groups, prepared_weights=wrows,
+        )
         self.weight.grad += dw
         if self.bias is not None:
             self.bias.grad += db

@@ -32,7 +32,7 @@ the gathered planes are byte-identical to ``pack(im2col(x))`` — the
 change.  A conv whose table fits (LeNet's convs, MobileNet's stem and
 depthwise convs) skips im2col altogether: one table serves all its
 groups, and a tap loop over the packed image sums the same products in
-the same order (see :class:`_Conv`).
+the same order (see :class:`ConvOp`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "BackendStrategy",
     "gather_packed_cols",
     "ConvOp",
-    "GroupedConvOp",
     "LinearOp",
     "AttentionOp",
     "LayerNormOp",
@@ -236,6 +235,8 @@ class PackedKernelStrategy(MatmulStrategy):
         Goes through ``self.kernel``, so a kernel swapped in after
         compilation (e.g. fault injection) runs on the prepared weight.
         """
+        if pa.shape[-1] != self.weight.shape[0]:
+            raise ValueError(f"shape mismatch for matmul: {pa.shape} @ {self.weight.shape}")
         return self.kernel.run_prepared(pa, self.prepared)
 
 
@@ -256,10 +257,7 @@ class BackendStrategy(MatmulStrategy):
         self.prepared = prepared
 
     def matmul2d(self, a: np.ndarray) -> np.ndarray:
-        return self.backend.matmul(a, self.prepared)
-
-    def matmul3d(self, a: np.ndarray) -> np.ndarray:
-        """Batched call preserving the eager conv operand shape."""
+        """``backend.matmul`` of ``a`` as given, batched operands included."""
         return self.backend.matmul(a, self.prepared)
 
 
@@ -334,132 +332,71 @@ def _prepare_direct(strategies: tuple[MatmulStrategy, ...]) -> PreparedWeight | 
     return first.kernel.prepare_direct([s.weight for s in strategies], first.config)
 
 
-class _Conv(PlanOp):
-    """Shared geometry, bias and direct path of the two conv ops.
+class ConvOp(PlanOp):
+    """im2col convolution: one pre-resolved strategy per channel group.
 
-    A conv whose weights took a :data:`~repro.core.kernels.DIRECT`
-    layout at compile time runs as one tap loop over the packed image
+    ``groups=1`` is the one-strategy case.  A conv whose weights took a
+    :data:`~repro.core.kernels.DIRECT` layout at compile time runs as
+    one tap loop over the packed image
     (:meth:`~repro.core.kernels.FloatTableKernel.run_direct`).  Calls
     outside ``f32_exact``, and strategies whose kernel was swapped for a
     non-``float_table`` one after compilation (fault injection), take
-    the im2col path; both give the same bits.
+    the im2col path; both give the same bits.  That path packs and
+    gathers the input image *once* (see :func:`gather_packed_cols`) and
+    hands each group its contiguous block of patch columns —
+    byte-identical to the eager per-group ``pack(im2col(x[:, slice]))``.
     """
 
     kind = "conv2d"
 
-    def __init__(self, strategies, bias, out_channels, kernel, stride, padding, groups, name):
+    def __init__(
+        self,
+        strategies: tuple[MatmulStrategy, ...],
+        bias: np.ndarray | None,
+        in_channels: int,
+        out_channels: int,
+        kernel: int,
+        stride: int,
+        padding: int,
+        name: str = "conv2d",
+    ):
+        self.strategies = tuple(strategies)
+        self.groups = len(self.strategies)
         self.bias = bias
+        self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.groups = groups
         self.name = name
-        self.row_independent = all(s.row_independent for s in strategies)
-        self.direct = _prepare_direct(strategies)
+        self.row_independent = all(s.row_independent for s in self.strategies)
+        self.direct = _prepare_direct(self.strategies)
 
     @property
     def layout(self) -> str | None:
         """The direct layout's name; ``None`` when the strategies run their own."""
         return None if self.direct is None else self.direct.layout
 
-    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        return oh, ow
-
-    def _run_direct(self, packed: PackedTensor, strategies) -> np.ndarray | None:
+    def _run_direct(self, packed: PackedTensor) -> np.ndarray | None:
         """The direct layout's NCHW output plus bias; ``None`` to take im2col."""
-        if not all(isinstance(s.kernel, FloatTableKernel) for s in strategies):
+        if not all(isinstance(s.kernel, FloatTableKernel) for s in self.strategies):
             return None
         return F.direct_conv2d(
-            strategies[0].kernel, packed, self.direct, self.bias,
+            self.strategies[0].kernel, packed, self.direct, self.bias,
             self.kernel, self.stride, self.padding, self.groups,
         )
 
-    def _finish(self, out: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
-        """``(N * OH * OW, F)`` GEMM rows plus bias, as contiguous NCHW float32."""
-        out = out.reshape(n, oh * ow, self.out_channels)
-        if self.bias is not None:
-            out = out + self.bias[None, None, :]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(out, dtype=np.float32)
-
-
-class ConvOp(_Conv):
-    """im2col convolution with a pre-resolved strategy and packed weight."""
-
-    def __init__(
-        self,
-        strategy: MatmulStrategy,
-        bias: np.ndarray | None,
-        out_channels: int,
-        kernel: int,
-        stride: int,
-        padding: int,
-        name: str = "conv2d",
-    ):
-        super().__init__((strategy,), bias, out_channels, kernel, stride, padding, 1, name)
-        self.strategy = strategy
-
-    def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        n, _c, h, w = x.shape
-        oh, ow = self._out_hw(h, w)
-        strategy = self.strategy
-        if strategy.packed_input:
-            packed = pack(np.ascontiguousarray(x, dtype=np.float32), strategy.fmt)
-            direct = self._run_direct(packed, (strategy,))
-            if direct is not None:
-                return direct
-            pa = gather_packed_cols(
-                packed, self.kernel, self.stride, self.padding, strategy.needs_dense
-            )
-            out = strategy.matmul_packed(pa)
-        elif isinstance(strategy, BackendStrategy):
-            cols = F.im2col(x, self.kernel, self.stride, self.padding)
-            # Preserve the eager operand shape: generic backends may
-            # couple the whole (batched) matrix (e.g. BFP's shared
-            # exponent spans everything the eager call handed it).
-            out = strategy.matmul3d(cols.reshape(n, oh * ow, -1))
-        else:
-            cols = F.im2col(x, self.kernel, self.stride, self.padding)
-            out = strategy.matmul2d(cols)
-        return self._finish(out, n, oh, ow)
-
-
-class GroupedConvOp(_Conv):
-    """Grouped/depthwise convolution: one resolved strategy per group.
-
-    Without a direct layout, packs and gathers the input image *once*
-    (see :func:`gather_packed_cols`) and hands each group its contiguous
-    block of patch columns — byte-identical to the eager per-group
-    ``pack(im2col(x[:, slice]))``.
-    """
-
-    def __init__(
-        self,
-        strategies: tuple[MatmulStrategy, ...],
-        bias: np.ndarray | None,
-        out_channels: int,
-        kernel: int,
-        stride: int,
-        padding: int,
-        groups: int,
-        name: str = "conv2d",
-    ):
-        strategies = tuple(strategies)
-        super().__init__(strategies, bias, out_channels, kernel, stride, padding, groups, name)
-        self.strategies = strategies
-
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         n, c, h, w = x.shape
+        if c != self.in_channels:
+            raise ValueError(f"{self.name}: input has {c} channels, expected {self.in_channels}")
         cg = c // self.groups
-        oh, ow = self._out_hw(h, w)
+        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
+        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
         first = self.strategies[0]
-        cols = None
         if first.packed_input:
             packed = pack(np.ascontiguousarray(x, dtype=np.float32), first.fmt)
-            direct = self._run_direct(packed, self.strategies)
+            direct = self._run_direct(packed)
             if direct is not None:
                 return direct
             cols = gather_packed_cols(
@@ -475,12 +412,17 @@ class GroupedConvOp(_Conv):
                 channels = slice(g * cg, (g + 1) * cg)
                 cols_g = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
                 if isinstance(strategy, BackendStrategy):
-                    out_g = strategy.matmul3d(cols_g.reshape(n, oh * ow, -1))
-                    out_g = out_g.reshape(n * oh * ow, -1)
-                else:
-                    out_g = strategy.matmul2d(cols_g)
+                    # Keep the eager operand shape: generic backends may
+                    # couple the whole (batched) matrix (e.g. BFP's shared
+                    # exponent spans everything the eager call handed it).
+                    cols_g = cols_g.reshape(n, oh * ow, -1)
+                out_g = strategy.matmul2d(cols_g)
             outs.append(out_g.reshape(n, oh * ow, -1))
-        return self._finish(np.concatenate(outs, axis=2), n, oh, ow)
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+        if self.bias is not None:
+            out = out + self.bias[None, None, :]
+        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(out, dtype=np.float32)
 
 
 class LinearOp(PlanOp):
@@ -501,7 +443,7 @@ class LinearOp(PlanOp):
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         if x.ndim > 2:
             if isinstance(self.strategy, BackendStrategy):
-                out = self.strategy.matmul3d(x)
+                out = self.strategy.matmul2d(x)
             else:
                 rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
                 out = self.strategy.matmul2d(rows).reshape(*x.shape[:-1], -1)
@@ -562,7 +504,7 @@ class AttentionOp(PlanOp):
     ) -> np.ndarray:
         n, t, _d = x.shape
         if isinstance(strategy, BackendStrategy):
-            out = strategy.matmul3d(x)
+            out = strategy.matmul2d(x)
         else:
             out = strategy.matmul2d(np.ascontiguousarray(x.reshape(n * t, -1)))
             out = out.reshape(n, t, -1)

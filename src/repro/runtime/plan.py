@@ -47,7 +47,6 @@ from .ops import (
     ExecContext,
     FlattenOp,
     GlobalAvgPoolOp,
-    GroupedConvOp,
     LayerNormOp,
     LinearOp,
     MatmulStrategy,
@@ -77,9 +76,10 @@ __all__ = [
 def op_strategies(op: PlanOp) -> tuple[MatmulStrategy, ...]:
     """All matmul strategies behind one op (zero, one, or several).
 
-    Single-GEMM ops carry ``.strategy``; grouped convolutions and
-    attention carry a ``.strategies`` tuple.  Introspection (tier
-    listings, plan digests) iterates this one accessor.
+    Linear ops carry ``.strategy``; convolutions (one strategy per
+    channel group) and attention (QKV and output projections) carry a
+    ``.strategies`` tuple.  Introspection (tier listings, plan digests)
+    iterates this one accessor.
     """
     strategies = getattr(op, "strategies", None)
     if strategies is not None:
@@ -299,42 +299,25 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
             if layer.bias is not None:
                 bias = layer.bias.data
                 params.append((layer.bias, layer.bias.version))
-            if groups > 1:
-                fg = f // groups
-                strategies = tuple(
-                    _resolve_strategy(
-                        backend,
-                        np.ascontiguousarray(
-                            weight.data[g * fg : (g + 1) * fg].reshape(fg, -1).T
-                        ),
-                    )[0]
-                    for g in range(groups)
+            fg = f // groups
+            strategies = tuple(
+                _resolve_strategy(
+                    backend, weight.data[g * fg : (g + 1) * fg].reshape(fg, -1).T
+                )[0]
+                for g in range(groups)
+            )
+            ops.append(
+                ConvOp(
+                    strategies,
+                    bias,
+                    in_channels=spec.attrs["in_channels"],
+                    out_channels=f,
+                    kernel=spec.attrs["kernel"],
+                    stride=spec.attrs["stride"],
+                    padding=spec.attrs["padding"],
+                    name=tag("conv"),
                 )
-                ops.append(
-                    GroupedConvOp(
-                        strategies,
-                        bias,
-                        out_channels=f,
-                        kernel=spec.attrs["kernel"],
-                        stride=spec.attrs["stride"],
-                        padding=spec.attrs["padding"],
-                        groups=groups,
-                        name=tag("conv"),
-                    )
-                )
-            else:
-                strategy, _ = _resolve_strategy(backend, weight.data.reshape(f, -1).T)
-                ops.append(
-                    ConvOp(
-                        strategy,
-                        bias,
-                        out_channels=f,
-                        kernel=spec.attrs["kernel"],
-                        stride=spec.attrs["stride"],
-                        padding=spec.attrs["padding"],
-                        name=tag("conv"),
-                    )
-                )
+            )
         elif kind == "attention":
             qkv, out = layer.qkv, layer.out
             qkv_strategy, _ = _resolve_strategy(backend, qkv.weight.data.T)

@@ -213,10 +213,14 @@ class TestWeightStationaryTables:
 
     @staticmethod
     def _stationary_key(plan):
+        from repro.runtime.plan import op_strategies
+
         (key,) = [
-            op.strategy.prepared.table_key
+            s.prepared.table_key
             for op in plan.ops
-            if getattr(getattr(op, "strategy", None), "layout", None) == "weight_stationary"
+            if op.kind == "conv2d"
+            for s in op_strategies(op)
+            if s.layout == "weight_stationary"
         ]
         return key
 

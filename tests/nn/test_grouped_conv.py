@@ -1,17 +1,13 @@
 """Property tests for grouped/depthwise convolution.
 
-Two algebraic identities pin the grouped path to the dense one:
+One algebraic identity pins the grouped conv to the one-group conv:
+for any valid ``groups``, the output equals running the one-group conv
+independently on each channel slice with that group's filters (the
+block-diagonal structure, made explicit), and so do the gradients.
 
-* ``groups=1`` is *the same computation* as the dense conv — byte for
-  byte, since the block-diagonal kernel matrix degenerates to the full
-  matrix;
-* for any valid ``groups``, the grouped output equals running the dense
-  conv independently on each channel slice with that group's filters
-  (the block-diagonal structure, made explicit).
-
-Both hold under approximate arithmetic too (the per-group GEMMs see the
+It holds under approximate arithmetic too (the per-group GEMMs see the
 same rows and widths either way), so the DAISM backend is part of the
-property.  A third identity covers the compiled-plan per-group path:
+property.  A second identity covers the compiled-plan per-group path:
 a group's block of columns in the whole image's packed im2col is
 byte-identical to packing the group's own im2col — pack commutes with
 elementwise gathers, and im2col orders columns ``(c, kh, kw)``, which
@@ -41,8 +37,8 @@ def _weight(rng, f, cg, k):
     return rng.standard_normal((f, cg, k, k)).astype(np.float32)
 
 
-def _dense_reference(x, weight, bias, stride, padding, groups, backend):
-    """Per-group dense convs on channel slices — the explicit block-diagonal."""
+def _per_group_reference(x, weight, bias, stride, padding, groups, backend):
+    """Per-group one-group convs on channel slices — the explicit block-diagonal."""
     f, cg = weight.shape[0], weight.shape[1]
     fg = f // groups
     outs = []
@@ -75,18 +71,6 @@ conv_cases = st.tuples(
 class TestGroupedEqualsDense:
     @settings(max_examples=25, deadline=None)
     @given(conv_cases)
-    def test_groups_1_is_dense_byte_identical(self, case):
-        n, _g, cg, fg, k, stride, padding, size, seed = case
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, cg, size, size)).astype(np.float32)
-        weight = _weight(rng, fg, cg, k)
-        bias = rng.standard_normal(fg).astype(np.float32)
-        want, _ = F.conv2d_forward(x, weight, bias, stride, padding, EXACT)
-        got, _ = F.grouped_conv2d_forward(x, weight, bias, stride, padding, 1, EXACT)
-        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-
-    @settings(max_examples=25, deadline=None)
-    @given(conv_cases)
     def test_per_group_slicing_equals_reference(self, case):
         n, groups, cg, fg_mult, k, stride, padding, size, seed = case
         rng = np.random.default_rng(seed)
@@ -94,10 +78,8 @@ class TestGroupedEqualsDense:
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         weight = _weight(rng, f, cg, k)
         bias = rng.standard_normal(f).astype(np.float32)
-        want = _dense_reference(x, weight, bias, stride, padding, groups, EXACT)
-        got, _ = F.grouped_conv2d_forward(
-            x, weight, bias, stride, padding, groups, EXACT
-        )
+        want = _per_group_reference(x, weight, bias, stride, padding, groups, EXACT)
+        got, _ = F.conv2d_forward(x, weight, bias, stride, padding, EXACT, groups=groups)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @settings(max_examples=8, deadline=None)
@@ -108,10 +90,8 @@ class TestGroupedEqualsDense:
         c, f = groups * cg, groups * fg_mult
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         weight = _weight(rng, f, cg, k)
-        want = _dense_reference(x, weight, None, stride, padding, groups, DAISM)
-        got, _ = F.grouped_conv2d_forward(
-            x, weight, None, stride, padding, groups, DAISM
-        )
+        want = _per_group_reference(x, weight, None, stride, padding, groups, DAISM)
+        got, _ = F.conv2d_forward(x, weight, None, stride, padding, DAISM, groups=groups)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @settings(max_examples=15, deadline=None)
@@ -124,12 +104,12 @@ class TestGroupedEqualsDense:
         fg = f // groups
         x = rng.standard_normal((n, c, size, size)).astype(np.float32)
         weight = _weight(rng, f, cg, k)
-        out, cols_cache = F.grouped_conv2d_forward(
-            x, weight, None, stride, padding, groups, EXACT
+        out, cols_cache = F.conv2d_forward(
+            x, weight, None, stride, padding, EXACT, groups=groups
         )
         grad = rng.standard_normal(out.shape).astype(np.float32)
-        dx, dw, db = F.grouped_conv2d_backward(
-            grad, x.shape, cols_cache, weight, stride, padding, groups, EXACT
+        dx, dw, db = F.conv2d_backward(
+            grad, x.shape, cols_cache, weight, stride, padding, EXACT, groups=groups
         )
         assert dx.shape == x.shape and dw.shape == weight.shape and db.shape == (f,)
         for g in range(groups):
@@ -140,17 +120,12 @@ class TestGroupedEqualsDense:
             dxs, dws, dbs = F.conv2d_backward(
                 gs, xs.shape, cols, ws, stride, padding, EXACT
             )
-            # Tight allclose, not byte equality: the grouped path feeds
-            # BLAS contiguous per-group copies while the dense backward
-            # can pass a transposed view, and BLAS accumulation order
-            # (hence the last bit) depends on operand layout.
-            np.testing.assert_allclose(
-                dx[:, g * cg : (g + 1) * cg], dxs, rtol=1e-5, atol=1e-6
+            np.testing.assert_array_equal(
+                dx[:, g * cg : (g + 1) * cg].view(np.uint32), dxs.view(np.uint32)
             )
-            np.testing.assert_allclose(
-                dw[g * fg : (g + 1) * fg], dws, rtol=1e-5, atol=1e-6
+            np.testing.assert_array_equal(
+                dw[g * fg : (g + 1) * fg].view(np.uint32), dws.view(np.uint32)
             )
-            # The bias sum runs over the same contiguous (rows, fg) array.
             np.testing.assert_array_equal(
                 db[g * fg : (g + 1) * fg].view(np.uint32), dbs.view(np.uint32)
             )

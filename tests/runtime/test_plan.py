@@ -25,7 +25,7 @@ from repro.nn.models import (
 from repro.nn.optim import SGD
 from repro.nn.serialize import load_state_dict, state_dict
 from repro.runtime import compile_plan, conv_workload, trace
-from repro.runtime.plan import cosim_shape
+from repro.runtime.plan import cosim_shape, op_strategies
 from repro.runtime.ops import PackedKernelStrategy, gather_packed_cols
 
 
@@ -166,8 +166,9 @@ class TestPackCols:
             build_lenet(), daism_backend(PC3_TR, BFLOAT16, kernel="blas_factored")
         )
         conv_ops = [op for op in plan.ops if op.kind == "conv2d"]
-        assert all(isinstance(op.strategy, PackedKernelStrategy) for op in conv_ops)
-        assert all(op.strategy.needs_dense for op in conv_ops)
+        strategies = [s for op in conv_ops for s in op_strategies(op)]
+        assert strategies and all(isinstance(s, PackedKernelStrategy) for s in strategies)
+        assert all(s.needs_dense for s in strategies)
 
 
 class TestConvWorkload:
@@ -259,8 +260,9 @@ class TestWeightLayouts:
         from repro.runtime import plan_digest
 
         plan = compile_plan(build_lenet().eval(), daism_backend(PC3_TR, BFLOAT16))
-        strategies = [op.strategy for op in plan.ops if hasattr(op, "strategy")]
-        assert strategies and all(s.weight._dense is None for s in strategies)
+        strategies = [s for op in plan.ops for s in op_strategies(op)]
+        assert {op.kind for op in plan.ops if op_strategies(op)} == {"conv2d", "linear"}
+        assert all(s.weight._dense is None for s in strategies)
         # Same digest and output bits as when plans kept the dense plane.
         digest = hashlib.sha256("".join(plan_digest(plan)).encode()).hexdigest()
         assert digest[:16] == "23ec0afb5dfeeb4f"
@@ -270,7 +272,7 @@ class TestWeightLayouts:
             build_lenet(), daism_backend(PC3_TR, BFLOAT16, kernel="blas_factored")
         )
         assert all(
-            op.strategy.weight._dense is not None for op in blas.ops if hasattr(op, "strategy")
+            s.weight._dense is not None for op in blas.ops for s in op_strategies(op)
         )
 
     @settings(max_examples=10, deadline=None)
