@@ -738,6 +738,11 @@ def scheduling_rows(quick: bool) -> dict:
                 seed=seed,
             )
         )
+    return scheduling_section(seeds, runs)
+
+
+def scheduling_section(seeds, runs: list[dict]) -> dict:
+    """The ``scheduling`` section from one ``replay_trace_benchmark`` run per seed."""
     static_goodput = sum(r["static"]["goodput_samples_per_s"] for r in runs) / len(runs)
     cost_goodput = sum(
         r["cost_model"]["goodput_samples_per_s"] for r in runs

@@ -295,7 +295,7 @@ def _policy_flag(parser: "argparse.ArgumentParser") -> None:
         help=(
             "scheduling policy: 'static' serves with the configured knobs "
             "unchanged; 'cost_model' lets the architecture cost model pick "
-            "micro-batch size, coalescing delay and shard split online"
+            "micro-batch size, coalescing delay and worker count online"
         ),
     )
 

@@ -18,9 +18,9 @@ a shard is worth a thread only when it carries at least
 :data:`SHARD_MIN_MACS` of work.  At the ``offline_zoo`` batches that
 keeps LeNet (0.1 M MACs per sample, batch 64) on one core and splits
 the batch-8 ``mobilenet_edge`` and ``transformer_encoder`` plans
-(5.6 M and 6.3 M) across two.  An explicit count — the constructor's,
-a call's, or a scheduling policy's ``shard_decision`` — is honoured,
-clamped to the batch's rows with a :class:`ShardClampWarning`.
+(5.6 M and 6.3 M) across two.  An explicit count — the constructor's
+or a call's — is honoured, clamped to the batch's rows with a
+:class:`ShardClampWarning`.
 
 Pool workers are initialised with
 :func:`repro.nn.backend.inherit_default_backend`, so an engine created
@@ -97,20 +97,9 @@ class BatchEngine:
         rule (see the module docstring); an explicit count is honoured,
         clamped to the batch's rows.  ``1`` executes inline with no
         pool at all.
-    policy:
-        Optional :class:`~repro.runtime.scheduler.SchedulingPolicy`.
-        When set, calls without an explicit ``shards`` override ask the
-        policy for a shard count from its cost-model amortisation curve
-        (each shard re-pays the first-image latency); the engine's
-        ``shards`` (or the CPU count) becomes the ceiling.
     """
 
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        shards: int | None = None,
-        policy=None,
-    ):
+    def __init__(self, plan: ExecutionPlan, shards: int | None = None):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
         if shards is not None and shards > 1 and not plan.row_independent:
@@ -121,7 +110,6 @@ class BatchEngine:
             )
         self.plan = plan
         self.shards = shards
-        self.policy = policy
         #: Most shards the pool serves at once: shard 0 runs in the
         #: calling thread, so the pool has one worker fewer.
         self._max_shards = shards if shards is not None else (os.cpu_count() or 1)
@@ -149,16 +137,14 @@ class BatchEngine:
         """The number of shards :meth:`run` splits ``x`` into.
 
         ``shards`` overrides the engine default for this call.  An
-        explicit count (per call, from the constructor, or from the
-        policy) above the batch's rows is clamped with a
-        :class:`ShardClampWarning`; with none, the work rule decides.
+        explicit count (per call or from the constructor) above the
+        batch's rows is clamped with a :class:`ShardClampWarning`; with
+        none, the work rule decides.
         """
         n = len(x)
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
-        if shards is None and self.policy is not None:
-            shards = self.policy.shard_decision(n, self._max_shards)
-        elif shards is None:
+        if shards is None:
             shards = self.shards
         if shards is None:
             return self._work_shards(n, x.shape[1:])

@@ -89,7 +89,7 @@ from .ops import (
     QuantDenseStrategy,
 )
 from .plan import ExecutionPlan, compile_plan, op_strategies
-from .server import MicroBatcher, Request
+from .server import MicroBatcher, Request, shape_groups
 
 __all__ = [
     "ModelSnapshot",
@@ -240,28 +240,43 @@ def _strategy_arrays(strategy) -> list[np.ndarray]:
     return []
 
 
+#: Per op kind, the attributes besides captured arrays that decide what
+#: the op computes (:func:`plan_digest` hashes them).
+_DIGEST_GEOMETRY = {
+    "conv2d": ("in_channels", "out_channels", "kernel", "stride", "padding", "groups"),
+    "attention": ("heads", "scale"),
+    "maxpool2d": ("size",),
+    "layernorm": ("eps",),
+}
+
+
 def plan_digest(plan: ExecutionPlan) -> list[str]:
     """Per-op SHA-256 over every captured constant (prepared weights,
-    biases, BatchNorm statistics) *and* the resolved kernel tier.
+    biases, BatchNorm statistics), the op's kind and geometry, *and*
+    the resolved kernel and multiplier configuration.
 
     Two plans with equal digests run the same arithmetic on the same
     bits — the round-trip proof that a worker-rebuilt plan matches its
     parent without shipping the plan itself across the process boundary.
-    Hashing the kernel name makes the kernel part of that proof: a
-    worker on another kernel produces a different digest instead of a
-    silent arithmetic mismatch.
+    Hashing the kernel makes it part of that proof: a worker on another
+    kernel produces a different digest instead of a silent arithmetic
+    mismatch.  Class names are not hashed, so renaming or merging an op
+    class leaves every digest alone.
     """
     digests: list[str] = []
     for op in plan.ops:
         h = hashlib.sha256()
-        h.update(type(op).__name__.encode())
+        geometry = [getattr(op, attr) for attr in _DIGEST_GEOMETRY.get(op.kind, ())]
+        h.update(repr((op.kind, geometry)).encode())
         # Grouped conv / attention carry several strategies; hash each in
         # order so a single diverging group (or projection) flips the digest.
         for strategy in op_strategies(op):
-            h.update(type(strategy).__name__.encode())
-            kernel = getattr(strategy, "kernel_name", None)
-            if kernel is not None:
-                h.update(kernel.encode())
+            fallback = getattr(strategy, "backend", None)
+            h.update(repr((
+                strategy.kernel_name,
+                getattr(strategy, "config", None),
+                fallback.name if fallback is not None else None,
+            )).encode())
             _digest_arrays(h, _strategy_arrays(strategy))
         backend = getattr(op, "backend", None)
         if backend is not None:
@@ -1072,18 +1087,10 @@ class FleetServer:
                 if isinstance(exc, DeadlineExceededError):
                     dep.stats["expired_requests"] += 1
 
-    def _split_expired(
-        self, dep: _Deployment, batch: list[Request]
-    ) -> tuple[list[Request], float | None]:
-        """Fail already-expired requests; return (live batch, min remaining).
-
-        ``min remaining`` (seconds) is the tightest live deadline — it
-        rides to the worker so compute that can no longer meet any
-        waiter is refused there too.
-        """
+    def _drop_expired(self, dep: _Deployment, batch: list[Request]) -> list[Request]:
+        """Fail already-expired requests; return the live ones."""
         now = time.monotonic()
         live: list[Request] = []
-        remaining: float | None = None
         for r in batch:
             if r.deadline is not None and now >= r.deadline:
                 self._fail(
@@ -1091,65 +1098,65 @@ class FleetServer:
                     r,
                     DeadlineExceededError(dep.snapshot.model, (now - r.deadline) * 1e3),
                 )
-                continue
-            live.append(r)
-            if r.deadline is not None:
-                left = r.deadline - now
-                remaining = left if remaining is None else min(remaining, left)
-        return live, remaining
+            else:
+                live.append(r)
+        return live
 
     def _serve_batch(
         self, dep: _Deployment, handle: _WorkerHandle, batch: list[Request]
     ) -> None:
-        batch, deadline_remaining = self._split_expired(dep, batch)
+        batch = self._drop_expired(dep, batch)
         # Hedged duplicates whose primary already resolved are dead
         # weight — drop them before shipping bytes to the worker.
         batch = [r for r in batch if not (r.hedged and r.future.done())]
-        if not batch:
-            return
-        try:
-            xs = [r.x for r in batch]
-            x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
-        except BaseException as exc:  # mismatched shapes: fail waiters only
-            for r in batch:
-                self._fail(dep, r, exc)
-            return
-        with dep.lock:
-            dep.inflight_samples += len(x)
-        t0 = time.perf_counter()
-        with handle.lock:
-            try:
-                status, payload = handle.request(("run", x, deadline_remaining))
-            except (EOFError, OSError, BrokenPipeError):
-                with dep.lock:
-                    dep.inflight_samples -= len(x)
-                self._handle_crash(dep, handle, batch)
-                return
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        with dep.lock:
-            dep.inflight_samples -= len(x)
-        if status == "ok":
-            dep.note_service(elapsed_ms, len(x))
-            if dep.policy is not None:
-                dep.policy.observe(len(x), elapsed_ms)
-            offset = 0
-            for r in batch:
-                self._complete(dep, r, payload[offset : offset + len(r.x)])
-                offset += len(r.x)
+        groups = shape_groups(batch)
+        for i, (requests, x) in enumerate(groups):
+            # The group's tightest deadline, as left at send time, rides to
+            # the worker so compute that can no longer meet any waiter is
+            # refused there too.
+            deadlines = [r.deadline for r in requests if r.deadline is not None]
+            remaining = min(deadlines) - time.monotonic() if deadlines else None
             with dep.lock:
-                dep.stats["batches"] += 1
-        elif status == "expired":
-            # The worker refused work past its deadline: every waiter in
-            # this batch missed the tightest budget or shares its fate.
-            for r in batch:
-                late = 0.0
-                if r.deadline is not None:
-                    late = max(0.0, (time.monotonic() - r.deadline) * 1e3)
-                self._fail(dep, r, DeadlineExceededError(dep.snapshot.model, late))
-        else:
-            exc = RuntimeError(f"worker execution failed: {payload}")
-            for r in batch:
-                self._fail(dep, r, exc)
+                dep.inflight_samples += len(x)
+            t0 = time.perf_counter()
+            with handle.lock:
+                try:
+                    status, payload = handle.request(("run", x, remaining))
+                except (EOFError, OSError, BrokenPipeError):
+                    with dep.lock:
+                        dep.inflight_samples -= len(x)
+                    # No worker saw the groups not yet sent: requeue them
+                    # as they are, outside the crashed call's retry count.
+                    for later, _ in groups[i + 1 :]:
+                        for r in later:
+                            dep.batcher.put(r)
+                    self._handle_crash(dep, handle, requests)
+                    return
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            with dep.lock:
+                dep.inflight_samples -= len(x)
+            if status == "ok":
+                dep.note_service(elapsed_ms, len(x))
+                if dep.policy is not None:
+                    dep.policy.observe(len(x), elapsed_ms)
+                offset = 0
+                for r in requests:
+                    self._complete(dep, r, payload[offset : offset + len(r.x)])
+                    offset += len(r.x)
+                with dep.lock:
+                    dep.stats["batches"] += 1
+            elif status == "expired":
+                # The worker refused work past its deadline: every waiter in
+                # this group missed the tightest budget or shares its fate.
+                for r in requests:
+                    late = 0.0
+                    if r.deadline is not None:
+                        late = max(0.0, (time.monotonic() - r.deadline) * 1e3)
+                    self._fail(dep, r, DeadlineExceededError(dep.snapshot.model, late))
+            else:
+                exc = RuntimeError(f"worker execution failed: {payload}")
+                for r in requests:
+                    self._fail(dep, r, exc)
 
     def _handle_crash(
         self, dep: _Deployment, handle: _WorkerHandle, batch: list[Request]

@@ -3,8 +3,8 @@
 The paper's claim is that the DAISM cost models predict latency and
 energy well enough to steer design choices.  This module turns that
 claim into the *serving* scheduler: the same ``arch/`` tables that rank
-accelerator designs offline now pick micro-batch size, shard split and
-worker count online.
+accelerator designs offline now pick micro-batch size and worker count
+online.
 
 Prediction → correction → decision
 ----------------------------------
@@ -29,11 +29,11 @@ Prediction → correction → decision
   amortisation curve.
 
 * **Decision** — :meth:`SchedulingPolicy.batch_decision` (micro-batch
-  size and coalescing delay under the SLA),
-  :meth:`SchedulingPolicy.shard_decision` (shard split from the
-  amortisation curve: each shard re-pays the first-image cost),
-  and :meth:`SchedulingPolicy.worker_count` (per-model fleet sizing for
-  a target rate).  Decisions are pure functions of the
+  size and coalescing delay under the SLA) and
+  :meth:`SchedulingPolicy.worker_count` (per-model fleet sizing for a
+  target rate).  Shard counts are not a policy decision: the engine's
+  work rule (:data:`~repro.runtime.engine.SHARD_MIN_MACS`) sets them.
+  Decisions are pure functions of the
   surface, the correction factor and the configured knobs, hence
   deterministic under a fixed seed; every decision and every correction
   update is a record in the process event journal (:mod:`repro.journal`),
@@ -390,33 +390,6 @@ class SchedulingPolicy:
             delay_ms = max(0.0, min(self.max_delay_ms, headroom))
             reason = "sla_batch_fit"
         return BatchDecision(chosen, delay_ms, reason)
-
-    def shard_decision(self, n_samples: int, max_shards: int) -> int:
-        """Shard count minimising the amortisation-curve batch time.
-
-        Each shard re-pays the first-image (busiest-bank) latency and
-        then runs its ``ceil(n/s)`` samples at the steady rate, so the
-        predicted shard time is ``first + (ceil(n/s) - 1) * steady``
-        cycles.  The multiplicative correction cancels in the argmin.
-        The smallest shard count within 5% of the optimum wins —
-        thread dispatch is not free, and fewer shards lose nothing
-        measurable.  Static mode returns ``max_shards`` unchanged
-        (today's fixed-thread-count behaviour).
-        """
-        max_shards = max(1, int(max_shards))
-        if self.mode == "static" or n_samples <= 1:
-            return max_shards if self.mode == "static" else 1
-        first = self.surface.first_cycles
-        steady = self.surface.steady_cycles
-        times = {
-            s: first + (math.ceil(n_samples / s) - 1) * steady
-            for s in range(1, max_shards + 1)
-        }
-        best = min(times.values())
-        for s in sorted(times):
-            if times[s] <= best * 1.05:
-                return s
-        return max_shards
 
     def worker_count(self, default_workers: int, max_workers: int | None = None) -> int:
         """Per-model fleet sizing from the corrected throughput prediction.

@@ -68,6 +68,21 @@ class Request:
 _SENTINEL = object()
 
 
+def shape_groups(batch: list[Request]) -> list[tuple[list[Request], np.ndarray]]:
+    """Split a coalesced batch by sample shape into ``(requests, stacked x)``.
+
+    Each group is its own plan call, so a request of another shape fails
+    alone instead of failing every request coalesced with it.
+    """
+    groups: dict[tuple[int, ...], list[Request]] = {}
+    for r in batch:
+        groups.setdefault(r.x.shape[1:], []).append(r)
+    return [
+        (rs, rs[0].x if len(rs) == 1 else np.concatenate([r.x for r in rs]))
+        for rs in groups.values()
+    ]
+
+
 class MicroBatcher:
     """Thread-safe request queue with micro-batch coalescing.
 
@@ -134,7 +149,9 @@ class MicroBatcher:
         should exit.  The coalescing deadline is ``oldest.arrival +
         max_delay_s``: requests arriving later in the window wait only
         the *remaining* budget, so no request waits more than the full
-        budget before dispatch however empty the batch.
+        budget before dispatch however empty the batch.  Past the
+        deadline (a zero-delay drain decision starts there) the pull
+        still takes everything already queued, up to ``max_batch``.
         """
         first = self._queue.get()
         if first is _SENTINEL:
@@ -159,8 +176,6 @@ class MicroBatcher:
                 return batch, True
             batch.append(self._account(item))
             total += len(item.x)
-            if remaining <= 0:
-                break
         return batch, False
 
     def drain_now(self) -> list[Request]:
@@ -297,17 +312,13 @@ class InferenceServer:
     def _loop(self) -> None:
         while True:
             batch, stop = self.batcher.next_batch()
-            if batch:
-                self._serve(batch)
+            for requests, x in shape_groups(batch):
+                self._serve(requests, x)
             if stop:
                 break
 
-    def _serve(self, batch: list[Request]) -> None:
+    def _serve(self, batch: list[Request], x: np.ndarray) -> None:
         try:
-            xs = [r.x for r in batch]
-            # Inside the try: mismatched request shapes must fail the
-            # waiters' futures, not kill the dispatcher thread.
-            x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
             t0 = time.perf_counter()
             out = self.engine.run(x)
             if self.policy is not None:

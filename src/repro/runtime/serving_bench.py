@@ -1,6 +1,6 @@
 """Serving benchmark engine shared by the CLI and the perf harness.
 
-Two entry points wire the runtime stack together and return JSON-ready
+Three entry points wire the runtime stack together and return JSON-ready
 reports:
 
 * :func:`serving_benchmark` — the single-process path: model zoo build,
@@ -13,15 +13,21 @@ reports:
 
 * :func:`open_loop_fleet_benchmark` — the fleet path: stand up a
   multi-process :class:`~repro.runtime.fleet.FleetServer` and drive it
-  with **open-loop Poisson arrivals** at a configured multiple of the
-  measured closed-loop rate (or an explicit request rate).  Open-loop
-  clients do *not* wait — arrivals keep coming however slow the system
-  gets — which is what exposes saturation behaviour: queue growth,
-  shed-load admission decisions, and the p50/p99/p999 latency tail.
-  Reported goodput counts only requests completed within the SLA, and
-  the report asserts the fleet's no-silent-drop invariant (every
-  accepted request resolved).  ``python -m repro fleet-bench`` renders
-  it; the perf harness embeds it under ``fleet`` (schema v4).
+  with **open-loop Poisson arrivals** (:func:`generate_trace` with no
+  bursts) at a configured multiple of the measured closed-loop rate (or
+  an explicit request rate).  Open-loop clients do *not* wait —
+  arrivals keep coming however slow the system gets — which is what
+  exposes saturation behaviour: queue growth, shed-load admission
+  decisions, and the p50/p99/p999 latency tail.  Reported goodput
+  counts only requests completed within the SLA, and the report carries
+  the fleet's no-silent-drop invariant (every accepted request
+  resolved).  ``python -m repro fleet-bench`` renders it; the perf
+  harness embeds it under ``fleet``.
+
+* :func:`replay_trace_benchmark` — one Poisson+burst trace against a
+  static and a cost-model fleet, byte parity asserted between the arms.
+
+Both fleet benches submit through one open-loop submission loop, :func:`_drive`.
 """
 
 from __future__ import annotations
@@ -46,13 +52,47 @@ __all__ = [
 ]
 
 
-def _request_pool(model: str, request_samples: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Pre-generated request batches in the model's input geometry."""
-    shape = model_input_shape(model)
-    return [
-        rng.standard_normal((request_samples, *shape)).astype(np.float32)
-        for _ in range(8)
-    ]
+def _request_pools(
+    models: list[str], request_samples: int, seed: int
+) -> dict[str, list[np.ndarray]]:
+    """Pre-generated request batches per model, in its input geometry."""
+    rng = np.random.default_rng(seed)
+    pools = {}
+    for name in models:
+        shape = (request_samples, *model_input_shape(name))
+        pools[name] = [rng.standard_normal(shape).astype(np.float32) for _ in range(8)]
+    return pools
+
+
+def _bench_policy(
+    model: str,
+    policy: str,
+    sla_ms: float | None,
+    max_batch: int,
+    max_delay_ms: float,
+    seed: int,
+    target_sps: float | None = None,
+):
+    """Cost-model policy for one bench deployment; ``None`` for static.
+
+    ``target_sps`` is the model's share of the offered load — the policy
+    sizes the deployment's worker count to cover it.
+    """
+    if policy not in ("static", "cost_model"):
+        raise ValueError(f"unknown policy {policy!r} (static / cost_model)")
+    if policy == "static":
+        return None
+    from .scheduler import policy_for_model
+
+    return policy_for_model(
+        model,
+        mode=policy,
+        sla_ms=sla_ms,
+        max_batch=max_batch,
+        max_delay_ms=max_delay_ms,
+        target_sps=target_sps,
+        seed=seed,
+    )
 
 
 def serving_benchmark(
@@ -74,9 +114,9 @@ def serving_benchmark(
     Each client cycles through a pool of pre-generated requests
     (``request_samples`` images each) so measurement excludes input
     synthesis.  ``policy="cost_model"`` attaches a
-    :class:`~repro.runtime.scheduler.SchedulingPolicy` (adaptive
-    batch/delay in the server, adaptive shards in the engine, targeting
-    ``sla_ms`` when given); ``"static"`` keeps the configured knobs.
+    :class:`~repro.runtime.scheduler.SchedulingPolicy` to the server
+    (adaptive batch/delay, targeting ``sla_ms`` when given);
+    ``"static"`` keeps the configured knobs.
     Returns a dict with the configuration echoed back and a ``load``
     section carrying the :class:`~repro.runtime.server.LoadReport`
     figures (p50/p99/mean latency in ms, samples/sec, mean coalesced
@@ -89,26 +129,10 @@ def serving_benchmark(
     module.eval()
     resolved = resolve_backend(backend, kernel)
     plan = compile_plan(module, resolved)
+    policy_obj = _bench_policy(model, policy, sla_ms, max_batch, max_delay_ms, seed)
+    pool = _request_pools([model], request_samples, seed)[model]
 
-    policy_obj = None
-    if policy == "cost_model":
-        from .scheduler import policy_for_model
-
-        policy_obj = policy_for_model(
-            model,
-            mode=policy,
-            sla_ms=sla_ms,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            seed=seed,
-        )
-    elif policy != "static":
-        raise ValueError(f"unknown policy {policy!r} (static / cost_model)")
-
-    rng = np.random.default_rng(seed)
-    pool = _request_pool(model, request_samples, rng)
-
-    engine = BatchEngine(plan, shards=shards, policy=policy_obj)
+    engine = BatchEngine(plan, shards=shards)
     with InferenceServer(
         engine, max_batch=max_batch, max_delay_ms=max_delay_ms, policy=policy_obj
     ) as server:
@@ -134,45 +158,133 @@ def serving_benchmark(
     }
 
 
-def _bench_policy(
+def _calibrate(
     model: str,
-    policy: str,
-    sla_ms: float | None,
+    backend: str,
+    kernel: str | None,
+    request_samples: int,
     max_batch: int,
     max_delay_ms: float,
+    calibration_s: float,
     seed: int,
-    target_sps: float | None = None,
-):
-    """Cost-model policy for one bench deployment; ``None`` for static.
-
-    ``target_sps`` is the model's share of the offered load — the policy
-    sizes the deployment's worker count to cover it.
-    """
-    if policy != "cost_model":
-        return None
-    from .scheduler import policy_for_model
-
-    return policy_for_model(
-        model,
-        mode=policy,
-        sla_ms=sla_ms,
+) -> dict:
+    """A short two-client :func:`serving_benchmark` run: what one process
+    sustains when clients wait, the base of a fleet bench's rate and hint."""
+    report = serving_benchmark(
+        model=model,
+        backend=backend,
+        kernel=kernel,
+        clients=2,
+        duration_s=calibration_s,
+        request_samples=request_samples,
         max_batch=max_batch,
         max_delay_ms=max_delay_ms,
-        target_sps=target_sps,
         seed=seed,
     )
+    if not report["load"]["samples_per_s"]:
+        raise RuntimeError(f"calibration run for {model!r} served no samples")
+    return report
 
 
-def _percentiles_ms(latencies_s: list[float]) -> dict[str, float]:
-    if not latencies_s:
-        return {"p50_ms": 0.0, "p99_ms": 0.0, "p999_ms": 0.0, "mean_ms": 0.0}
-    pooled = np.asarray(latencies_s) * 1e3
-    return {
-        "p50_ms": round(float(np.percentile(pooled, 50)), 3),
-        "p99_ms": round(float(np.percentile(pooled, 99)), 3),
-        "p999_ms": round(float(np.percentile(pooled, 99.9)), 3),
-        "mean_ms": round(float(pooled.mean()), 3),
+def _drive(
+    fleet: FleetServer,
+    deployments: dict[str, dict],
+    trace: list[dict],
+    pools: dict[str, list[np.ndarray]],
+    drain_timeout_s: float,
+) -> tuple[dict, dict[int, dict], dict]:
+    """Register ``deployments`` (model -> ``register`` kwargs), submit
+    each ``trace`` event at its offset ``t`` without waiting for replies,
+    give every accepted future ``drain_timeout_s`` (one that times out is
+    accepted-then-dropped), and close the fleet before reading results.
+
+    Returns ``(summary, results, stats)``: counts, latency percentiles,
+    throughput and goodput (samples done within their model's
+    ``sla_ms``); per-``rid`` model, latency, samples and output SHA-256;
+    and ``fleet.stats()``.
+    """
+    lock = threading.Lock()
+    results: dict[int, dict] = {}
+    failed = [0]
+    shed = 0
+    outstanding: list = []
+
+    def on_done(rid: int, model: str, t_submit: float, n: int):
+        def callback(fut):
+            latency_ms = (time.perf_counter() - t_submit) * 1e3
+            if fut.exception() is not None:
+                with lock:
+                    failed[0] += 1
+                return
+            with lock:
+                results[rid] = {
+                    "model": model,
+                    "latency_ms": latency_ms,
+                    "samples": n,
+                    "output": fut.result(),
+                }
+
+        return callback
+
+    try:
+        for kwargs in deployments.values():
+            fleet.register(**kwargs)
+        t_start = time.perf_counter()
+        for event in trace:
+            delay = event["t"] - (time.perf_counter() - t_start)
+            if delay > 0:
+                time.sleep(delay)
+            pool = pools[event["model"]]
+            x = pool[event["rid"] % len(pool)]
+            t_submit = time.perf_counter()
+            try:
+                fut = fleet.submit(event["model"], x)
+            except ShedLoadError:
+                shed += 1
+                continue
+            fut.add_done_callback(on_done(event["rid"], event["model"], t_submit, len(x)))
+            outstanding.append(fut)
+        dropped = 0
+        for fut in outstanding:
+            try:
+                fut.exception(timeout=drain_timeout_s)
+            except TimeoutError:
+                dropped += 1
+        elapsed = time.perf_counter() - t_start
+        stats = fleet.stats()
+    finally:
+        fleet.close(drain=True)
+
+    # A runner still stuck past close's join can yet run a callback:
+    # read a snapshot.  Hashed only now: the runner threads that resolve
+    # futures run the callbacks, so hashing there would delay the
+    # requests behind them.
+    with lock:
+        done = dict(results)
+        n_failed = failed[0]
+    for r in done.values():
+        output = np.ascontiguousarray(r.pop("output"))
+        r["sha256"] = hashlib.sha256(output.tobytes()).hexdigest()
+    sla = {name: kwargs["sla_ms"] for name, kwargs in deployments.items()}
+    good = sum(r["samples"] for r in done.values() if r["latency_ms"] <= sla[r["model"]])
+    served = sum(r["samples"] for r in done.values())
+    latencies = np.asarray([r["latency_ms"] for r in done.values()] or [0.0])
+    summary = {
+        "offered_requests": len(trace),
+        "accepted_requests": len(outstanding),
+        "shed_requests": shed,
+        "completed_requests": len(done),
+        "failed_requests": n_failed,
+        "accepted_then_dropped": dropped,
+        "p50_ms": round(float(np.percentile(latencies, 50)), 3),
+        "p99_ms": round(float(np.percentile(latencies, 99)), 3),
+        "p999_ms": round(float(np.percentile(latencies, 99.9)), 3),
+        "mean_ms": round(float(latencies.mean()), 3),
+        "duration_s": round(elapsed, 3),
+        "samples_per_s": round(served / elapsed, 1) if elapsed > 0 else 0.0,
+        "goodput_samples_per_s": round(good / elapsed, 1) if elapsed > 0 else 0.0,
     }
+    return summary, done, stats
 
 
 def open_loop_fleet_benchmark(
@@ -197,16 +309,15 @@ def open_loop_fleet_benchmark(
 ) -> dict:
     """Open-loop heavy-traffic benchmark against a multi-process fleet.
 
-    A Poisson arrival process (exponential inter-arrival gaps) submits
-    requests for ``duration_s`` without ever waiting for responses,
-    cycling round-robin across the registered ``models``.  The offered
-    request rate is ``rate_rps`` if given; otherwise a short
-    **closed-loop calibration run** on the single-process server
-    measures the baseline rate and the generator offers
-    ``rate_multiplier``× that (the ISSUE's 10–100× regime).  The
-    admission controller sheds what the fleet cannot absorb; everything
-    accepted must resolve — the report's ``accepted_then_dropped`` field
-    is asserted ``0``.
+    A Poisson arrival process (:func:`generate_trace` with no bursts)
+    submits requests for ``duration_s`` without ever waiting for
+    responses, cycling round-robin across the registered ``models``.
+    The offered request rate is ``rate_rps`` if given; otherwise a short
+    **closed-loop calibration run** of ``models[0]`` on the
+    single-process server measures the baseline rate and the generator
+    offers ``rate_multiplier``× that.  The admission controller sheds
+    what the fleet cannot absorb; everything accepted must resolve — the
+    report's ``accepted_then_dropped`` field counts those that did not.
 
     Returns a JSON-ready dict: offered/accepted/shed/completed counts,
     p50/p99/p999 latency over completed requests, raw completed
@@ -216,122 +327,47 @@ def open_loop_fleet_benchmark(
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    if policy not in ("static", "cost_model"):
-        raise ValueError(f"unknown policy {policy!r} (static / cost_model)")
-
-    # Closed-loop baseline: what one process sustains when clients wait.
-    closed_report = serving_benchmark(
-        model=models[0],
-        backend=backend,
-        kernel=kernel,
-        clients=2,
-        duration_s=calibration_s,
-        request_samples=request_samples,
-        max_batch=max_batch,
-        max_delay_ms=max_delay_ms,
-        seed=seed,
+    policies = {
+        name: _bench_policy(name, policy, sla_ms, max_batch, max_delay_ms, seed)
+        for name in models
+    }
+    closed_report = _calibrate(
+        models[0], backend, kernel, request_samples, max_batch, max_delay_ms,
+        calibration_s, seed,
     )
-    closed = closed_report["load"]
-    closed_rps = closed["samples_per_s"] / request_samples
-    offered_rps = rate_rps if rate_rps is not None else closed_rps * rate_multiplier
-    if offered_rps <= 0:
-        raise ValueError("offered rate must be positive")
-
-    rng = np.random.default_rng(seed)
-    pools = {name: _request_pool(name, request_samples, rng) for name in models}
-
-    lock = threading.Lock()
-    completed: list[float] = []  # latency (s) of every completed request
-    good: list[int] = [0]  # samples completed within the SLA
-    failed: list[int] = [0]
-    offered = [0]
-    shed = [0]
-    accepted = [0]
-    outstanding: list = []
-
+    closed_sps = closed_report["load"]["samples_per_s"]
+    offered_rps = (
+        rate_rps if rate_rps is not None else closed_sps / request_samples * rate_multiplier
+    )
+    trace = generate_trace(models, duration_s, offered_rps, burst_multiplier=1.0, seed=seed)
+    # SLA-aware admission: once the EWMA service-time predictor says a
+    # request cannot complete inside the SLA, it sheds up front
+    # (reason="sla_unmeetable") instead of poisoning the queue — this is
+    # what keeps goodput near raw throughput under saturation.  Seeding
+    # the predictor with the calibrated service time makes admission
+    # control live from the first arrival (the EWMA otherwise admits an
+    # unbounded burst before its first update).
+    deployments = {
+        name: {
+            "snapshot": snapshot_model(name, backend=backend, kernel=kernel, shards=shards),
+            "sla_ms": sla_ms,
+            "service_hint_ms_per_sample": 1e3 / closed_sps,
+            "policy": policies[name],
+        }
+        for name in models
+    }
     fleet = FleetServer(
         workers=workers,
         max_batch=max_batch,
         max_delay_ms=max_delay_ms,
         max_queue_samples=max_queue_samples,
-        # SLA-aware admission: once the EWMA service-time predictor says a
-        # request cannot complete inside the SLA, it sheds up front
-        # (reason="sla_unmeetable") instead of poisoning the queue — this
-        # is what keeps goodput near raw throughput under saturation.
-        sla_ms=sla_ms,
         start_method=start_method,
     )
-    try:
-        # Seed the SLA predictor with the calibrated service time so
-        # admission control is live from the first arrival (the EWMA
-        # otherwise admits an unbounded burst before its first update).
-        hint = 1e3 / closed["samples_per_s"] if closed["samples_per_s"] else None
-        for name in models:
-            fleet.register(
-                snapshot_model(name, backend=backend, kernel=kernel, shards=shards),
-                service_hint_ms_per_sample=hint,
-                policy=_bench_policy(name, policy, sla_ms, max_batch, max_delay_ms, seed),
-            )
-
-        def on_done(t_submit: float, n_samples: int):
-            def callback(fut):
-                latency = time.perf_counter() - t_submit
-                with lock:
-                    if fut.exception() is not None:
-                        failed[0] += 1
-                        return
-                    completed.append(latency)
-                    if latency * 1e3 <= sla_ms:
-                        good[0] += n_samples
-
-            return callback
-
-        # Open-loop Poisson generator: sleep the exponential gap, submit,
-        # never block on results.
-        t_start = time.perf_counter()
-        t_next = t_start
-        i = 0
-        while True:
-            t_next += rng.exponential(1.0 / offered_rps)
-            now = time.perf_counter()
-            if t_next > t_start + duration_s:
-                break
-            if t_next > now:
-                time.sleep(t_next - now)
-            model = models[i % len(models)]
-            pool = pools[model]
-            x = pool[i % len(pool)]
-            i += 1
-            offered[0] += 1
-            t_submit = time.perf_counter()
-            try:
-                fut = fleet.submit(model, x)
-            except ShedLoadError:
-                with lock:
-                    shed[0] += 1
-                continue
-            accepted[0] += 1
-            fut.add_done_callback(on_done(t_submit, len(x)))
-            outstanding.append(fut)
-        # Drain: every accepted future must resolve (data or structured
-        # error) — a timeout here is an accepted-then-dropped request.
-        dropped = 0
-        for fut in outstanding:
-            try:
-                fut.exception(timeout=drain_timeout_s)
-            except TimeoutError:
-                dropped += 1
-        elapsed = time.perf_counter() - t_start
-        stats = fleet.stats()
-    finally:
-        fleet.close(drain=True)
-
-    with lock:
-        percentiles = _percentiles_ms(completed)
-        n_completed = len(completed)
-        goodput = good[0] / elapsed if elapsed > 0 else 0.0
-        throughput = n_completed * request_samples / elapsed if elapsed > 0 else 0.0
-    restarts = sum(row["worker_restarts"] for row in stats.values())
+    summary, _results, stats = _drive(
+        fleet, deployments, trace, _request_pools(models, request_samples, seed),
+        drain_timeout_s,
+    )
+    goodput = summary["goodput_samples_per_s"]
     return {
         "models": models,
         "backend": backend,
@@ -345,24 +381,11 @@ def open_loop_fleet_benchmark(
         "shards": shards,
         "policy": policy,
         "sla_ms": sla_ms,
-        "duration_s": round(elapsed, 3),
         "offered_rps": round(offered_rps, 1),
-        "offered_requests": offered[0],
-        "accepted_requests": accepted[0],
-        "shed_requests": shed[0],
-        "completed_requests": n_completed,
-        "failed_requests": failed[0],
-        "accepted_then_dropped": dropped,
-        "worker_restarts": restarts,
-        **percentiles,
-        "samples_per_s": round(throughput, 1),
-        "goodput_samples_per_s": round(goodput, 1),
-        "closed_loop_samples_per_s": closed["samples_per_s"],
-        "goodput_vs_closed_loop_x": round(
-            goodput / closed["samples_per_s"], 2
-        )
-        if closed["samples_per_s"]
-        else 0.0,
+        **summary,
+        "worker_restarts": sum(row["worker_restarts"] for row in stats.values()),
+        "closed_loop_samples_per_s": closed_sps,
+        "goodput_vs_closed_loop_x": round(goodput / closed_sps, 2),
     }
 
 # --------------------------------------------------------------------------
@@ -448,32 +471,19 @@ def replay_trace_benchmark(
     if not models:
         raise ValueError("need at least one model")
 
-    hint: dict[str, float] = {}
-    sla: dict[str, float] = {}
-    closed_sps: dict[str, float] = {}
-    plan_kernels: dict[str, list] = {}
-    for name in models:
-        closed_report = serving_benchmark(
-            model=name,
-            backend=backend,
-            kernel=kernel,
-            clients=2,
-            duration_s=calibration_s,
-            request_samples=request_samples,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            seed=seed,
+    closed = {
+        name: _calibrate(
+            name, backend, kernel, request_samples, max_batch, max_delay_ms,
+            calibration_s, seed,
         )
-        closed = closed_report["load"]
-        if not closed["samples_per_s"]:
-            raise RuntimeError(f"calibration run for {name!r} served no samples")
-        per_sample_ms = 1e3 / closed["samples_per_s"]
-        hint[name] = per_sample_ms
-        sla[name] = (
-            sla_ms if sla_ms is not None else 1.25 * per_sample_ms * max_batch
-        )
-        closed_sps[name] = closed["samples_per_s"]
-        plan_kernels[name] = closed_report["plan_kernels"]
+        for name in models
+    }
+    closed_sps = {name: report["load"]["samples_per_s"] for name, report in closed.items()}
+    hint = {name: 1e3 / sps for name, sps in closed_sps.items()}
+    sla = {
+        name: sla_ms if sla_ms is not None else 1.25 * hint[name] * max_batch
+        for name in models
+    }
     closed_rps = sum(closed_sps.values()) / len(models) / request_samples
     offered_rps = rate_rps if rate_rps is not None else closed_rps * rate_multiplier
 
@@ -482,8 +492,7 @@ def replay_trace_benchmark(
     )
     if not trace:
         raise RuntimeError("empty trace; raise duration_s or the offered rate")
-    rng = np.random.default_rng(seed)
-    pools = {name: _request_pool(name, request_samples, rng) for name in models}
+    pools = _request_pools(models, request_samples, seed)
 
     # Each model's share of the offered sample rate over the whole trace
     # (bursts included): the cost-model policy sizes its worker pool to
@@ -493,6 +502,18 @@ def replay_trace_benchmark(
     )
 
     def replay_once(mode: str) -> tuple[dict, dict]:
+        deployments = {
+            name: {
+                "snapshot": snapshot_model(name, backend=backend, kernel=kernel),
+                "sla_ms": sla[name],
+                "service_hint_ms_per_sample": hint[name],
+                "policy": _bench_policy(
+                    name, mode, sla[name], max_batch, max_delay_ms, seed,
+                    target_sps=offered_sps_per_model,
+                ),
+            }
+            for name in models
+        }
         fleet = FleetServer(
             workers=workers,
             max_batch=max_batch,
@@ -500,99 +521,14 @@ def replay_trace_benchmark(
             max_queue_samples=max_queue_samples,
             start_method=start_method,
         )
-        lock = threading.Lock()
-        results: dict[int, dict] = {}
-        failed = [0]
-        shed = 0
-        outstanding: list = []
-        try:
-            for name in models:
-                fleet.register(
-                    snapshot_model(name, backend=backend, kernel=kernel),
-                    sla_ms=sla[name],
-                    service_hint_ms_per_sample=hint[name],
-                    policy=_bench_policy(
-                        name,
-                        mode,
-                        sla[name],
-                        max_batch,
-                        max_delay_ms,
-                        seed,
-                        target_sps=offered_sps_per_model,
-                    ),
-                )
-
-            def make_callback(rid: int, model: str, t_submit: float, n: int):
-                def callback(fut):
-                    latency_ms = (time.perf_counter() - t_submit) * 1e3
-                    if fut.exception() is not None:
-                        with lock:
-                            failed[0] += 1
-                        return
-                    digest = hashlib.sha256(
-                        np.ascontiguousarray(fut.result()).tobytes()
-                    ).hexdigest()
-                    with lock:
-                        results[rid] = {
-                            "model": model,
-                            "latency_ms": latency_ms,
-                            "samples": n,
-                            "sha256": digest,
-                        }
-
-                return callback
-
-            t_start = time.perf_counter()
-            for event in trace:
-                now = time.perf_counter() - t_start
-                if event["t"] > now:
-                    time.sleep(event["t"] - now)
-                pool = pools[event["model"]]
-                x = pool[event["rid"] % len(pool)]
-                t_submit = time.perf_counter()
-                try:
-                    fut = fleet.submit(event["model"], x)
-                except ShedLoadError:
-                    shed += 1
-                    continue
-                fut.add_done_callback(
-                    make_callback(event["rid"], event["model"], t_submit, len(x))
-                )
-                outstanding.append(fut)
-            dropped = 0
-            for fut in outstanding:
-                try:
-                    fut.exception(timeout=drain_timeout_s)
-                except TimeoutError:
-                    dropped += 1
-            elapsed = time.perf_counter() - t_start
-            fleet_stats = fleet.stats()
-        finally:
-            fleet.close(drain=True)
-        with lock:
-            done = dict(results)
-        good = sum(
-            r["samples"] for r in done.values() if r["latency_ms"] <= sla[r["model"]]
-        )
-        served = sum(r["samples"] for r in done.values())
+        summary, results, stats = _drive(fleet, deployments, trace, pools, drain_timeout_s)
         report = {
             "policy": mode,
-            "workers_per_model": {
-                name: fleet_stats[name]["workers"] for name in models
-            },
-            "offered_requests": len(trace),
-            "accepted_requests": len(outstanding),
-            "shed_requests": shed,
-            "completed_requests": len(done),
-            "failed_requests": failed[0],
-            "accepted_then_dropped": dropped,
-            **_percentiles_ms([r["latency_ms"] / 1e3 for r in done.values()]),
-            "duration_s": round(elapsed, 3),
-            "samples_per_s": round(served / elapsed, 1) if elapsed > 0 else 0.0,
-            "goodput_samples_per_s": round(good / elapsed, 1) if elapsed > 0 else 0.0,
-            "sched_events": sum(fleet_stats[name]["sched_events"] for name in models),
+            "workers_per_model": {name: stats[name]["workers"] for name in models},
+            **summary,
+            "sched_events": sum(stats[name]["sched_events"] for name in models),
         }
-        return report, done
+        return report, results
 
     static_report, static_results = replay_once("static")
     cost_report, cost_results = replay_once("cost_model")
@@ -618,7 +554,7 @@ def replay_trace_benchmark(
         "models": models,
         "backend": backend,
         "kernel": kernel or "default",
-        "plan_kernels": plan_kernels,
+        "plan_kernels": {name: report["plan_kernels"] for name, report in closed.items()},
         "workers": workers,
         "request_samples": request_samples,
         "max_batch": max_batch,

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.chaos.worker import WorkerChaos
 from repro.runtime import FleetServer, ShedLoadError, WorkerCrashError
 from repro.runtime.fleet import snapshot_model
 
@@ -57,6 +58,32 @@ class TestWorkerCrash:
             stats["completed_requests"] + stats["failed_requests"]
             == stats["accepted_requests"]
         )
+
+    def test_crash_retries_only_the_group_the_worker_saw(self):
+        """A batch of two sample shapes goes out as two worker calls; a
+        crash on the first requeues the second untouched, so each
+        request is charged exactly the crashes it was sent into."""
+        chaos = WorkerChaos(seed=0, crash_prob=1.0).as_dict()
+        with FleetServer(
+            workers=1,
+            max_batch=64,
+            max_delay_ms=200.0,
+            max_retries=1,
+            heartbeat_interval_s=None,
+        ) as fleet:
+            fleet.register(snapshot_model("lenet", backend="exact", chaos=chaos))
+            futures = [
+                fleet.submit("lenet", _x(2)),
+                fleet.submit("lenet", np.ones((2, 2, 16, 16), dtype=np.float32)),
+            ]
+            for fut in futures:
+                exc = fut.exception(timeout=60)
+                assert isinstance(exc, WorkerCrashError)
+                assert exc.retries == 1
+            stats = fleet.stats()["lenet"]
+        # Two sends per request (first try + one retry), one crash each.
+        assert stats["worker_restarts"] == 4
+        assert stats["retried_requests"] == 2
 
     def test_exhausted_retries_raise_structured_error(self):
         """With retries off, a crashed batch fails with WorkerCrashError."""

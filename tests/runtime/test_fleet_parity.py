@@ -43,6 +43,23 @@ def _reference(model, backend):
     return snap, compile_plan(module, resolve_backend(backend))
 
 
+def _digest_plan(model, arg, backend, kernel):
+    """A seeded LeNet (``arg`` = seed) or one conv (``arg`` = stride, padding).
+
+    Every conv has the same weights, so two conv plans differ only in
+    geometry.
+    """
+    from repro.nn.layers import Conv2d
+    from repro.nn.models import build_lenet
+
+    if model == "conv":
+        stride, padding = arg
+        module = Conv2d(1, 8, 3, stride=stride, padding=padding, rng=np.random.default_rng(0))
+    else:
+        module = build_lenet(seed=arg)
+    return compile_plan(module.eval(), resolve_backend(backend, kernel))
+
+
 def _coalescing_fleet(workers):
     return FleetServer(workers=workers, max_batch=64, max_delay_ms=5.0)
 
@@ -148,6 +165,29 @@ class TestFleetByteParity:
                 fleet.submit("lenet", _x(1))
 
 
+class TestMismatchedShapes:
+    def test_mismatched_sample_shape_fails_alone(self):
+        """A request of another sample shape fails on its own future; the
+        requests coalesced around it get the bits they get alone."""
+        snap, plan = _reference("lenet", "daism")
+        good = [_x(2, seed=s) for s in range(6)]
+        bad = np.ones((2, 2, 16, 16), dtype=np.float32)  # two channels, LeNet takes one
+        with FleetServer(workers=1, max_batch=64, max_delay_ms=200.0) as fleet:
+            fleet.register(snap)
+            futures = [fleet.submit("lenet", x) for x in good[:3] + [bad] + good[3:]]
+            with pytest.raises(RuntimeError, match="conv1"):
+                futures[3].result(timeout=60)
+            for x, fut in zip(good, futures[:3] + futures[4:]):
+                np.testing.assert_array_equal(
+                    fut.result(timeout=60).view(np.uint32),
+                    plan.execute(x).view(np.uint32),
+                )
+            stats = fleet.stats()["lenet"]
+        assert (stats["completed_requests"], stats["failed_requests"]) == (6, 1)
+        # The six well-formed requests were served by one worker call.
+        assert stats["batches"] == 1
+
+
 class TestWorkerPlanDigest:
     """The cross-process proof: worker-rebuilt plans carry the same bits."""
 
@@ -170,12 +210,29 @@ class TestWorkerPlanDigest:
         assert status == "ok"
         assert worker_digest == parent
 
-    def test_digest_discriminates_weights(self):
-        from repro.nn.models import build_lenet
-
-        a = compile_plan(build_lenet(seed=1).eval(), resolve_backend("daism"))
-        b = compile_plan(build_lenet(seed=2).eval(), resolve_backend("daism"))
-        assert plan_digest(a) != plan_digest(b)
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (("lenet", 1, "daism", None), ("lenet", 2, "daism", None)),
+            (("lenet", 1, "daism", None), ("lenet", 1, "daism", "blas_factored")),
+            (("lenet", 1, "daism", None), ("lenet", 1, "quantized", "float_table")),
+            (("lenet", 1, "quantized", None), ("lenet", 1, "exact", None)),
+            (("conv", (1, 1), "daism", None), ("conv", (2, 0), "daism", None)),
+            (("conv", (1, 1), "daism", None), ("conv", (1, 0), "daism", None)),
+            (("conv", (1, 1), "exact", None), ("conv", (2, 1), "exact", None)),
+        ],
+        ids=[
+            "weights",
+            "kernel",
+            "multiplier",
+            "backend",
+            "conv_stride_padding",
+            "conv_padding",
+            "conv_stride_exact",
+        ],
+    )
+    def test_digest_discriminates(self, a, b):
+        assert plan_digest(_digest_plan(*a)) != plan_digest(_digest_plan(*b))
 
     def test_rebuild_plan_digest_matches_in_process(self):
         module = model_zoo()["mini_resnet"]

@@ -263,9 +263,10 @@ class TestWeightLayouts:
         strategies = [s for op in plan.ops for s in op_strategies(op)]
         assert {op.kind for op in plan.ops if op_strategies(op)} == {"conv2d", "linear"}
         assert all(s.weight._dense is None for s in strategies)
-        # Same digest and output bits as when plans kept the dense plane.
+        # Same output bits as when plans kept the dense plane; the digest
+        # is pinned as of when it started hashing op kind and geometry.
         digest = hashlib.sha256("".join(plan_digest(plan)).encode()).hexdigest()
-        assert digest[:16] == "23ec0afb5dfeeb4f"
+        assert digest[:16] == "5adafc7d1c69a6d1"
         x = np.random.default_rng(0).standard_normal((8, 1, 16, 16)).astype(np.float32)
         assert hashlib.sha256(plan.execute(x).tobytes()).hexdigest()[:16] == "a8aa4e163668ab48"
         blas = compile_plan(

@@ -3,7 +3,6 @@
 import concurrent.futures
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +38,6 @@ class TestDeterminism:
             for pending in (0, 3, 8, 40, 64, 7, 0):
                 decisions.append(policy.batch_decision(pending))
                 policy.observe(8, 8.0)
-                decisions.append(policy.shard_decision(32, 4))
             # seq and t order records across the process journal.
             events = [
                 {k: v for k, v in e.items() if k not in ("seq", "t")}
@@ -67,7 +65,6 @@ class TestDeterminism:
         decision = policy.batch_decision(pending_samples=1000)
         assert (decision.max_batch, decision.max_delay_ms) == (48, 3.5)
         assert decision.reason == "static"
-        assert policy.shard_decision(64, 4) == 4
         assert policy.worker_count(2) == 2
 
 
@@ -193,20 +190,6 @@ class TestShardValidation:
         engine = BatchEngine(plan, shards=1)
         with pytest.raises(ValueError, match="shards must be >= 1"):
             engine.run(np.zeros((2, 1, 16, 16), dtype=np.float32), shards=-1)
-
-    def test_policy_shard_decision_drives_engine(self, plan, shard_calls):
-        policy = _calibrated()
-        engine = BatchEngine(plan, shards=4, policy=policy)
-        x = np.random.default_rng(1).standard_normal((8, 1, 16, 16)).astype(np.float32)
-        want = plan.execute(x)
-        calls = shard_calls(plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no clamp warning expected
-            got = engine.run(x)
-        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-        decided = policy.shard_decision(8, 4)
-        assert 1 <= decided <= 4
-        assert len(calls) == engine.shard_count(x) == decided
 
 
 class TestPolicyByteParity:

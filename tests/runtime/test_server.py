@@ -100,18 +100,39 @@ class TestInferenceServer:
             bad = server.submit(
                 np.zeros((2, 7), dtype=np.float32)  # wrong feature width
             )
-            # Whether or not the two coalesced, the bad request must fail
-            # on its future (np.concatenate or the GEMM raises inside the
-            # dispatch try), the good one must *resolve* (result or the
-            # shared batch failure), and the dispatcher must keep serving.
-            with pytest.raises(Exception):
+            # Whether or not the two coalesced, the bad request fails on
+            # its future, the good one gets its bits, and the dispatcher
+            # keeps serving.
+            with pytest.raises(ValueError):
                 bad.result(timeout=5)
-            try:
-                good.result(timeout=5)
-            except ValueError:
-                pass  # shared fate of the coalesced batch
+            np.testing.assert_array_equal(
+                good.result(timeout=5).view(np.uint32),
+                plan.execute(_x(2)).view(np.uint32),
+            )
             again = server.submit(_x(2)).result(timeout=5)
         assert again.shape == (2, 4)
+
+    def test_mismatched_sample_shape_fails_alone(self):
+        """A request of another sample shape fails on its own future; the
+        requests coalesced around it get the bits they get alone."""
+        from repro.nn.models import build_lenet
+
+        plan = compile_plan(build_lenet().eval(), daism_backend(PC3_TR, BFLOAT16))
+        rng = np.random.default_rng(0)
+        good = [rng.standard_normal((2, 1, 16, 16)).astype(np.float32) for _ in range(6)]
+        bad = np.ones((2, 2, 16, 16), dtype=np.float32)  # two channels, LeNet takes one
+        with InferenceServer(plan, max_batch=64, max_delay_ms=200.0) as server:
+            futures = [server.submit(x) for x in good[:3] + [bad] + good[3:]]
+            with pytest.raises(ValueError, match="conv1"):
+                futures[3].result(timeout=10)
+            for x, fut in zip(good, futures[:3] + futures[4:]):
+                np.testing.assert_array_equal(
+                    fut.result(timeout=10).view(np.uint32),
+                    plan.execute(x).view(np.uint32),
+                )
+            stats = server.stats()
+        # The six well-formed requests were served by one plan call.
+        assert (stats["requests"], stats["batches"]) == (6, 1)
 
     def test_execution_failure_propagates_to_waiters(self):
         model = build_mlp().eval()
@@ -181,6 +202,16 @@ class TestMicroBatcher:
         assert not stop
         assert len(batch) >= 1
         assert batcher.pending_requests == 2 - len(batch)
+
+    def test_pull_past_deadline_takes_queued_backlog(self):
+        """A spent budget stops the waiting, not the coalescing."""
+        batcher = MicroBatcher(max_batch=8, max_delay_ms=0.0)
+        for i in range(10):
+            batcher.put(self._req(1, seed=i))
+        batch, stop = batcher.next_batch()
+        assert not stop
+        assert len(batch) == 8
+        assert batcher.pending_requests == 2
 
     def test_sentinel_stops_consumer(self):
         batcher = MicroBatcher(max_batch=4, max_delay_ms=0.0)

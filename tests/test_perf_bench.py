@@ -640,3 +640,44 @@ class TestServingGuard:
             "--fault-recovery-max-ms", "1e9",
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _load_script(path: pathlib.Path):
+    """Import a ``benchmarks/perf`` script as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fleet_and_scheduling_guards_read_fresh_reports():
+    """The fleet and scheduling guards skip, returning ``(None, False)``,
+    when a report lacks a key they read.  Fresh bench reports must keep
+    every such key, or a CI guard switches itself off without a word."""
+    from repro.runtime.serving_bench import (
+        open_loop_fleet_benchmark,
+        replay_trace_benchmark,
+    )
+
+    harness = _load_script(HARNESS)
+    guard = _load_script(GUARD)
+    common = {
+        "backend": "exact",
+        "workers": 1,
+        "duration_s": 0.3,
+        "rate_rps": 200.0,
+        "calibration_s": 0.1,
+    }
+    fleet = open_loop_fleet_benchmark(models=["lenet"], **common)
+    replay = replay_trace_benchmark(models=["lenet"], **common)
+    fresh = {
+        "fleet": fleet,
+        "scheduling": harness.scheduling_section([0], [replay]),
+    }
+    baseline = json.loads((REPO / "BENCH_perf.json").read_text())
+    record, _regressed = guard.compare_fleet(fresh, baseline, 0.25)
+    assert record is not None
+    record, _regressed = guard.check_scheduling(fresh, 0.2)
+    assert record is not None
