@@ -33,8 +33,16 @@ Accepted requests are never silently dropped: a worker crash mid-batch
 requeues its requests (bypassing admission) up to ``max_retries``
 redeliveries, then fails the future with a structured
 :class:`WorkerCrashError`; the crashed worker is respawned from the
-snapshot and keeps serving.  ``close(drain=True)`` serves every
-accepted request before stopping.
+snapshot and keeps serving.
+
+A deployment's lifecycle is its batcher's state (``open`` /
+``draining`` / ``stopped``, see :class:`~repro.runtime.server.MicroBatcher`)
+plus ``open_until`` while its breaker is open.  ``close(drain=True)``
+drains every batcher: runners serve what is queued, including requeues
+from crashes during the drain, and exit when it is empty;
+``close(drain=False)`` stops them and fails the queue.  A stopped
+batcher refuses requeues, so a crash on a quarantined or closed
+deployment fails its batch structurally and never respawns a worker.
 
 Self-healing (PR 9) extends the contract to *detected* degradation:
 
@@ -49,9 +57,12 @@ Self-healing (PR 9) extends the contract to *detected* degradation:
   duplicate after the hedge delay; first resolution wins (tail-latency
   insurance against a stalling worker);
 * a **circuit breaker** (``breaker_threshold``) quarantines a model
-  whose workers crash repeatedly — its queue fails structurally and
-  new submits shed with ``reason="circuit_open"`` while other models
-  keep serving; after ``breaker_cooldown_s`` the deployment revives;
+  whose workers crash repeatedly, or whose worker fails to respawn —
+  its batcher stops (the queue fails structurally), its workers die,
+  and new submits shed with ``reason="circuit_open"`` while other
+  models keep serving; after ``breaker_cooldown_s`` the deployment
+  revives: old runners are joined and old workers killed before fresh
+  ones start and the batcher reopens;
 * **integrity health checks** — ``check_health(model)`` asks each
   worker to run :func:`repro.core.integrity.check_and_heal` (checksum +
   canary verification, rebuild on mismatch); a worker that reports
@@ -89,7 +100,7 @@ from .ops import (
     QuantDenseStrategy,
 )
 from .plan import ExecutionPlan, compile_plan, op_strategies
-from .server import MicroBatcher, Request, shape_groups
+from .server import OPEN, STOPPED, MicroBatcher, Request, shape_groups
 
 __all__ = [
     "ModelSnapshot",
@@ -524,6 +535,11 @@ class _WorkerHandle:
     protocol is strict request/reply per pipe, so exactly one thread
     may hold a request in flight.  The monitor only ever *tries* the
     lock: a runner mid-request already proves the worker is live.
+
+    ``spawn``, ``kill`` and ``stop`` serialise on a second lock, so a
+    quarantine killing a sibling's worker never races that sibling's
+    respawn, and ``spawn`` reaps the old process first: a handle owns at
+    most one worker process.
     """
 
     def __init__(self, ctx, snapshot: ModelSnapshot, name: str, ready_timeout_s: float):
@@ -534,24 +550,28 @@ class _WorkerHandle:
         self.process: multiprocessing.Process | None = None
         self.conn: multiprocessing.connection.Connection | None = None
         self.lock = threading.Lock()
+        self._life = threading.Lock()
         self.spawn()
 
     def spawn(self) -> None:
-        parent, child = self.ctx.Pipe()
-        self.process = self.ctx.Process(
-            target=_worker_main, args=(child, self.snapshot), name=self.name, daemon=True
-        )
-        self.process.start()
-        child.close()  # parent keeps one end; worker death now raises EOFError
-        self.conn = parent
-        if not parent.poll(self.ready_timeout_s):
-            self.kill()
-            raise RuntimeError(f"worker {self.name} did not come up in time")
-        status, payload = parent.recv()
-        if status != "ready":
-            self.kill()
-            raise RuntimeError(f"worker {self.name} failed to build its plan: {payload}")
-        self.pid = payload
+        with self._life:
+            self._reap()
+            parent, child = self.ctx.Pipe()
+            process = self.ctx.Process(
+                target=_worker_main, args=(child, self.snapshot), name=self.name, daemon=True
+            )
+            process.start()
+            self.process = process  # workers() lists started processes only
+            child.close()  # parent keeps one end; worker death now raises EOFError
+            self.conn = parent
+            if not parent.poll(self.ready_timeout_s):
+                self._reap()
+                raise RuntimeError(f"worker {self.name} did not come up in time")
+            status, payload = parent.recv()
+            if status != "ready":
+                self._reap()
+                raise RuntimeError(f"worker {self.name} failed to build its plan: {payload}")
+            self.pid = payload
 
     def request(self, msg: tuple) -> tuple[str, object]:
         """Send one message and block for its reply (runner thread only)."""
@@ -564,23 +584,25 @@ class _WorkerHandle:
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """Graceful stop, escalating to terminate/kill (idempotent)."""
-        if self.process is None:
-            return
-        try:
-            self.conn.send(("stop",))
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout_s)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(1.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(1.0)
-        self.conn.close()
-        self.process = None
+        with self._life:
+            if self.process is None:
+                return
+            try:
+                self.conn.send(("stop",))
+            except (OSError, BrokenPipeError):
+                pass
+            self.process.join(timeout_s)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(1.0)
+            self._reap()
+            self.conn.close()
 
     def kill(self) -> None:
+        with self._life:
+            self._reap()
+
+    def _reap(self) -> None:
         if self.process is not None:
             self.process.kill()
             self.process.join(1.0)
@@ -622,12 +644,10 @@ class _Deployment:
         self.lock = threading.Lock()
         self.inflight_samples = 0
         self.ewma_ms_per_sample: float | None = None
-        self.abandon = False  # close(drain=False): consumers stop eagerly
-        # Circuit-breaker state: recent crash wall-clock times, and when
-        # open, the monotonic time the quarantine lifts.
+        # Circuit-breaker state: recent crash wall-clock times, and while
+        # quarantined (batcher stopped), the monotonic time it lifts.
         self.crash_times: collections.deque[float] = collections.deque(maxlen=64)
-        self.quarantined = False
-        self.open_until = 0.0
+        self.open_until: float | None = None
         self.last_recovery_ms: float | None = None
         self.stats = {
             "accepted_requests": 0,
@@ -826,15 +846,13 @@ class FleetServer:
                 handle = _WorkerHandle(
                     self._ctx, snapshot, f"repro-fleet-{name}-{i}", self.ready_timeout_s
                 )
-            runner = threading.Thread(
-                target=self._run_worker,
-                args=(dep, handle),
-                name=f"repro-fleet-runner-{name}-{i}",
-                daemon=True,
-            )
             dep.handles.append(handle)
-            dep.runners.append(runner)
+            dep.runners.append(self._runner(dep, handle, i))
         with self._submit_lock:
+            if self._closed:  # closed while the workers spawned
+                for handle in dep.handles:
+                    handle.stop()
+                raise RuntimeError("fleet is closed")
             self._deployments[name] = dep
         for runner in dep.runners:
             runner.start()
@@ -948,27 +966,14 @@ class FleetServer:
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError("fleet is closed")
-            if dep.quarantined:
-                if now >= dep.open_until:
-                    self._revive(dep)
-                else:
-                    with dep.lock:
-                        dep.stats["shed_requests"] += 1
-                    raise ShedLoadError(
-                        model,
-                        reason="circuit_open",
-                        queued_samples=dep.batcher.pending_samples,
-                        retry_after_ms=(dep.open_until - now) * 1e3,
-                    )
+            if dep.open_until is not None and now >= dep.open_until:
+                self._revive(dep)
+            if dep.open_until is not None:
+                raise self._shed_circuit_open(dep, now)
             queued = dep.batcher.pending_samples
             if queued + n > dep.max_queue_samples:
-                with dep.lock:
-                    dep.stats["shed_requests"] += 1
-                raise ShedLoadError(
-                    model,
-                    reason="queue_full",
-                    queued_samples=queued,
-                    limit=dep.max_queue_samples,
+                raise self._shed(
+                    dep, "queue_full", queued_samples=queued, limit=dep.max_queue_samples
                 )
             sla_budget_ms = dep.sla_ms
             if deadline is not None:
@@ -993,17 +998,18 @@ class FleetServer:
             if sla_budget_ms is not None and est is not None:
                 predicted = (queued + inflight + n) * est / max(1, len(dep.handles))
                 if predicted > sla_budget_ms:
-                    with dep.lock:
-                        dep.stats["shed_requests"] += 1
-                    raise ShedLoadError(
-                        model,
-                        reason="sla_unmeetable",
+                    raise self._shed(
+                        dep,
+                        "sla_unmeetable",
                         queued_samples=queued,
                         predicted_ms=predicted,
                         sla_ms=sla_budget_ms,
                     )
             request = Request(x, future, now, deadline=deadline)
-            dep.batcher.put(request)
+            if not dep.batcher.put(request):
+                # A runner's crash quarantined the deployment after the
+                # circuit check above.
+                raise self._shed_circuit_open(dep, now)
             with dep.lock:
                 dep.stats["accepted_requests"] += 1
                 dep.stats["accepted_samples"] += n
@@ -1015,77 +1021,68 @@ class FleetServer:
             timer.start()
         return future
 
+    def _shed(self, dep: _Deployment, reason: str, **detail) -> ShedLoadError:
+        """Count one shed and build its structured error."""
+        with dep.lock:
+            dep.stats["shed_requests"] += 1
+        return ShedLoadError(dep.snapshot.model, reason=reason, **detail)
+
+    def _shed_circuit_open(self, dep: _Deployment, now: float) -> ShedLoadError:
+        return self._shed(
+            dep,
+            "circuit_open",
+            queued_samples=0,  # a stopped queue is empty
+            retry_after_ms=(dep.open_until - now) * 1e3,
+        )
+
     def _dispatch_hedge(self, dep: _Deployment, request: Request) -> None:
-        """Enqueue the hedged duplicate if the primary hasn't resolved."""
-        with self._submit_lock:
-            if self._closed or dep.quarantined or request.future.done():
-                return
-            dep.batcher.put(
-                Request(
-                    request.x,
-                    request.future,
-                    time.monotonic(),
-                    retries=self.max_retries,  # a crashed hedge never redelivers
-                    deadline=request.deadline,
-                    hedged=True,
-                )
-            )
+        """Enqueue the hedged duplicate if the primary hasn't resolved.
+
+        A stopped (quarantined or closed) batcher refuses it.
+        """
+        if request.future.done():
+            return
+        hedge = dataclasses.replace(
+            request,
+            arrival=time.monotonic(),
+            retries=self.max_retries,  # a crashed hedge never redelivers
+            hedged=True,
+        )
+        if dep.batcher.put(hedge):
             with dep.lock:
                 dep.stats["hedged_requests"] += 1
-
-    @staticmethod
-    def _try_result(r: Request, value) -> bool:
-        """Resolve a future if still pending (hedged pairs race)."""
-        try:
-            r.future.set_result(value)
-            return True
-        except concurrent.futures.InvalidStateError:
-            return False
-
-    @staticmethod
-    def _try_exception(r: Request, exc: BaseException) -> bool:
-        try:
-            r.future.set_exception(exc)
-            return True
-        except concurrent.futures.InvalidStateError:
-            return False
 
     # -- runner threads (one per worker process) --------------------------
 
     def _run_worker(self, dep: _Deployment, handle: _WorkerHandle) -> None:
-        while True:
-            batch, stop = dep.batcher.next_batch()
-            if batch:
-                self._serve_batch(dep, handle, batch)
-            if dep.quarantined:
-                # The breaker opened (this thread or a sibling): stop
-                # consuming; _quarantine drained and failed the queue.
-                break
-            if stop:
-                # Drain guarantee: don't exit while requests (possibly
-                # requeued by a sibling's crash) still wait behind our
-                # sentinel — recycle the sentinel and keep consuming.
-                if not dep.abandon and dep.batcher.pending_requests > 0:
-                    dep.batcher.put_sentinel()
-                    continue
-                break
+        # Runs until the batcher stops (or drains empty), or this
+        # runner's worker is gone for good.
+        while batch := dep.batcher.next_batch():
+            if not self._serve_batch(dep, handle, batch):
+                return
 
     def _complete(self, dep: _Deployment, r: Request, payload) -> None:
         """Resolve one request with data, keeping hedged accounting exact."""
-        if self._try_result(r, payload):
-            with dep.lock:
-                dep.stats["completed_requests"] += 1
-                dep.stats["completed_samples"] += len(r.x)
-                if r.hedged:
-                    dep.stats["hedge_wins"] += 1
+        try:
+            r.future.set_result(payload)
+        except concurrent.futures.InvalidStateError:
+            return  # its hedged twin resolved it first
+        with dep.lock:
+            dep.stats["completed_requests"] += 1
+            dep.stats["completed_samples"] += len(r.x)
+            if r.hedged:
+                dep.stats["hedge_wins"] += 1
 
     def _fail(self, dep: _Deployment, r: Request, exc: BaseException) -> None:
         """Resolve one request with a structured error (never both)."""
-        if self._try_exception(r, exc):
-            with dep.lock:
-                dep.stats["failed_requests"] += 1
-                if isinstance(exc, DeadlineExceededError):
-                    dep.stats["expired_requests"] += 1
+        try:
+            r.future.set_exception(exc)
+        except concurrent.futures.InvalidStateError:
+            return  # its hedged twin resolved it first
+        with dep.lock:
+            dep.stats["failed_requests"] += 1
+            if isinstance(exc, DeadlineExceededError):
+                dep.stats["expired_requests"] += 1
 
     def _drop_expired(self, dep: _Deployment, batch: list[Request]) -> list[Request]:
         """Fail already-expired requests; return the live ones."""
@@ -1104,7 +1101,8 @@ class FleetServer:
 
     def _serve_batch(
         self, dep: _Deployment, handle: _WorkerHandle, batch: list[Request]
-    ) -> None:
+    ) -> bool:
+        """Serve one pulled batch; False when the worker is gone for good."""
         batch = self._drop_expired(dep, batch)
         # Hedged duplicates whose primary already resolved are dead
         # weight — drop them before shipping bytes to the worker.
@@ -1125,13 +1123,8 @@ class FleetServer:
                 except (EOFError, OSError, BrokenPipeError):
                     with dep.lock:
                         dep.inflight_samples -= len(x)
-                    # No worker saw the groups not yet sent: requeue them
-                    # as they are, outside the crashed call's retry count.
-                    for later, _ in groups[i + 1 :]:
-                        for r in later:
-                            dep.batcher.put(r)
-                    self._handle_crash(dep, handle, requests)
-                    return
+                    unsent = [r for later, _ in groups[i + 1 :] for r in later]
+                    return self._handle_crash(dep, handle, requests, unsent)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             with dep.lock:
                 dep.inflight_samples -= len(x)
@@ -1157,118 +1150,138 @@ class FleetServer:
                 exc = RuntimeError(f"worker execution failed: {payload}")
                 for r in requests:
                     self._fail(dep, r, exc)
+        return True
 
     def _handle_crash(
-        self, dep: _Deployment, handle: _WorkerHandle, batch: list[Request]
-    ) -> None:
-        """Redeliver or fail a crashed batch, respawn, maybe open the breaker.
+        self,
+        dep: _Deployment,
+        handle: _WorkerHandle,
+        batch: list[Request],
+        unsent: list[Request],
+    ) -> bool:
+        """Redeliver or fail a crashed batch, maybe open the breaker, respawn.
 
-        Caller holds ``handle.lock`` (the crash was observed on an
-        in-flight request), so the respawn cannot race the monitor.
+        ``unsent`` (the batch's groups no worker saw) requeue outside the
+        retry count.  A stopped batcher refuses requeues: the requests
+        fail and no worker respawns.  False means the runner must exit.
+        Caller holds ``handle.lock``, so the respawn cannot race the
+        monitor.
         """
         t_crash = time.perf_counter()
+        handle.kill()  # reap whatever is left of the crashed worker
         with dep.lock:
             dep.stats["worker_restarts"] += 1
             dep.crash_times.append(time.monotonic())
         if self._breaker_should_open(dep):
-            self._quarantine(dep, handle, batch)
-            return
+            self._quarantine(dep, "circuit open")
+        reason = "crash" if dep.open_until is None else "circuit open"
         for r in batch:
             if r.future.done():
                 continue  # hedge already resolved it elsewhere
-            if r.retries >= self.max_retries:
-                self._fail(dep, r, WorkerCrashError(dep.snapshot.model, r.retries))
-            else:
-                r.retries += 1
+            if r.retries < self.max_retries and dep.batcher.put(
+                dataclasses.replace(r, retries=r.retries + 1)
+            ):
                 with dep.lock:
                     dep.stats["retried_requests"] += 1
-                dep.batcher.put(r)  # bypasses admission: already accepted
-        handle.kill()  # reap whatever is left before respawning
+            else:
+                self._fail(dep, r, WorkerCrashError(dep.snapshot.model, r.retries, reason))
+        for r in unsent:
+            if not dep.batcher.put(r):
+                self._fail(dep, r, WorkerCrashError(dep.snapshot.model, r.retries, reason))
+        if dep.batcher.state == STOPPED:
+            return False
         try:
             handle.spawn()
-        except BaseException as exc:
-            # Without a worker this runner is useless; fail anything
-            # still queued so no accepted future hangs, then exit.
-            for r in dep.batcher.drain_now():
-                self._fail(dep, r, RuntimeError(f"worker respawn failed: {exc}"))
-            raise
+        except Exception as exc:
+            # Without a worker this runner is useless: open the breaker,
+            # which fails the queue structurally, and exit cleanly.
+            self._journal.record(
+                "respawn_failed",
+                model=dep.snapshot.model,
+                worker=handle.name,
+                detail=f"{type(exc).__name__}: {exc}",
+            )
+            self._quarantine(dep, "respawn failed")
+            return False
         dep.last_recovery_ms = (time.perf_counter() - t_crash) * 1e3
+        return True
 
     # -- circuit breaker ---------------------------------------------------
 
     def _breaker_should_open(self, dep: _Deployment) -> bool:
-        if self.breaker_threshold is None or dep.quarantined:
+        if self.breaker_threshold is None:
             return False
         cutoff = time.monotonic() - self.breaker_window_s
         with dep.lock:
             recent = sum(1 for t in dep.crash_times if t >= cutoff)
         return recent >= self.breaker_threshold
 
-    def _quarantine(
-        self, dep: _Deployment, handle: _WorkerHandle, batch: list[Request]
-    ) -> None:
-        """Open the breaker: fail the queue, stop workers, start cooldown.
+    def _quarantine(self, dep: _Deployment, reason: str) -> None:
+        """Open the breaker: stop the batcher, fail its queue, kill workers.
 
-        Only this model degrades — its runner threads exit (sentinels +
-        the ``quarantined`` flag) and its workers die, while every other
-        deployment keeps serving untouched.
+        Quarantine is the stopped batcher plus ``open_until``.  Only this
+        model degrades — its runners see the stopped batcher and exit,
+        its workers die — while every other deployment keeps serving.
+        A deployment whose breaker is already open stays as it is.
         """
-        model = dep.snapshot.model
         with dep.lock:
+            if dep.open_until is not None:
+                return
+            dep.open_until = time.monotonic() + self.breaker_cooldown_s
             dep.stats["breaker_opens"] += 1
-        dep.quarantined = True
-        dep.open_until = time.monotonic() + self.breaker_cooldown_s
-        self._journal.record("circuit_open", model=model, cooldown_s=self.breaker_cooldown_s)
-        exc = WorkerCrashError(dep.snapshot.model, self.max_retries, reason="circuit open")
-        for r in batch:
+        model = dep.snapshot.model
+        self._journal.record(
+            "circuit_open", model=model, reason=reason, cooldown_s=self.breaker_cooldown_s
+        )
+        exc = WorkerCrashError(model, self.max_retries, reason=reason)
+        for r in dep.batcher.close(drain=False):
             self._fail(dep, r, exc)
-        for r in dep.batcher.drain_now():
-            self._fail(dep, r, exc)
-        dep.batcher.put_sentinel(len(dep.runners))
-        handle.kill()
-        for other in dep.handles:
-            if other is not handle:
-                # Sibling runners may be mid-request; kill reaps the
-                # process, their pipe read fails, and the quarantine
-                # flag stops them before a respawn.
-                other.kill()
+        for handle in dep.handles:
+            # Sibling runners may be mid-request: their pipe read fails,
+            # and the stopped batcher keeps them from respawning.
+            handle.kill()
 
     def _revive(self, dep: _Deployment) -> None:
-        """Half-open -> closed: respawn workers and runners after cooldown.
+        """Half-open -> closed: retire the old workers, serve with fresh ones.
 
-        Called with ``_submit_lock`` held (lazy revival on submit) or
-        from the monitor (which takes the lock itself).  A crash after
-        revival re-opens the breaker through the normal counting path.
+        Joins the old runners and kills every old worker before any
+        fresh one starts.  Called with ``_submit_lock`` held (lazy
+        revival on submit, or the monitor).  A crash after revival
+        re-opens the breaker through the normal counting path; a worker
+        that fails to start keeps the breaker open another cooldown.
         """
         t0 = time.perf_counter()
         model = dep.snapshot.model
-        fresh_handles: list[_WorkerHandle] = []
-        for i, old in enumerate(dep.handles):
-            handle = _WorkerHandle(
-                self._ctx, dep.snapshot, f"repro-fleet-{model}-{i}", self.ready_timeout_s
+        for runner in dep.runners:
+            runner.join()
+        for handle in dep.handles:
+            handle.kill()
+        try:
+            for handle in dep.handles:
+                handle.spawn()
+        except Exception as exc:
+            dep.open_until = time.monotonic() + self.breaker_cooldown_s
+            self._journal.record(
+                "respawn_failed", model=model, detail=f"{type(exc).__name__}: {exc}"
             )
-            fresh_handles.append(handle)
-        dep.handles = fresh_handles
-        dep.runners = []
-        for i, handle in enumerate(dep.handles):
-            runner = threading.Thread(
-                target=self._run_worker,
-                args=(dep, handle),
-                name=f"repro-fleet-runner-{model}-{i}",
-                daemon=True,
-            )
-            dep.runners.append(runner)
-        dep.quarantined = False
+            return
+        dep.runners = [self._runner(dep, h, i) for i, h in enumerate(dep.handles)]
         with dep.lock:
             dep.crash_times.clear()
-        # Runners that exited through the quarantine flag never consumed
-        # their sentinel; purge the stale markers or the fresh runners
-        # would stop before serving anything.
-        dep.batcher.clear_sentinels()
+        dep.batcher.reopen()
+        dep.open_until = None
         for runner in dep.runners:
             runner.start()
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
         self._journal.record("circuit_closed", model=model)
+
+    def _runner(self, dep: _Deployment, handle: _WorkerHandle, i: int) -> threading.Thread:
+        return threading.Thread(
+            target=self._run_worker,
+            args=(dep, handle),
+            name=f"repro-fleet-runner-{dep.snapshot.model}-{i}",
+            daemon=True,
+        )
 
     # -- health monitor ----------------------------------------------------
 
@@ -1295,10 +1308,10 @@ class FleetServer:
                 return
             deployments = list(self._deployments.values())
             for dep in deployments:
-                if dep.quarantined and time.monotonic() >= dep.open_until:
+                if dep.open_until is not None and time.monotonic() >= dep.open_until:
                     self._revive(dep)
         for dep in deployments:
-            if dep.quarantined or dep.abandon:
+            if dep.batcher.state != OPEN:
                 continue
             for handle in dep.handles:
                 if not handle.lock.acquire(blocking=False):
@@ -1325,10 +1338,9 @@ class FleetServer:
         if healthy:
             return
         t0 = time.perf_counter()
-        handle.kill()
         try:
             handle.spawn()
-        except BaseException as exc:
+        except Exception as exc:
             self._journal.record(
                 "respawn_failed",
                 model=dep.snapshot.model,
@@ -1392,7 +1404,6 @@ class FleetServer:
         for handle in dep.handles:
             with handle.lock:
                 handle.snapshot = dep.snapshot
-                handle.kill()
                 handle.spawn()
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
         self._journal.record(
@@ -1441,7 +1452,7 @@ class FleetServer:
             row["queued_samples"] = dep.batcher.pending_samples
             row["workers_alive"] = sum(1 for h in dep.handles if h.alive)
             row["workers"] = len(dep.handles)
-            row["quarantined"] = dep.quarantined
+            row["quarantined"] = dep.open_until is not None
             row["last_recovery_ms"] = (
                 round(dep.last_recovery_ms, 3)
                 if dep.last_recovery_ms is not None
@@ -1453,9 +1464,11 @@ class FleetServer:
     def close(self, drain: bool = True) -> None:
         """Stop the fleet (idempotent).
 
-        With ``drain`` (default) every accepted request is served (or
-        structurally failed) before workers stop; without it, queued
-        requests fail with ``RuntimeError`` immediately.
+        With ``drain`` (default) every batcher drains: each accepted
+        request is served (or structurally failed) before its runners
+        exit.  Without it, queued requests fail with ``RuntimeError``
+        immediately.  Either way every batcher ends stopped, every
+        accepted future is resolved and every worker is stopped.
         """
         self._monitor_stop.set()
         if self._monitor is not None and self._monitor is not threading.current_thread():
@@ -1465,17 +1478,15 @@ class FleetServer:
                 return
             self._closed = True
             deployments = list(self._deployments.values())
-            for dep in deployments:
-                dep.abandon = not drain
-                # Sentinels land behind every accepted request (the lock
-                # excludes in-flight submits), one per runner thread.
-                dep.batcher.put_sentinel(len(dep.runners))
+        closed = RuntimeError("fleet closed")
         for dep in deployments:
-            if not drain:
-                for r in dep.batcher.drain_now():
-                    r.future.set_exception(RuntimeError("fleet closed"))
+            for r in dep.batcher.close(drain):
+                self._fail(dep, r, closed)
+        for dep in deployments:
             for runner in dep.runners:
                 runner.join(timeout=60.0)
+            for r in dep.batcher.close(drain=False):
+                self._fail(dep, r, closed)
             for handle in dep.handles:
                 handle.stop()
 

@@ -17,6 +17,13 @@ batcher with one consumer thread per worker process, so both frontends
 share one coalescing policy (and one set of deadline semantics — see
 the regression tests pinning them).
 
+The batcher also owns the serving lifecycle: it is ``open``,
+``draining`` or ``stopped``, and both frontends shut down (and the
+fleet quarantines and revives a model) only through
+:meth:`MicroBatcher.close` and :meth:`MicroBatcher.reopen`.  A stopped
+batcher refuses new work and holds none, and a consumer stops exactly
+when :meth:`MicroBatcher.next_batch` returns an empty batch.
+
 :func:`run_load` is the closed-loop load generator used by the serving
 benchmark (``python -m repro serve-bench`` and the perf harness): each
 simulated client submits a request, waits for its response, and
@@ -28,9 +35,9 @@ fleet lives in :mod:`repro.runtime.serving_bench`.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
-import queue
 import threading
 import time
 
@@ -65,7 +72,7 @@ class Request:
     hedged: bool = False
 
 
-_SENTINEL = object()
+OPEN, DRAINING, STOPPED = "open", "draining", "stopped"
 
 
 def shape_groups(batch: list[Request]) -> list[tuple[list[Request], np.ndarray]]:
@@ -84,7 +91,7 @@ def shape_groups(batch: list[Request]) -> list[tuple[list[Request], np.ndarray]]
 
 
 class MicroBatcher:
-    """Thread-safe request queue with micro-batch coalescing.
+    """Thread-safe request queue with micro-batch coalescing and a lifecycle.
 
     Consumers call :meth:`next_batch`, which blocks for the first
     request and then coalesces further queued requests until either the
@@ -93,12 +100,20 @@ class MicroBatcher:
     budget, measured from the **oldest** request's arrival, expires.
 
     Multiple consumers may pull concurrently (the fleet runs one
-    consumer per worker process); each builds its own batch.  Shutdown
-    is per-consumer: :meth:`put_sentinel` enqueues stop markers behind
-    every already-accepted request, and a consumer that receives
-    ``(batch, True)`` should finish ``batch`` and stop.  The pending
-    request/sample counters let admission control and drain logic see
-    queue depth without trusting ``queue.qsize`` approximations.
+    consumer per worker process); each builds its own batch.  The
+    batcher has one lifecycle state, guarded by the same condition as
+    its queue and pending counters:
+
+    * ``open`` — :meth:`put` enqueues, :meth:`next_batch` blocks for work;
+    * ``draining`` (``close(drain=True)``) — :meth:`put` still enqueues
+      (a crashed batch's requeue must land), and consumers keep pulling
+      until the queue is empty;
+    * ``stopped`` (``close(drain=False)``) — the queue is handed back to
+      the caller and :meth:`put` refuses, so a stopped queue is empty.
+
+    :meth:`next_batch` returns an empty batch exactly when the state is
+    stopped, or draining with nothing queued: the consumer should exit.
+    :meth:`reopen` returns to ``open``.
     """
 
     def __init__(self, max_batch: int = 64, max_delay_ms: float = 2.0, policy=None):
@@ -114,129 +129,115 @@ class MicroBatcher:
         #: constructor knobs remain the static fallback and the policy's
         #: own caps.
         self.policy = policy
-        self._queue: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._pending_requests = 0
+        self._queue: collections.deque[Request] = collections.deque()
+        self._cond = threading.Condition()
+        self._state = OPEN
         self._pending_samples = 0
 
     # -- producer side ----------------------------------------------------
 
-    def put(self, request: Request) -> None:
-        """Enqueue one request (no admission policy — callers gate)."""
-        with self._lock:
-            self._pending_requests += 1
-            self._pending_samples += len(request.x)
-        self._queue.put(request)
+    def put(self, request: Request) -> bool:
+        """Enqueue one request; False (not queued) once stopped.
 
-    def put_sentinel(self, n: int = 1) -> None:
-        """Enqueue ``n`` stop markers (one per consumer to stop)."""
-        for _ in range(n):
-            self._queue.put(_SENTINEL)
+        No admission policy — callers gate.
+        """
+        with self._cond:
+            if self._state == STOPPED:
+                return False
+            self._queue.append(request)
+            self._pending_samples += len(request.x)
+            self._cond.notify()
+        return True
 
     # -- consumer side ----------------------------------------------------
 
-    def _account(self, request: Request) -> Request:
-        with self._lock:
-            self._pending_requests -= 1
-            self._pending_samples -= len(request.x)
+    def _pop(self) -> Request:
+        request = self._queue.popleft()
+        self._pending_samples -= len(request.x)
         return request
 
-    def next_batch(self) -> tuple[list[Request], bool]:
-        """Block for the next micro-batch; ``(batch, stop)``.
+    def next_batch(self) -> list[Request]:
+        """Block for the next micro-batch; empty means stop.
 
-        ``stop`` is True when a sentinel was consumed — the batch (which
-        may be empty) must still be served, after which this consumer
-        should exit.  The coalescing deadline is ``oldest.arrival +
-        max_delay_s``: requests arriving later in the window wait only
-        the *remaining* budget, so no request waits more than the full
-        budget before dispatch however empty the batch.  Past the
-        deadline (a zero-delay drain decision starts there) the pull
-        still takes everything already queued, up to ``max_batch``.
+        The coalescing deadline is ``oldest.arrival + max_delay_s``:
+        requests arriving later in the window wait only the *remaining*
+        budget, so no request waits more than the full budget before
+        dispatch however empty the batch.  Past the deadline (a
+        zero-delay drain decision starts there) the pull still takes
+        everything already queued, up to ``max_batch``; once the batcher
+        is no longer open it stops waiting for more.
         """
-        first = self._queue.get()
-        if first is _SENTINEL:
-            return [], True
+        with self._cond:
+            while not self._queue and self._state == OPEN:
+                self._cond.wait()
+            if self._state == STOPPED or not self._queue:
+                return []
+            pending = self._pending_samples
+            first = self._pop()
         if self.policy is not None:
-            decision = self.policy.batch_decision(self.pending_samples)
+            decision = self.policy.batch_decision(pending)
             max_batch, max_delay_s = decision.max_batch, decision.max_delay_ms / 1e3
         else:
             max_batch, max_delay_s = self.max_batch, self.max_delay_s
-        batch = [self._account(first)]
+        batch = [first]
         total = len(first.x)
         deadline = first.arrival + max_delay_s
-        while total < max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                item = self._queue.get_nowait() if remaining <= 0 else self._queue.get(
-                    timeout=remaining
-                )
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                return batch, True
-            batch.append(self._account(item))
-            total += len(item.x)
-        return batch, False
+        with self._cond:
+            while total < max_batch:
+                if self._queue:
+                    batch.append(self._pop())
+                    total += len(batch[-1].x)
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._state != OPEN:
+                    break
+                self._cond.wait(remaining)
+        return batch
 
-    def drain_now(self) -> list[Request]:
-        """Pull every queued request immediately (sentinels preserved).
+    # -- lifecycle --------------------------------------------------------
 
-        Used by no-drain shutdown to fail pending requests.  Sentinels
-        encountered are re-enqueued so consumers still see their stop
-        markers.
+    def close(self, drain: bool) -> list[Request]:
+        """Drain (``draining``) or stop (``stopped``); idempotent.
+
+        Without ``drain`` the queued requests are removed and returned —
+        the caller resolves them — and :meth:`put` refuses from then on.
+        Wakes every blocked consumer either way.
         """
-        drained: list[Request] = []
-        sentinels = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                sentinels += 1
-            else:
-                drained.append(self._account(item))
-        self.put_sentinel(sentinels)
-        return drained
-
-    def clear_sentinels(self) -> int:
-        """Remove queued stop markers, keeping requests in order.
-
-        A quarantined deployment's runners may exit via the quarantine
-        flag without consuming their sentinel; reviving it must purge
-        those stale markers or the fresh runners stop immediately.  Only
-        safe while no consumer is pulling (the fleet calls this with all
-        runners exited and submits excluded).  Returns the count removed.
-        """
-        kept: list = []
-        removed = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                removed += 1
-            else:
-                kept.append(item)
-        for item in kept:
-            # Straight re-queue: these were never un-accounted, so the
-            # pending counters must not move.
-            self._queue.put(item)
+        with self._cond:
+            removed: list[Request] = []
+            if not drain:
+                self._state = STOPPED
+                removed = list(self._queue)
+                self._queue.clear()
+                self._pending_samples = 0
+            elif self._state == OPEN:
+                self._state = DRAINING
+            self._cond.notify_all()
         return removed
+
+    def reopen(self) -> None:
+        """Return to ``open``: accept and serve requests again."""
+        with self._cond:
+            self._state = OPEN
 
     # -- introspection ----------------------------------------------------
 
     @property
+    def state(self) -> str:
+        """``"open"``, ``"draining"`` or ``"stopped"``."""
+        with self._cond:
+            return self._state
+
+    @property
     def pending_requests(self) -> int:
         """Requests accepted but not yet pulled into a batch."""
-        with self._lock:
-            return self._pending_requests
+        with self._cond:
+            return len(self._queue)
 
     @property
     def pending_samples(self) -> int:
         """Samples accepted but not yet pulled into a batch."""
-        with self._lock:
+        with self._cond:
             return self._pending_samples
 
 
@@ -277,10 +278,6 @@ class InferenceServer:
         )
         self.max_batch = self.batcher.max_batch
         self.max_delay_s = self.batcher.max_delay_s
-        self._closed = False
-        #: Serialises the closed-flag check in submit() against close(),
-        #: so no request can land behind the shutdown sentinel.
-        self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._stats = {"requests": 0, "samples": 0, "batches": 0, "max_batch_samples": 0}
         self._worker = threading.Thread(
@@ -301,21 +298,16 @@ class InferenceServer:
         if x.ndim < 2:
             raise ValueError("requests must have a leading sample axis (n, ...)")
         future: concurrent.futures.Future = concurrent.futures.Future()
-        with self._submit_lock:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            self.batcher.put(Request(x, future, time.monotonic()))
+        if not self.batcher.put(Request(x, future, time.monotonic())):
+            raise RuntimeError("server is closed")
         return future
 
     # -- dispatcher -------------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
-            batch, stop = self.batcher.next_batch()
+        while batch := self.batcher.next_batch():
             for requests, x in shape_groups(batch):
                 self._serve(requests, x)
-            if stop:
-                break
 
     def _serve(self, batch: list[Request], x: np.ndarray) -> None:
         try:
@@ -352,21 +344,15 @@ class InferenceServer:
     def close(self, drain: bool = True) -> None:
         """Stop the dispatcher (idempotent).
 
-        With ``drain`` (the default) every request submitted before the
-        call is still served; without it, queued requests are failed
-        with ``RuntimeError``.
+        With ``drain`` (the default) the batcher drains: every request
+        accepted before the dispatcher finds the queue empty is served.
+        Without it, queued requests are failed with ``RuntimeError``.
+        Either way the batcher ends stopped, so later submits raise.
         """
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            # The sentinel lands behind every accepted request (the lock
-            # excludes in-flight submits), so drain really drains.
-            self.batcher.put_sentinel()
-        if not drain:
-            for r in self.batcher.drain_now():
-                r.future.set_exception(RuntimeError("server closed"))
+        removed = self.batcher.close(drain)
         self._worker.join()
+        for r in removed + self.batcher.close(drain=False):
+            r.future.set_exception(RuntimeError("server closed"))
         self.engine.close()
 
     def __enter__(self) -> "InferenceServer":

@@ -1,0 +1,239 @@
+"""Model-based test of the fleet's deployment lifecycle.
+
+A hypothesis ``RuleBasedStateMachine`` drives a real two-worker LeNet
+:class:`~repro.runtime.fleet.FleetServer` through random interleavings
+of its lifecycle: submit (with and without a deadline), kill a worker
+process, open the circuit breaker, wait out its cooldown, and close
+with or without drain.  A reference model checks the fleet after every
+step and after close:
+
+* the books never overdraw, and balance after close:
+  ``accepted == completed + failed``;
+* a stopped batcher holds no request;
+* ``circuit_open`` sheds happen only while the breaker is open, and a
+  request is accepted only once it has lifted;
+* every accepted future is done when ``close`` returns, with data equal
+  to a parent-side plan's bytes or a structured error;
+* no worker process is alive after close;
+* after recovery (respawns and revives) every worker's
+  :func:`~repro.runtime.fleet.plan_digest` equals a parent-side compile.
+
+The fleet opens its breaker on its own when a respawn fails — here,
+when a worker is killed while it boots — so the model adopts every
+breaker open the fleet counts.  ``test_fleet_lifecycle.py`` holds the
+deterministic regressions.
+"""
+
+import functools
+import multiprocessing
+import time
+
+import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.runtime.fleet import (
+    DeadlineExceededError,
+    FleetServer,
+    ShedLoadError,
+    WorkerCrashError,
+    plan_digest,
+    rebuild_plan,
+    snapshot_model,
+)
+
+COOLDOWN_S = 0.1
+WORKERS = 2
+
+
+@functools.cache
+def _snapshot():
+    return snapshot_model("lenet", backend="daism")
+
+
+@functools.cache
+def _parent_plan():
+    return rebuild_plan(_snapshot())
+
+
+def _x(n, seed):
+    return (
+        np.random.default_rng(seed)
+        .standard_normal((n, 1, 16, 16))
+        .astype(np.float32)
+    )
+
+
+class FleetLifecycle(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.children_before = {p.pid for p in multiprocessing.active_children()}
+        self.fleet = FleetServer(
+            workers=WORKERS,
+            max_batch=4,
+            max_delay_ms=1.0,
+            max_retries=1,
+            breaker_cooldown_s=COOLDOWN_S,
+            heartbeat_interval_s=None,
+        )
+        self.fleet.register(_snapshot())
+        self.dep = self.fleet._deployment("lenet")
+        #: ``(x, deadline_set, future)`` per accepted request.
+        self.accepted: list[tuple[np.ndarray, bool, object]] = []
+        #: When the model believes the open breaker lifts (None: shut).
+        self.until: float | None = None
+        self.opens = 0
+        self.disrupted = False
+        self.closed = False
+
+    def _sync(self) -> None:
+        """Adopt every breaker open the fleet counted since the last look."""
+        with self.dep.lock:
+            opens, until = self.dep.stats["breaker_opens"], self.dep.open_until
+        if opens > self.opens:
+            self.opens = opens
+            self.until = until
+            self.disrupted = True
+
+    # -- steps ---------------------------------------------------------------
+
+    @precondition(lambda self: not self.closed)
+    @rule(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 3),
+        timeout_ms=st.none() | st.sampled_from([0.001, 30_000.0]),
+    )
+    def submit(self, n, seed, timeout_ms):
+        x = _x(n, seed)
+        t0 = time.monotonic()
+        try:
+            future = self.fleet.submit("lenet", x, timeout_ms=timeout_ms)
+        except ShedLoadError as exc:
+            if exc.reason == "circuit_open":
+                self._sync()
+                assert self.until is not None and t0 < self.until
+                return
+            # Anything else means the breaker was shut or lifted.
+            assert exc.reason == "sla_unmeetable" and timeout_ms is not None
+        else:
+            self.accepted.append((x, timeout_ms is not None, future))
+        if self.until is not None:
+            assert time.monotonic() >= self.until, "admitted while the breaker was open"
+        self.until = None
+
+    @precondition(lambda self: not self.closed)
+    @rule(index=st.integers(0, WORKERS - 1))
+    def kill_worker(self, index):
+        workers = self.fleet.workers("lenet")
+        if index < len(workers):
+            workers[index].kill()
+            workers[index].join(5.0)
+            self.disrupted = True
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def open_breaker(self):
+        # What a crash storm does once it reaches the breaker threshold;
+        # a breaker already open stays as it is.
+        self.fleet._quarantine(self.dep, "circuit open")
+        opened_by = time.monotonic()
+        self._sync()
+        assert self.until is not None and self.until <= opened_by + COOLDOWN_S
+        assert self.dep.batcher.state == "stopped"
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def wait_out_cooldown(self):
+        if self.until is not None:
+            time.sleep(max(0.0, self.until - time.monotonic()) + 0.01)
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def digests_match_parent_compile(self):
+        stats = self.fleet.stats()["lenet"]
+        if stats["quarantined"] or stats["workers_alive"] < WORKERS:
+            return  # a killed worker waits for the request that respawns it
+        want = plan_digest(_parent_plan())
+        assert self.fleet.plan_digests("lenet") == [want] * WORKERS
+
+    @precondition(lambda self: not self.closed)
+    @rule(drain=st.booleans())
+    def close(self, drain):
+        self.fleet.close(drain=drain)
+        self.closed = True
+        self._sync()
+        self._check_closed(drain)
+
+    @precondition(lambda self: self.closed)
+    @rule()
+    def submit_after_close_is_refused(self):
+        try:
+            self.fleet.submit("lenet", _x(1, 0))
+        except ShedLoadError:
+            raise AssertionError("a closed fleet sheds instead of refusing") from None
+        except RuntimeError as exc:
+            assert "closed" in str(exc)
+        else:
+            raise AssertionError("a closed fleet accepted a request")
+
+    # -- the reference model -------------------------------------------------
+
+    @invariant()
+    def books_never_overdraw(self):
+        self._sync()
+        stats = self.fleet.stats()["lenet"]
+        assert stats["accepted_requests"] == len(self.accepted)
+        assert stats["completed_requests"] + stats["failed_requests"] <= len(self.accepted)
+        if self.dep.batcher.state == "stopped":
+            assert self.dep.batcher.pending_requests == 0
+
+    def _check_closed(self, drain):
+        plan = _parent_plan()
+        for x, has_deadline, future in self.accepted:
+            assert future.done()
+            exc = future.exception()
+            if exc is None:
+                np.testing.assert_array_equal(
+                    future.result().view(np.uint32), plan.execute(x).view(np.uint32)
+                )
+                continue
+            expected = [WorkerCrashError, DeadlineExceededError]
+            if not drain:
+                expected.append(RuntimeError)  # queued at close: "fleet closed"
+            assert isinstance(exc, tuple(expected)), exc
+            if drain and not self.disrupted:
+                # Nothing crashed: only a missed deadline can fail a request.
+                assert has_deadline and isinstance(exc, DeadlineExceededError), exc
+        stats = self.fleet.stats()["lenet"]
+        assert (
+            stats["accepted_requests"]
+            == stats["completed_requests"] + stats["failed_requests"]
+            == len(self.accepted)
+        )
+        assert stats["workers_alive"] == 0
+        leaked = [
+            p
+            for p in multiprocessing.active_children()
+            if p.pid not in self.children_before
+        ]
+        assert leaked == []
+
+    def teardown(self):
+        if not self.closed:
+            self.close(drain=True)
+
+
+FleetLifecycle.TestCase.settings = settings(
+    max_examples=12,
+    stateful_step_count=10,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestFleetLifecycle = FleetLifecycle.TestCase

@@ -135,8 +135,7 @@ class TestMicroBatcherAdaptive:
         batcher = MicroBatcher(max_batch=1024, max_delay_ms=50.0, policy=policy)
         for _ in range(cap + 5):
             batcher.put(self._request(1))
-        batch, stop = batcher.next_batch()
-        assert not stop
+        batch = batcher.next_batch()
         assert sum(len(r.x) for r in batch) == cap
         assert batcher.pending_requests == 5
 
@@ -150,7 +149,7 @@ class TestMicroBatcherAdaptive:
         batcher.put(self._request(1, arrival=stale))
         batcher.put(self._request(1, arrival=stale))
         t0 = time.monotonic()
-        batch, _ = batcher.next_batch()
+        batch = batcher.next_batch()
         assert time.monotonic() - t0 < 0.5
         assert len(batch) == 2
 
@@ -158,7 +157,7 @@ class TestMicroBatcherAdaptive:
         batcher = MicroBatcher(max_batch=8, max_delay_ms=0.0)
         for _ in range(3):
             batcher.put(self._request(4))
-        batch, _ = batcher.next_batch()
+        batch = batcher.next_batch()
         # Static threshold semantics: stop at >= max_batch, never split.
         assert sum(len(r.x) for r in batch) == 8
 

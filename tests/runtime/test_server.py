@@ -1,5 +1,6 @@
 """Micro-batching inference server: coalescing, correctness, lifecycle."""
 
+import sys
 import threading
 import time
 
@@ -198,8 +199,7 @@ class TestMicroBatcher:
         batcher.put(self._req(2))
         assert batcher.pending_requests == 2
         assert batcher.pending_samples == 5
-        batch, stop = batcher.next_batch()
-        assert not stop
+        batch = batcher.next_batch()
         assert len(batch) >= 1
         assert batcher.pending_requests == 2 - len(batch)
 
@@ -208,32 +208,123 @@ class TestMicroBatcher:
         batcher = MicroBatcher(max_batch=8, max_delay_ms=0.0)
         for i in range(10):
             batcher.put(self._req(1, seed=i))
-        batch, stop = batcher.next_batch()
-        assert not stop
+        batch = batcher.next_batch()
         assert len(batch) == 8
         assert batcher.pending_requests == 2
 
-    def test_sentinel_stops_consumer(self):
-        batcher = MicroBatcher(max_batch=4, max_delay_ms=0.0)
-        batcher.put_sentinel()
-        batch, stop = batcher.next_batch()
-        assert batch == []
-        assert stop
+    @staticmethod
+    def _consumers(batcher, n, hold_s=0.0):
+        """Start ``n`` consumers that pull until told to stop."""
+        served: list[Request] = []
 
-    def test_drain_now_preserves_sentinels(self):
-        """Draining mustn't eat another consumer's shutdown signal."""
+        def consume():
+            while batch := batcher.next_batch():
+                served.extend(batch)
+                time.sleep(hold_s)  # a slow worker: the queue backs up
+
+        threads = [threading.Thread(target=consume, daemon=True) for _ in range(n)]
+        for t in threads:
+            t.start()
+        time.sleep(0.05)  # every consumer blocks on the empty queue
+        return served, threads
+
+    @staticmethod
+    def _join(threads):
+        for t in threads:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in threads)
+
+    def _assert_empty(self, batcher):
+        assert (batcher.pending_requests, batcher.pending_samples) == (0, 0)
+
+    def test_drain_serves_queue_then_stops_every_blocked_consumer(self):
+        batcher = MicroBatcher(max_batch=1, max_delay_ms=0.0)
+        served, threads = self._consumers(batcher, 3, hold_s=0.02)
+        requests = [self._req(i % 3 + 1, seed=i) for i in range(9)]
+        for r in requests:
+            assert batcher.put(r)
+        assert batcher.close(drain=True) == []
+        assert batcher.state == "draining"
+        self._join(threads)
+        assert sorted(map(id, served)) == sorted(map(id, requests))
+        self._assert_empty(batcher)
+
+    def test_draining_accepts_requeues(self):
+        """A crashed batch's requeue lands while draining, and is served."""
         batcher = MicroBatcher(max_batch=4, max_delay_ms=50.0)
-        batcher.put(self._req(1))
-        batcher.put_sentinel(2)
-        batcher.put(self._req(2))
-        drained = batcher.drain_now()
-        assert len(drained) == 2
-        assert batcher.pending_requests == 0
-        # Both sentinels are still deliverable after the drain.
-        for _ in range(2):
-            batch, stop = batcher.next_batch()
-            assert batch == []
-            assert stop
+        first = self._req(2)
+        batcher.put(first)
+        batcher.close(drain=True)
+        requeued = self._req(3, seed=1)
+        assert batcher.put(requeued)
+        assert (batcher.pending_requests, batcher.pending_samples) == (2, 5)
+        assert batcher.next_batch() == [first, requeued]  # no wait for more
+        self._assert_empty(batcher)
+        assert batcher.next_batch() == []  # draining and empty: stop
+
+    def test_stop_returns_queue_and_stops_every_consumer(self):
+        batcher = MicroBatcher(max_batch=1, max_delay_ms=0.0)
+        served, threads = self._consumers(batcher, 3, hold_s=0.05)
+        requests = [self._req(2, seed=i) for i in range(9)]
+        for r in requests:
+            batcher.put(r)
+        removed = batcher.close(drain=False)
+        assert batcher.state == "stopped"
+        self._assert_empty(batcher)
+        self._join(threads)
+        # Every request went exactly one way: pulled, or handed back.
+        assert sorted(map(id, served + removed)) == sorted(map(id, requests))
+        handed_back = set(map(id, removed))
+        assert removed == [r for r in requests if id(r) in handed_back]  # in order
+
+    def test_concurrent_pulls_take_each_request_exactly_once(self):
+        """More consumers and producers than cores, switching often."""
+        batcher = MicroBatcher(max_batch=3, max_delay_ms=0.5)
+        requests = [self._req(1 + i % 2, seed=i) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            served, consumers = self._consumers(batcher, 4)
+
+            def produce(part):
+                for r in part:
+                    batcher.put(r)
+
+            producers = [
+                threading.Thread(target=produce, args=(requests[k::2],)) for k in range(2)
+            ]
+            for t in producers:
+                t.start()
+            self._join(producers)
+            batcher.close(drain=True)
+            self._join(consumers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(served) == len(requests)
+        assert sorted(map(id, served)) == sorted(map(id, requests))
+        self._assert_empty(batcher)
+
+    def test_put_on_stopped_batcher_is_refused(self):
+        batcher = MicroBatcher(max_batch=4, max_delay_ms=0.0)
+        queued = self._req(2)
+        batcher.put(queued)
+        assert batcher.close(drain=False) == [queued]
+        assert batcher.put(self._req(1)) is False
+        self._assert_empty(batcher)
+        assert batcher.next_batch() == []
+        assert batcher.close(drain=True) == []  # stays stopped
+        assert batcher.state == "stopped"
+
+    def test_reopen_serves_again(self):
+        batcher = MicroBatcher(max_batch=4, max_delay_ms=0.0)
+        batcher.close(drain=False)
+        batcher.reopen()
+        assert batcher.state == "open"
+        r = self._req(3)
+        assert batcher.put(r)
+        assert (batcher.pending_requests, batcher.pending_samples) == (1, 3)
+        assert batcher.next_batch() == [r]
+        self._assert_empty(batcher)
 
     def test_validates_configuration(self):
         with pytest.raises(ValueError):
