@@ -286,6 +286,9 @@ def _kernel_flag(parser: "argparse.ArgumentParser") -> None:
     )
 
 
+_DELAY_HELP = "coalescing delay of the static policy; the cost model never waits"
+
+
 def _policy_flag(parser: "argparse.ArgumentParser") -> None:
     """Add the shared ``--policy`` option to a bench subcommand parser."""
     parser.add_argument(
@@ -295,7 +298,7 @@ def _policy_flag(parser: "argparse.ArgumentParser") -> None:
         help=(
             "scheduling policy: 'static' serves with the configured knobs "
             "unchanged; 'cost_model' lets the architecture cost model pick "
-            "micro-batch size, coalescing delay and worker count online"
+            "micro-batch size and worker count online, and never waits to coalesce"
         ),
     )
 
@@ -335,7 +338,7 @@ def serve_bench(argv: list[str]) -> int:
     parser.add_argument("--duration", type=float, default=1.0, help="measured seconds")
     parser.add_argument("--request-samples", type=int, default=4, help="samples per request")
     parser.add_argument("--max-batch", type=int, default=64, help="micro-batch sample threshold")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0, help="coalescing latency budget")
+    parser.add_argument("--max-delay-ms", type=float, default=2.0, help=_DELAY_HELP)
     parser.add_argument("--shards", type=int, default=1, help="engine shard threads")
     _policy_flag(parser)
     parser.add_argument(
@@ -444,7 +447,7 @@ def fleet_bench(argv: list[str]) -> int:
     )
     parser.add_argument("--request-samples", type=int, default=4, help="samples per request")
     parser.add_argument("--max-batch", type=int, default=64, help="micro-batch sample threshold")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0, help="coalescing latency budget")
+    parser.add_argument("--max-delay-ms", type=float, default=2.0, help=_DELAY_HELP)
     parser.add_argument(
         "--max-queue-samples", type=int, default=256, help="admission queue depth per model"
     )
@@ -561,7 +564,7 @@ def trace_replay(argv: list[str]) -> int:
     )
     parser.add_argument("--request-samples", type=int, default=4, help="samples per request")
     parser.add_argument("--max-batch", type=int, default=64, help="micro-batch sample threshold")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0, help="coalescing latency budget")
+    parser.add_argument("--max-delay-ms", type=float, default=2.0, help=_DELAY_HELP)
     parser.add_argument(
         "--sla-ms",
         type=float,

@@ -1414,18 +1414,25 @@ class FleetServer:
             recovery_ms=dep.last_recovery_ms,
         )
 
-    def plan_digests(self, model: str) -> list[list[str]]:
+    def plan_digests(self, model: str) -> list[list[str] | None]:
         """Per-worker :func:`plan_digest` — the byte-identity proof.
 
         Equal lists across workers (and against a parent-side compile of
         the same snapshot) mean every process runs the same arithmetic
         on the same bits; the chaos matrix asserts this *after* recovery.
+        A worker that is down (quarantined, or killed and not yet
+        respawned) reports ``None``, as :meth:`check_health` reports it
+        ``worker_unreachable``.
         """
         dep = self._deployment(model)
-        out: list[list[str]] = []
+        out: list[list[str] | None] = []
         for handle in dep.handles:
             with handle.lock:
-                status, payload = handle.request(("digest",))
+                try:
+                    status, payload = handle.request(("digest",))
+                except (EOFError, OSError, BrokenPipeError):
+                    out.append(None)
+                    continue
             if status != "ok":
                 raise RuntimeError(f"digest failed on {handle.name}: {payload}")
             out.append(payload)

@@ -28,10 +28,13 @@ Prediction → correction → decision
   so one observation at one batch size calibrates the entire
   amortisation curve.
 
-* **Decision** — :meth:`SchedulingPolicy.batch_decision` (micro-batch
-  size and coalescing delay under the SLA) and
+* **Decision** — :meth:`SchedulingPolicy.batch_decision` (the
+  micro-batch ceiling under the SLA) and
   :meth:`SchedulingPolicy.worker_count` (per-model fleet sizing for a
-  target rate).  Shard counts are not a policy decision: the engine's
+  target rate).  The cost model never waits: a free worker's pull takes
+  what is queued now, so under load the backlog that builds while every
+  worker is busy forms the batch.  ``max_delay_ms`` is the static
+  mode's coalescing knob.  Shard counts are not a policy decision: the engine's
   work rule (:data:`~repro.runtime.engine.SHARD_MIN_MACS`) sets them.
   Decisions are pure functions of the
   surface, the correction factor and the configured knobs, hence
@@ -181,9 +184,10 @@ class SchedulingPolicy:
         Latency SLA the decisions target (``None``: throughput-greedy).
     max_batch / max_delay_ms:
         The static knobs; the adaptive batch never exceeds
-        ``max_batch`` and the adaptive delay never exceeds
-        ``max_delay_ms``.  Any batch size serves the same bytes: the
-        bit-exact kernels are batch-invariant.
+        ``max_batch``.  ``max_delay_ms`` is the static mode's coalescing
+        delay only: cost-model decisions never wait.  Any batch size
+        serves the same bytes: the bit-exact kernels are
+        batch-invariant.
     target_sps:
         Optional offered load (samples/s) for worker sizing.
     seed:
@@ -199,7 +203,8 @@ class SchedulingPolicy:
     #: reactive service-time EWMA it replaces).
     ALPHA = 0.2
     #: Fraction of the SLA budgeted to one batch's service time; the
-    #: rest absorbs queueing, coalescing delay and dispatch overhead.
+    #: rest absorbs queueing and dispatch overhead.  The cost model
+    #: spends none of it on a coalescing delay.
     SLA_SERVICE_FRACTION = 0.5
     #: Relative correction change that triggers a fresh event (bounds
     #: event volume without hiding drift).
@@ -328,9 +333,9 @@ class SchedulingPolicy:
         the largest candidate batch whose corrected service time fits
         ``SLA_SERVICE_FRACTION`` of the SLA (amortisation makes larger
         batches strictly better per sample, so the largest feasible one
-        maximises goodput), and spends what remains of that budget on
-        coalescing delay — except when the queue already holds a full
-        batch, where waiting buys nothing and the delay drops to zero.
+        maximises goodput), or ``max_batch`` for a backlog at the cap or
+        an infeasible SLA, and is work-conserving: its delay is always
+        zero, so a free worker takes what is queued now.
         """
         decision = self._choose_batch(pending_samples)
         with self._lock:
@@ -357,39 +362,26 @@ class SchedulingPolicy:
         if self.mode == "static":
             return BatchDecision(self.max_batch, self.max_delay_ms, "static")
         cap = self.max_batch
-        batch_ms = self.predicted_batch_ms(cap)
-        if batch_ms is None:
-            # Uncalibrated: fall back to the static knobs until the
-            # first observation lands.
-            return BatchDecision(cap, self.max_delay_ms, "cold")
+        if self.correction is None:
+            # Uncalibrated: serve at the cap until the first observation
+            # lands.
+            return BatchDecision(cap, 0.0, "cold")
         if self.sla_ms is None:
-            return BatchDecision(cap, self.max_delay_ms, "no_sla_throughput_greedy")
+            return BatchDecision(cap, 0.0, "no_sla_throughput_greedy")
         if pending_samples >= cap:
             # Backlog already exceeds a full batch: every queued request
             # is latency-bound on drain time, so amortisation (largest
-            # batch, no coalescing wait) is also the goodput-optimal
-            # choice — restore SLA headroom as fast as possible.
+            # batch) is also the goodput-optimal choice.
             return BatchDecision(cap, 0.0, "backlog_drain")
         budget_ms = self.sla_ms * self.SLA_SERVICE_FRACTION
-        chosen = None
-        for candidate in self._candidates():
-            service = self.predicted_batch_ms(candidate)
-            if service is not None and service <= budget_ms:
-                chosen = candidate
-        if chosen is None:
+        fits = [b for b in self._candidates() if self.predicted_batch_ms(b) <= budget_ms]
+        if not fits:
             # Even one sample misses the budget: the SLA is infeasible at
-            # the current corrected speed, so drain at the amortised cap
-            # with no coalescing wait — smaller batches would only slow
-            # the drain further.  Shedding is admission's job.
+            # the current corrected speed, so drain at the amortised cap —
+            # smaller batches would only slow the drain further.
+            # Shedding is admission's job.
             return BatchDecision(cap, 0.0, "sla_infeasible_drain")
-        if pending_samples >= chosen:
-            delay_ms = 0.0
-            reason = "queue_full_batch_no_wait"
-        else:
-            headroom = budget_ms - (self.predicted_batch_ms(chosen) or 0.0)
-            delay_ms = max(0.0, min(self.max_delay_ms, headroom))
-            reason = "sla_batch_fit"
-        return BatchDecision(chosen, delay_ms, reason)
+        return BatchDecision(fits[-1], 0.0, "sla_batch_fit")
 
     def worker_count(self, default_workers: int, max_workers: int | None = None) -> int:
         """Per-model fleet sizing from the corrected throughput prediction.

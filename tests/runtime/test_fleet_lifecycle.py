@@ -7,7 +7,8 @@ never respawns a worker; revive retires every old worker before fresh
 ones start; ``close`` resolves every accepted future and leaves no
 worker process alive, even when it lands during a ``register``; a
 runner whose worker cannot respawn fails its queue structurally and
-exits without an unhandled exception.  The
+exits without an unhandled exception; ``plan_digests`` on a quarantined
+deployment reports its workers as down instead of raising.  The
 randomised counterpart is ``test_fleet_model.py``.
 """
 
@@ -25,6 +26,8 @@ from repro.runtime.fleet import (
     FleetServer,
     ShedLoadError,
     WorkerCrashError,
+    plan_digest,
+    rebuild_plan,
     snapshot_model,
 )
 
@@ -162,3 +165,19 @@ class TestRespawnFailure:
             fleet.close(drain=True)
         _assert_settled(fleet, [future], children_before)
         assert uncaught == []
+
+
+class TestDigestsWhileDown:
+    def test_plan_digests_after_quarantine_reports_the_worker_down(self):
+        snapshot = snapshot_model("lenet", backend="daism")
+        with FleetServer(
+            workers=1, max_batch=4, breaker_cooldown_s=0.1, heartbeat_interval_s=None
+        ) as fleet:
+            fleet.register(snapshot)
+            want = plan_digest(rebuild_plan(snapshot))
+            assert fleet.plan_digests("lenet") == [want]
+            fleet._quarantine(fleet._deployment("lenet"), "circuit open")
+            assert fleet.plan_digests("lenet") == [None]
+            time.sleep(0.15)  # the cooldown lifts; the next submit revives
+            fleet.submit("lenet", _x(1)).result(timeout=30)
+            assert fleet.plan_digests("lenet") == [want]

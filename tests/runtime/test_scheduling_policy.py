@@ -142,9 +142,9 @@ class TestMicroBatcherAdaptive:
     def test_adaptive_deadline_runs_from_oldest_request(self):
         policy = _calibrated()
         batcher = MicroBatcher(max_batch=1024, max_delay_ms=40.0, policy=policy)
-        # The oldest request's budget is already spent: the pull must
-        # return immediately with whatever is queued instead of waiting
-        # the full adaptive delay for a fuller batch.
+        # The pull's deadline runs from the oldest request's arrival,
+        # long past: it must return at once with everything queued
+        # instead of waiting for a fuller batch.
         stale = time.monotonic() - 10.0
         batcher.put(self._request(1, arrival=stale))
         batcher.put(self._request(1, arrival=stale))
