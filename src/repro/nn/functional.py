@@ -4,6 +4,12 @@ All dense products route through a :class:`~repro.core.gemm.MatmulBackend`
 so the whole network can run on exact float32 or on the DAISM
 approximate datapath (Sec. V-A of the paper evaluates full CNNs that
 way).
+
+Each layer kind's forward arithmetic is one function here, called by
+the eager layer in train and eval mode and by the compiled plan op
+(:mod:`repro.runtime.ops`), so the two are byte-identical by
+construction.  A weight GEMM comes in as a ``matmul`` callable,
+``(..., K) -> (..., N)``: the backend's or the plan strategy's.
 """
 
 from __future__ import annotations
@@ -18,12 +24,20 @@ __all__ = [
     "im2col",
     "col2im",
     "conv2d_forward",
+    "conv2d_cols",
+    "conv2d_output",
     "conv2d_backward",
     "direct_conv2d",
+    "linear",
+    "relu",
+    "maxpool2d",
     "maxpool2d_forward",
     "maxpool2d_backward",
     "avgpool_global_forward",
     "avgpool_global_backward",
+    "batchnorm_inv_std",
+    "batchnorm2d",
+    "residual_add",
     "layernorm_forward",
     "layernorm_backward",
     "softmax",
@@ -32,6 +46,7 @@ __all__ = [
     "merge_heads",
     "attention_core",
     "attention_core_backward",
+    "attention",
     "cross_entropy",
     "cross_entropy_grad",
 ]
@@ -115,14 +130,22 @@ def direct_conv2d(
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
-def _eager_direct(backend, x, direct, bias, size, stride, padding, groups):
-    """:func:`direct_conv2d` of a float image on ``backend``'s kernel."""
-    if direct is None:
-        return None
-    packed = pack(x, direct.weight.fmt)
-    return direct_conv2d(
-        backend.packed_kernel()[0], packed, direct, bias, size, stride, padding, groups
-    )
+def conv2d_cols(x: np.ndarray, groups: int, kernel: int, stride: int, padding: int):
+    """Each channel group's :func:`im2col` patch matrix (the conv's backward cache)."""
+    cg = x.shape[1] // groups
+    return [im2col(x[:, g * cg : (g + 1) * cg], kernel, stride, padding) for g in range(groups)]
+
+
+def conv2d_output(
+    outs: list[np.ndarray], bias: np.ndarray | None, n: int, oh: int, ow: int
+) -> np.ndarray:
+    """Join per-group GEMM outputs (``N*OH*OW`` rows of ``F/G`` filters each,
+    with or without a leading batch axis) into the NCHW conv output, plus bias."""
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
+    if bias is not None:
+        out = out + bias
+    out = out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(out, dtype=np.float32)
 
 
 def conv2d_forward(
@@ -136,7 +159,7 @@ def conv2d_forward(
     groups: int = 1,
     prepared_weights=None,
     direct=None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Convolution as one batched im2col GEMM per channel group.
 
     ``weight`` has shape ``(F, C // groups, K, K)``: input channel group
@@ -150,7 +173,8 @@ def conv2d_forward(
     ``direct``, a direct-layout weight on the backend's kernel, runs all
     groups as one tap loop instead (:func:`direct_conv2d`).  Returns
     ``(output, cols_cache)`` with one patch matrix per group for the
-    backward pass.
+    backward pass; ``cols_cache`` is ``None`` when the direct loop ran,
+    which builds none (:func:`conv2d_cols` gives them).
     """
     backend = backend or default_backend()
     n, c, h, w = x.shape
@@ -163,25 +187,21 @@ def conv2d_forward(
     fg = f // groups
     oh = _out_size(h, kernel, stride, padding)
     ow = _out_size(w, kernel, stride, padding)
-
-    cols_cache = [
-        im2col(x[:, g * cg : (g + 1) * cg], kernel, stride, padding) for g in range(groups)
+    if direct is not None:
+        out = direct_conv2d(
+            backend.packed_kernel()[0], pack(x, direct.weight.fmt), direct, bias,
+            kernel, stride, padding, groups,
+        )
+        if out is not None:
+            return out, None
+    cols_cache = conv2d_cols(x, groups, kernel, stride, padding)
+    if prepared_weights is None:
+        prepared_weights = [weight[g * fg : (g + 1) * fg].reshape(fg, -1).T for g in range(groups)]
+    outs = [
+        backend.matmul(cols.reshape(n, oh * ow, -1), wmat)
+        for cols, wmat in zip(cols_cache, prepared_weights)
     ]
-    out = _eager_direct(backend, x, direct, bias, kernel, stride, padding, groups)
-    if out is not None:
-        return out, cols_cache
-    outs: list[np.ndarray] = []
-    for g, cols in enumerate(cols_cache):
-        if prepared_weights is not None:
-            wmat = prepared_weights[g]
-        else:
-            wmat = weight[g * fg : (g + 1) * fg].reshape(fg, -1).T
-        outs.append(backend.matmul(cols.reshape(n, oh * ow, -1), wmat))
-    out = outs[0] if groups == 1 else np.concatenate(outs, axis=2)
-    if bias is not None:
-        out = out + bias[None, None, :]
-    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out, dtype=np.float32), cols_cache
+    return conv2d_output(outs, bias, n, oh, ow), cols_cache
 
 
 def conv2d_backward(
@@ -235,17 +255,53 @@ def conv2d_backward(
     return dx.astype(np.float32), dweight.astype(np.float32), dbias.astype(np.float32)
 
 
-def maxpool2d_forward(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pooling.  Returns ``(output, argmax_cache)``."""
+def linear(x: np.ndarray, matmul, bias: np.ndarray | None) -> np.ndarray:
+    """Fully connected ``matmul(x) + bias``; ``matmul`` folds any leading axes of ``x``."""
+    out = matmul(x)
+    if bias is not None:
+        out = out + bias
+    return out.astype(np.float32, copy=False)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    """Rectified linear unit: ``x`` where ``x > 0``, else ``+0`` (NaN and ``-0`` too)."""
+    return np.where(x > 0, x, np.float32(0.0)).astype(np.float32, copy=False)
+
+
+def _maxpool2d(x: np.ndarray, size: int, argmax: bool):
     n, c, h, w = x.shape
     if h % size or w % size:
         raise ValueError(f"spatial dims {h}x{w} not divisible by pool size {size}")
-    oh, ow = h // size, w // size
-    windows = x.reshape(n, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(n, c, oh, ow, size * size)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return out.astype(np.float32), arg
+    windows = x.reshape(n, c, h // size, size, w // size, size)
+    out = windows[:, :, :, 0, :, 0]
+    arg = np.zeros(out.shape, dtype=np.intp) if argmax else None
+    for tap in range(1, size * size):
+        t = windows[:, :, :, tap // size, :, tap % size]
+        # Take the tap where the running maximum is not NaN and the tap
+        # exceeds it or is NaN: exactly where `t <= out` is false.
+        take = (out == out) & ~(t <= out)
+        out = np.where(take, t, out)
+        if argmax:
+            arg[take] = tap
+    return np.ascontiguousarray(out, dtype=np.float32), arg
+
+
+def maxpool2d(x: np.ndarray, size: int) -> np.ndarray:
+    """Non-overlapping max pooling of ``(N, C, H, W)`` by ``size``.
+
+    The rule: each output holds the bits of the first tap of its window,
+    in row-major order, that no other tap exceeds, where NaN exceeds
+    every number.  A window with a NaN yields its first NaN, and equal
+    maxima, ``-0`` and ``+0`` included, yield the earliest: ``(+0, -0)``
+    gives ``+0``, ``(-0, +0)`` gives ``-0``.  Only strict comparisons
+    decide, never ``np.maximum``'s unspecified pick between equal operands.
+    """
+    return _maxpool2d(x, size, False)[0]
+
+
+def maxpool2d_forward(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`maxpool2d` plus each window's chosen tap index: ``(output, argmax_cache)``."""
+    return _maxpool2d(x, size, True)
 
 
 def maxpool2d_backward(
@@ -270,6 +326,27 @@ def avgpool_global_backward(grad_out: np.ndarray, x_shape: tuple[int, int, int, 
     n, c, h, w = x_shape
     scale = np.float32(1.0 / (h * w))
     return np.broadcast_to(grad_out[:, :, None, None] * scale, x_shape).astype(np.float32)
+
+
+def batchnorm_inv_std(var: np.ndarray, eps: float) -> np.ndarray:
+    """Per-channel ``1 / sqrt(var + eps)`` for :func:`batchnorm2d`."""
+    return 1.0 / np.sqrt(var + eps)
+
+
+def batchnorm2d(
+    x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch norm of ``(N, C, H, W)`` from per-channel statistics: ``(out, x_hat)``."""
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    return out.astype(np.float32, copy=False), x_hat
+
+
+def residual_add(main: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The residual join ``main + skip`` (in that order: it picks which of two NaNs survives)."""
+    if main.shape != skip.shape:
+        raise ValueError(f"residual shape mismatch: {main.shape} vs {skip.shape}")
+    return (main + skip).astype(np.float32, copy=False)
 
 
 def layernorm_forward(
@@ -411,6 +488,23 @@ def attention_core_backward(
     dq = backend.matmul_pairs(ds, _pairs(k))
     dk = backend.matmul_pairs(_transposed(ds), _pairs(q))
     return dq.reshape(q.shape), dk.reshape(k.shape), dv.reshape(v.shape)
+
+
+def attention(
+    x: np.ndarray, qkv, out, heads: int, scale: float, backend: MatmulBackend | None = None
+) -> tuple[np.ndarray, tuple]:
+    """Multi-head self-attention on ``(N, T, D)``: ``(output, (q, k, v, probs))``.
+
+    ``qkv`` and ``out`` are the fused QKV and output projections as
+    callables; :func:`attention_core` runs the products between them.
+    """
+    d = x.shape[-1]
+    proj = qkv(x)
+    q = split_heads(np.ascontiguousarray(proj[..., :d]), heads)
+    k = split_heads(np.ascontiguousarray(proj[..., d : 2 * d]), heads)
+    v = split_heads(np.ascontiguousarray(proj[..., 2 * d :]), heads)
+    context, probs = attention_core(q, k, v, backend, scale)
+    return out(merge_heads(context)), (q, k, v, probs)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -63,6 +63,18 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.data.shape})"
 
 
+def _require(cache):
+    """A layer's backward cache, or ``RuntimeError`` when there is none.
+
+    Layers keep a cache only from a training-mode forward and clear it
+    on an eval-mode one, so a backward never differentiates a forward
+    that kept nothing (or a stale earlier one).
+    """
+    if cache is None:
+        raise RuntimeError("backward called without a training-mode forward")
+    return cache
+
+
 def _plan_spec(kind: str, module: "Module | None" = None, **attrs):
     """Build an :class:`~repro.runtime.ops.OpSpec` (imported lazily).
 
@@ -321,17 +333,18 @@ class Conv2d(Module):
             x, self.weight.data, bias, self.stride, self.padding, backend,
             groups=self.groups, prepared_weights=wmats, direct=direct,
         )
-        self._cache = (x.shape, cols)
+        self._cache = (x, cols) if self.training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+        x, cols = _require(self._cache)
+        if cols is None:  # the direct loop ran
+            kernel = self.weight.data.shape[2]
+            cols = F.conv2d_cols(x, self.groups, kernel, self.stride, self.padding)
         backend = self.backend or default_backend()
-        x_shape, cols = self._cache
         wrows = self._prepared.get(backend, self.weight, "bwd", self._group_rows)
         dx, dw, db = F.conv2d_backward(
-            grad, x_shape, cols, self.weight.data, self.stride, self.padding, backend,
+            grad, x.shape, cols, self.weight.data, self.stride, self.padding, backend,
             groups=self.groups, prepared_weights=wrows,
         )
         self.weight.grad += dw
@@ -372,24 +385,21 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         backend = self.backend or default_backend()
-        self._x = x
+        self._x = x if self.training else None
         wt = self._prepared.get(backend, self.weight, "fwd", lambda: self.weight.data.T)
-        out = backend.matmul(x, wt)
-        if self.bias is not None:
-            out = out + self.bias.data[None, :]
-        return out.astype(np.float32)
+        bias = self.bias.data if self.bias is not None else None
+        return F.linear(x, lambda a: backend.matmul(a, wt), bias)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
+        x = _require(self._x)
         backend = self.backend or default_backend()
         if grad.ndim > 2:
             # Sequence inputs: fold the leading axes into rows for the
             # weight/bias gradients, keep the batched shape for dx.
             grad2 = np.ascontiguousarray(grad.reshape(-1, grad.shape[-1]))
-            x2 = np.ascontiguousarray(self._x.reshape(-1, self._x.shape[-1]))
+            x2 = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
         else:
-            grad2, x2 = grad, self._x
+            grad2, x2 = grad, x
         self.weight.grad += backend.matmul(grad2.T, x2)
         if self.bias is not None:
             self.bias.grad += grad2.sum(axis=0)
@@ -408,13 +418,11 @@ class ReLU(Module):
         return _plan_spec("relu", self)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(np.float32)
+        self._mask = x > 0 if self.training else None
+        return F.relu(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad, 0.0).astype(np.float32)
+        return np.where(_require(self._mask), grad, 0.0).astype(np.float32)
 
 
 class MaxPool2d(Module):
@@ -429,14 +437,15 @@ class MaxPool2d(Module):
         return _plan_spec("maxpool2d", self, size=self.size)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            self._cache = None
+            return F.maxpool2d(x, self.size)
         out, arg = F.maxpool2d_forward(x, self.size)
         self._cache = (x.shape, arg)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_shape, arg = self._cache
+        x_shape, arg = _require(self._cache)
         return F.maxpool2d_backward(grad, arg, x_shape, self.size)
 
 
@@ -451,13 +460,11 @@ class GlobalAvgPool(Module):
         return _plan_spec("global_avg_pool", self)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if self.training else None
         return F.avgpool_global_forward(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return F.avgpool_global_backward(grad, self._shape)
+        return F.avgpool_global_backward(grad, _require(self._shape))
 
 
 class BatchNorm2d(Module):
@@ -484,16 +491,13 @@ class BatchNorm2d(Module):
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std)
-        out = self.gamma.data[None, :, None, None] * x_hat + self.beta.data[None, :, None, None]
-        return out.astype(np.float32)
+        inv_std = F.batchnorm_inv_std(var, self.eps)
+        out, x_hat = F.batchnorm2d(x, mean, inv_std, self.gamma.data, self.beta.data)
+        self._cache = (x_hat, inv_std) if self.training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, inv_std = self._cache
+        x_hat, inv_std = _require(self._cache)
         n, _c, h, w = grad.shape
         m = n * h * w
         self.gamma.grad += (grad * x_hat).sum(axis=(0, 2, 3))
@@ -521,13 +525,11 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, cache = F.layernorm_forward(x, self.gamma.data, self.beta.data, self.eps)
-        self._cache = cache
+        self._cache = cache if self.training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        dx, dgamma, dbeta = F.layernorm_backward(grad, self.gamma.data, self._cache)
+        dx, dgamma, dbeta = F.layernorm_backward(grad, self.gamma.data, _require(self._cache))
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         return dx
@@ -544,13 +546,12 @@ class Softmax(Module):
         return _plan_spec("softmax", self)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._probs = F.softmax(x).astype(np.float32)
-        return self._probs
+        probs = F.softmax(x).astype(np.float32)
+        self._probs = probs if self.training else None
+        return probs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._probs is None:
-            raise RuntimeError("backward called before forward")
-        return F.softmax_backward(grad, self._probs)
+        return F.softmax_backward(grad, _require(self._probs))
 
 
 class MultiHeadAttention(Module):
@@ -589,20 +590,13 @@ class MultiHeadAttention(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         backend = self.backend or default_backend()
-        d = x.shape[-1]
-        qkv = self.qkv(x)
-        q = F.split_heads(np.ascontiguousarray(qkv[..., :d]), self.heads)
-        k = F.split_heads(np.ascontiguousarray(qkv[..., d : 2 * d]), self.heads)
-        v = F.split_heads(np.ascontiguousarray(qkv[..., 2 * d :]), self.heads)
-        context, probs = F.attention_core(q, k, v, backend, self.scale)
-        self._cache = (q, k, v, probs)
-        return self.out(F.merge_heads(context))
+        out, cache = F.attention(x, self.qkv, self.out, self.heads, self.scale, backend)
+        self._cache = cache if self.training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+        q, k, v, probs = _require(self._cache)
         backend = self.backend or default_backend()
-        q, k, v, probs = self._cache
         d_context = F.split_heads(self.out.backward(grad), self.heads)
         dq, dk, dv = F.attention_core_backward(
             d_context, q, k, v, probs, backend, self.scale
@@ -633,17 +627,18 @@ class Dropout(Module):
         return _plan_spec("dropout", self, p=self.p)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
+        if not self.training:
             self._mask = None
+            return x
+        if self.p == 0.0:
+            self._mask = np.float32(1.0)  # identity, yet a training forward
             return x
         keep = 1.0 - self.p
         self._mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
         return (x * self._mask).astype(np.float32)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return (grad * self._mask).astype(np.float32)
+        return (grad * _require(self._mask)).astype(np.float32)
 
 
 class Flatten(Module):
@@ -657,13 +652,11 @@ class Flatten(Module):
         return _plan_spec("flatten", self)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad.reshape(self._shape)
+        return grad.reshape(_require(self._shape))
 
 
 class Sequential(Module):
@@ -704,9 +697,7 @@ class Residual(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         main = self.body(x)
         skip = self.shortcut(x) if self.shortcut is not None else x
-        if main.shape != skip.shape:
-            raise ValueError(f"residual shape mismatch: {main.shape} vs {skip.shape}")
-        return (main + skip).astype(np.float32)
+        return F.residual_add(main, skip)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         d_main = self.body.backward(grad)

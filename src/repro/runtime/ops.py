@@ -7,6 +7,14 @@ weight planes, snapshotted BatchNorm statistics — so steady-state
 execution performs zero backend lookups, zero ``prepare()`` calls and no
 Python recursion: the plan loop is ``for op in ops: x = op.apply(x, ctx)``.
 
+An op owns no arithmetic: ``apply`` calls the :mod:`repro.nn.functional`
+function its eager layer calls (``F.linear``, ``F.relu``,
+``F.maxpool2d``, ``F.batchnorm2d``, ``F.residual_add``, ``F.attention``,
+``F.conv2d_output``, ...) on its captured arrays, a
+:class:`MatmulStrategy` standing in for the layer's backend, so plan and
+eager eval are byte-identical by construction.  Ops never call layer
+objects, so a plan stays bound to its compile-time state and backend.
+
 Every op is **immutable and thread-safe**: ``apply`` reads captured
 arrays and writes only fresh ones, so one plan can execute concurrently
 on many shards (see :mod:`repro.runtime.engine`).  Ops are also
@@ -23,16 +31,11 @@ compiler and the accelerator co-sim
 (:func:`repro.runtime.plan.conv_workload`) consume that one description
 instead of re-walking the module tree with their own shape logic.
 
-Two optimisations over the eager path live here.  The conv ops pack a
-convolution *input image* once and gather the packed bit planes through
-im2col (:func:`gather_packed_cols`), instead of materialising the
-``K*K``-fold redundant patch matrix and quantising every copy.  Quantisation is elementwise, so
-the gathered planes are byte-identical to ``pack(im2col(x))`` — the
-~``K*K``x cut in quantise/decompose work is free of any numerical
-change.  A conv whose table fits (LeNet's convs, MobileNet's stem and
-depthwise convs) skips im2col altogether: one table serves all its
-groups, and a tap loop over the packed image sums the same products in
-the same order (see :class:`ConvOp`).
+What only the plan has lives here: the strategies, and the conv's
+packed im2col, which packs the *input image* once and gathers the
+packed planes through im2col (:func:`gather_packed_cols`) instead of
+quantising the ``K*K``-fold redundant patch matrix — byte-identical,
+since quantisation is elementwise.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ class PlanOp:
     #: Whether sample ``i``'s output depends only on sample ``i``'s
     #: input (required for shard-parallel execution).
     row_independent = True
+    #: The op's GEMM strategies, in order: one per conv group, one for
+    #: a linear, QKV then output projection for attention.
+    strategies: tuple = ()
+    #: A weight layout the op runs itself (a direct conv), else ``None``.
+    layout: str | None = None
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         """Compute this op's output for (a shard of) the batch."""
@@ -135,11 +143,13 @@ class PlanOp:
 
 
 class MatmulStrategy:
-    """A weight's resolved arithmetic: ``(rows, K) @ prepared -> (rows, N)``.
+    """A weight's resolved arithmetic: ``(..., K) @ prepared -> (..., N)``.
 
     Strategies are built by the compiler from the backend *once*; their
-    ``matmul2d`` runs the steady-state product with no backend lookup
-    and no ``prepare()`` call.
+    ``matmul`` runs the steady-state product with no backend lookup and
+    no ``prepare()`` call.  Like
+    :meth:`~repro.core.gemm.MatmulBackend.matmul`, it takes the operand
+    with the leading axes the layer hands it.
     """
 
     #: Sample rows are independent — sharding the row dimension is
@@ -157,6 +167,11 @@ class MatmulStrategy:
     #: The weight layout the kernel runs (see
     #: :func:`repro.core.kernels.weight_layout`); ``None`` without one.
     layout: str | None = None
+
+    def matmul(self, a: np.ndarray) -> np.ndarray:
+        """Product of ``a`` against the prepared weight; leading axes fold into rows."""
+        rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]))
+        return self.matmul2d(rows).reshape(*a.shape[:-1], -1)
 
     def matmul2d(self, a: np.ndarray) -> np.ndarray:
         """Product of a 2-D float operand against the prepared weight."""
@@ -256,8 +271,8 @@ class BackendStrategy(MatmulStrategy):
         self.backend = backend
         self.prepared = prepared
 
-    def matmul2d(self, a: np.ndarray) -> np.ndarray:
-        """``backend.matmul`` of ``a`` as given, batched operands included."""
+    def matmul(self, a: np.ndarray) -> np.ndarray:
+        """``backend.matmul`` of ``a`` as given: the backend folds (or couples) its axes."""
         return self.backend.matmul(a, self.prepared)
 
 
@@ -338,13 +353,16 @@ class ConvOp(PlanOp):
     ``groups=1`` is the one-strategy case.  A conv whose weights took a
     :data:`~repro.core.kernels.DIRECT` layout at compile time runs as
     one tap loop over the packed image
-    (:meth:`~repro.core.kernels.FloatTableKernel.run_direct`).  Calls
-    outside ``f32_exact``, and strategies whose kernel was swapped for a
+    (:func:`~repro.nn.functional.direct_conv2d`).  Calls outside
+    ``f32_exact``, and strategies whose kernel was swapped for a
     non-``float_table`` one after compilation (fault injection), take
     the im2col path; both give the same bits.  That path packs and
     gathers the input image *once* (see :func:`gather_packed_cols`) and
     hands each group its contiguous block of patch columns —
     byte-identical to the eager per-group ``pack(im2col(x[:, slice]))``.
+    Strategies without a packed kernel get the eager operands, each
+    group's float im2col patches.  The per-group GEMM outputs join in
+    :func:`~repro.nn.functional.conv2d_output`, as the eager ones do.
     """
 
     kind = "conv2d"
@@ -377,94 +395,62 @@ class ConvOp(PlanOp):
         """The direct layout's name; ``None`` when the strategies run their own."""
         return None if self.direct is None else self.direct.layout
 
-    def _run_direct(self, packed: PackedTensor) -> np.ndarray | None:
-        """The direct layout's NCHW output plus bias; ``None`` to take im2col."""
-        if not all(isinstance(s.kernel, FloatTableKernel) for s in self.strategies):
-            return None
-        return F.direct_conv2d(
-            self.strategies[0].kernel, packed, self.direct, self.bias,
-            self.kernel, self.stride, self.padding, self.groups,
-        )
-
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"{self.name}: input has {c} channels, expected {self.in_channels}")
-        cg = c // self.groups
         oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
         ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
         first = self.strategies[0]
         if first.packed_input:
             packed = pack(np.ascontiguousarray(x, dtype=np.float32), first.fmt)
-            direct = self._run_direct(packed)
-            if direct is not None:
-                return direct
+            if all(isinstance(s.kernel, FloatTableKernel) for s in self.strategies):
+                direct = F.direct_conv2d(
+                    first.kernel, packed, self.direct, self.bias,
+                    self.kernel, self.stride, self.padding, self.groups,
+                )
+                if direct is not None:
+                    return direct
             cols = gather_packed_cols(
                 packed, self.kernel, self.stride, self.padding,
                 any(s.needs_dense for s in self.strategies),
             )
-        width = cg * self.kernel * self.kernel
-        outs = []
-        for g, strategy in enumerate(self.strategies):
-            if strategy.packed_input:
-                out_g = strategy.matmul_packed(_column_block(cols, g * width, (g + 1) * width))
-            else:
-                channels = slice(g * cg, (g + 1) * cg)
-                cols_g = F.im2col(x[:, channels], self.kernel, self.stride, self.padding)
-                if isinstance(strategy, BackendStrategy):
-                    # Keep the eager operand shape: generic backends may
-                    # couple the whole (batched) matrix (e.g. BFP's shared
-                    # exponent spans everything the eager call handed it).
-                    cols_g = cols_g.reshape(n, oh * ow, -1)
-                out_g = strategy.matmul2d(cols_g)
-            outs.append(out_g.reshape(n, oh * ow, -1))
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
-        if self.bias is not None:
-            out = out + self.bias[None, None, :]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(out, dtype=np.float32)
+            width = cols.shape[1] // self.groups
+            blocks = [_column_block(cols, g * width, (g + 1) * width) for g in range(self.groups)]
+            outs = [s.matmul_packed(b) for s, b in zip(self.strategies, blocks)]
+        else:
+            cols = F.conv2d_cols(x, self.groups, self.kernel, self.stride, self.padding)
+            outs = [s.matmul(p.reshape(n, oh * ow, -1)) for s, p in zip(self.strategies, cols)]
+        return F.conv2d_output(outs, self.bias, n, oh, ow)
 
 
 class LinearOp(PlanOp):
-    """Fully connected product with a pre-resolved strategy.
+    """Fully connected product with a pre-resolved strategy (:func:`~repro.nn.functional.linear`).
 
-    Accepts sequence inputs ``(N, T, D)`` as well as ``(N, D)``: the
-    leading axes fold into GEMM rows exactly as the eager backend does.
+    Accepts sequence inputs ``(N, T, D)`` as well as ``(N, D)``.
     """
 
     kind = "linear"
 
     def __init__(self, strategy: MatmulStrategy, bias: np.ndarray | None, name: str = "linear"):
-        self.strategy = strategy
+        self.strategies = (strategy,)
         self.bias = bias
         self.name = name
         self.row_independent = strategy.row_independent
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        if x.ndim > 2:
-            if isinstance(self.strategy, BackendStrategy):
-                out = self.strategy.matmul2d(x)
-            else:
-                rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-                out = self.strategy.matmul2d(rows).reshape(*x.shape[:-1], -1)
-        else:
-            out = self.strategy.matmul2d(x)
-        if self.bias is not None:
-            out = out + self.bias[None, :]
-        return out.astype(np.float32, copy=False)
+        return F.linear(x, self.strategies[0].matmul, self.bias)
 
 
 class AttentionOp(PlanOp):
     """Multi-head self-attention with pre-resolved projection strategies.
 
-    The QKV and output projections run through compiled
-    :class:`MatmulStrategy` instances (pre-packed weights); the
-    ``Q K^T``/``A V`` products of all (sample, head) pairs call the
-    captured backend's ``matmul_pairs`` through the same
-    :func:`repro.nn.functional.attention_core` the eager layer uses, so
-    the whole block is byte-identical by construction.  Those inner
-    GEMM shapes depend only on ``(T, Dh)``, never the batch, which
-    keeps the op row-independent whenever its projections are.
+    Runs the eager layer's :func:`~repro.nn.functional.attention` with
+    the QKV and output projections on compiled :class:`MatmulStrategy`
+    instances (pre-packed weights) and the ``Q K^T``/``A V`` products on
+    the captured backend's ``matmul_pairs``.  Those inner GEMM shapes
+    depend only on ``(T, Dh)``, never the batch, which keeps the op
+    row-independent whenever its projections are.
     """
 
     kind = "attention"
@@ -480,9 +466,8 @@ class AttentionOp(PlanOp):
         backend,
         name: str = "attention",
     ):
-        self.qkv_strategy = qkv_strategy
+        self.strategies = (qkv_strategy, out_strategy)
         self.qkv_bias = qkv_bias
-        self.out_strategy = out_strategy
         self.out_bias = out_bias
         self.heads = heads
         self.scale = scale
@@ -492,34 +477,13 @@ class AttentionOp(PlanOp):
             qkv_strategy.row_independent and out_strategy.row_independent
         )
 
-    @property
-    def strategies(self) -> tuple[MatmulStrategy, ...]:
-        return (self.qkv_strategy, self.out_strategy)
-
-    def _project(
-        self,
-        strategy: MatmulStrategy,
-        bias: np.ndarray | None,
-        x: np.ndarray,
-    ) -> np.ndarray:
-        n, t, _d = x.shape
-        if isinstance(strategy, BackendStrategy):
-            out = strategy.matmul2d(x)
-        else:
-            out = strategy.matmul2d(np.ascontiguousarray(x.reshape(n * t, -1)))
-            out = out.reshape(n, t, -1)
-        if bias is not None:
-            out = out + bias[None, :]
-        return out.astype(np.float32, copy=False)
-
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        d = x.shape[2]
-        qkv = self._project(self.qkv_strategy, self.qkv_bias, x)
-        q = F.split_heads(np.ascontiguousarray(qkv[..., :d]), self.heads)
-        k = F.split_heads(np.ascontiguousarray(qkv[..., d : 2 * d]), self.heads)
-        v = F.split_heads(np.ascontiguousarray(qkv[..., 2 * d :]), self.heads)
-        context, _probs = F.attention_core(q, k, v, self.backend, self.scale)
-        return self._project(self.out_strategy, self.out_bias, F.merge_heads(context))
+        qkv, out = self.strategies
+        y, _cache = F.attention(
+            x, lambda a: F.linear(a, qkv.matmul, self.qkv_bias),
+            lambda a: F.linear(a, out.matmul, self.out_bias), self.heads, self.scale, self.backend,
+        )
+        return y
 
 
 class LayerNormOp(PlanOp):
@@ -555,13 +519,11 @@ class ReluOp(PlanOp):
     name = "relu"
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        # Same values as the eager `np.where(mask, x, 0.0).astype(f32)`;
-        # copy=False skips the eager path's redundant second copy.
-        return np.where(x > 0, x, np.float32(0.0)).astype(np.float32, copy=False)
+        return F.relu(x)
 
 
 class MaxPoolOp(PlanOp):
-    """Non-overlapping max pooling."""
+    """Non-overlapping max pooling (:func:`~repro.nn.functional.maxpool2d`'s rule)."""
 
     kind = "maxpool2d"
 
@@ -570,20 +532,7 @@ class MaxPoolOp(PlanOp):
         self.name = f"maxpool{size}"
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        # Inference needs no argmax cache for backward: an elementwise
-        # maximum over the window taps picks the same values as the
-        # eager argmax+gather at a fraction of its cost.
-        n, c, h, w = x.shape
-        size = self.size
-        if h % size or w % size:
-            raise ValueError(f"spatial dims {h}x{w} not divisible by pool size {size}")
-        windows = x.reshape(n, c, h // size, size, w // size, size)
-        out = windows[:, :, :, 0, :, 0]
-        for i in range(size):
-            for j in range(size):
-                if i or j:
-                    out = np.maximum(out, windows[:, :, :, i, :, j])
-        return out.astype(np.float32, copy=False)
+        return F.maxpool2d(x, self.size)
 
 
 class GlobalAvgPoolOp(PlanOp):
@@ -599,35 +548,23 @@ class GlobalAvgPoolOp(PlanOp):
 class BatchNormOp(PlanOp):
     """Inference batch norm over snapshotted running statistics.
 
-    Captures the layer's running mean/var and affine parameters at
-    compile time and replays the eval-mode arithmetic of
-    :class:`~repro.nn.layers.BatchNorm2d` operation-for-operation, so
-    outputs are byte-identical to the eager eval pass.
+    Captures the layer's running mean, ``inv_std`` and affine parameters
+    at compile time and runs :func:`~repro.nn.functional.batchnorm2d`,
+    the function the eager layer runs.
     """
 
     kind = "batchnorm2d"
 
-    def __init__(
-        self,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        mean: np.ndarray,
-        var: np.ndarray,
-        eps: float,
-        name: str = "batchnorm2d",
-    ):
+    def __init__(self, gamma, beta, mean, var, eps: float, name: str = "batchnorm2d"):
         self.gamma = gamma
         self.beta = beta
         self.mean = mean
-        # Same expression (and therefore the same bits) as the eager
-        # eval branch computes per forward.
-        self.inv_std = 1.0 / np.sqrt(var + eps)
+        self.inv_std = F.batchnorm_inv_std(var, eps)
         self.name = name
 
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
-        x_hat = (x - self.mean[None, :, None, None]) * self.inv_std[None, :, None, None]
-        out = self.gamma[None, :, None, None] * x_hat + self.beta[None, :, None, None]
-        return out.astype(np.float32, copy=False)
+        out, _x_hat = F.batchnorm2d(x, self.mean, self.inv_std, self.gamma, self.beta)
+        return out
 
 
 class FlattenOp(PlanOp):
@@ -669,13 +606,20 @@ class StackSwapOp(PlanOp):
 
 
 class StackAddPopOp(PlanOp):
-    """Pop the saved activation and add — the residual join."""
+    """Pop the saved activation and add — the residual join.
+
+    :func:`~repro.nn.functional.residual_add` takes the body output
+    first, as the eager block does.  After a shortcut ran (``swapped``)
+    the stack holds the body output; without one it holds the block
+    input and the body output is current.
+    """
 
     kind = "stack_add_pop"
     name = "residual:add"
 
+    def __init__(self, swapped: bool):
+        self.swapped = swapped
+
     def apply(self, x: np.ndarray, ctx: ExecContext) -> np.ndarray:
         saved = ctx.stack.pop()
-        if saved.shape != x.shape:
-            raise ValueError(f"residual shape mismatch: {saved.shape} vs {x.shape}")
-        return (saved + x).astype(np.float32, copy=False)
+        return F.residual_add(saved, x) if self.swapped else F.residual_add(x, saved)

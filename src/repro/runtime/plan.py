@@ -76,16 +76,12 @@ __all__ = [
 def op_strategies(op: PlanOp) -> tuple[MatmulStrategy, ...]:
     """All matmul strategies behind one op (zero, one, or several).
 
-    Linear ops carry ``.strategy``; convolutions (one strategy per
-    channel group) and attention (QKV and output projections) carry a
-    ``.strategies`` tuple.  Introspection (tier listings, plan digests)
-    iterates this one accessor.
+    Every op carries a ``strategies`` tuple: empty without a GEMM, one
+    for a linear, one per channel group for a convolution, QKV then
+    output projection for attention.  Introspection (tier listings,
+    plan digests) iterates this one accessor.
     """
-    strategies = getattr(op, "strategies", None)
-    if strategies is not None:
-        return tuple(strategies)
-    strategy = getattr(op, "strategy", None)
-    return (strategy,) if strategy is not None else ()
+    return tuple(op.strategies)
 
 
 def plan_tiers(plan: "ExecutionPlan") -> list[str]:
@@ -123,7 +119,7 @@ def trace(module: Module) -> list[OpSpec]:
         if module.shortcut is not None:
             specs.append(OpSpec("stack_swap"))
             specs.extend(trace(module.shortcut))
-        specs.append(OpSpec("stack_add_pop"))
+        specs.append(OpSpec("stack_add_pop", {"swapped": module.shortcut is not None}))
         return specs
     to_plan_op = getattr(module, "to_plan_op", None)
     if to_plan_op is None:
@@ -135,27 +131,21 @@ def trace(module: Module) -> list[OpSpec]:
     return [to_plan_op()]
 
 
-def _resolve_strategy(
-    backend: MatmulBackend, weight: np.ndarray
-) -> tuple[MatmulStrategy, object]:
-    """Resolve ``backend`` into a compiled strategy for one weight matrix.
-
-    Returns ``(strategy, prepared)`` where ``prepared`` is the
-    backend-prepared operand (kept for cache-warm introspection).
-    """
+def _resolve_strategy(backend: MatmulBackend, weight: np.ndarray) -> MatmulStrategy:
+    """Resolve ``backend`` into a compiled strategy for one weight matrix."""
     prepared = backend.prepare(weight)
     if isinstance(backend, ExactMatmul):
-        return ExactStrategy(prepared), prepared
+        return ExactStrategy(prepared)
     if isinstance(backend, ApproxMatmul):
         kernel = select_kernel(backend.fmt, backend.config, backend.kernel)
         strategy = PackedKernelStrategy(backend.fmt, backend.config, kernel, prepared)
     elif isinstance(backend, QuantizedMatmul):
         if backend.kernel is None:
-            return QuantDenseStrategy(backend.fmt, prepared.dense()), prepared
+            return QuantDenseStrategy(backend.fmt, prepared.dense())
         kernel = select_kernel(backend.fmt, None, backend.kernel)
         strategy = PackedKernelStrategy(backend.fmt, None, kernel, prepared)
     else:
-        return BackendStrategy(backend, prepared), prepared
+        return BackendStrategy(backend, prepared)
     # Warm the packed weight's cached planes now so first execution (and
     # concurrent shards) never race to build them lazily.
     if isinstance(prepared, PackedTensor):
@@ -170,7 +160,7 @@ def _resolve_strategy(
     # while the tables are freshly built — the integrity subsystem's
     # periodic probe compares against it (idempotent per process).
     register_canary(strategy.fmt, strategy.config, strategy.kernel)
-    return strategy, prepared
+    return strategy
 
 
 @dataclasses.dataclass
@@ -244,22 +234,31 @@ class ExecutionPlan:
         """One printable row per op (kind, name, strategy, kernel, weight layout)."""
         rows = []
         for i, op in enumerate(self.ops):
-            strategies = op_strategies(op)
-            strategy = strategies[0] if strategies else None
-            kernel = getattr(strategy, "kernel_name", None)
+            strategy = op.strategies[0] if op.strategies else None
             # A direct conv's layout belongs to the op, not its strategies.
-            layout = getattr(op, "layout", None) or getattr(strategy, "layout", None)
+            layout = op.layout or (strategy.layout if strategy else None)
             rows.append(
                 {
                     "op": i,
                     "kind": op.kind,
                     "name": op.name,
                     "strategy": type(strategy).__name__ if strategy else "-",
-                    "kernel": kernel or "-",
+                    "kernel": (strategy.kernel_name if strategy else None) or "-",
                     "layout": layout or "-",
                 }
             )
         return rows
+
+
+#: Op kinds whose op captures nothing.
+_STATELESS_OPS = {
+    "softmax": SoftmaxOp,
+    "relu": ReluOp,
+    "global_avg_pool": GlobalAvgPoolOp,
+    "flatten": FlattenOp,
+    "stack_push": StackPushOp,
+    "stack_swap": StackSwapOp,
+}
 
 
 def compile_plan(model: Module, backend: MatmulBackend | None = None) -> ExecutionPlan:
@@ -287,31 +286,30 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
         counts[kind] = counts.get(kind, 0) + 1
         return f"{kind}{counts[kind]}"
 
+    def capture(param: Parameter | None) -> np.ndarray | None:
+        """A parameter's data, recording its version for staleness checks."""
+        if param is None:
+            return None
+        params.append((param, param.version))
+        return param.data
+
     for spec in specs:
         kind = spec.kind
         layer = spec.module
         if kind == "conv2d":
-            weight = layer.weight
-            f = weight.data.shape[0]
-            groups = spec.attrs.get("groups", 1)
-            params.append((weight, weight.version))
-            bias = None
-            if layer.bias is not None:
-                bias = layer.bias.data
-                params.append((layer.bias, layer.bias.version))
-            fg = f // groups
+            weight = capture(layer.weight)
+            bias = capture(layer.bias)
+            fg = weight.shape[0] // spec.attrs.get("groups", 1)
             strategies = tuple(
-                _resolve_strategy(
-                    backend, weight.data[g * fg : (g + 1) * fg].reshape(fg, -1).T
-                )[0]
-                for g in range(groups)
+                _resolve_strategy(backend, weight[g : g + fg].reshape(fg, -1).T)
+                for g in range(0, weight.shape[0], fg)
             )
             ops.append(
                 ConvOp(
                     strategies,
                     bias,
                     in_channels=spec.attrs["in_channels"],
-                    out_channels=f,
+                    out_channels=weight.shape[0],
                     kernel=spec.attrs["kernel"],
                     stride=spec.attrs["stride"],
                     padding=spec.attrs["padding"],
@@ -320,18 +318,12 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
             )
         elif kind == "attention":
             qkv, out = layer.qkv, layer.out
-            qkv_strategy, _ = _resolve_strategy(backend, qkv.weight.data.T)
-            out_strategy, _ = _resolve_strategy(backend, out.weight.data.T)
-            for linear in (qkv, out):
-                params.append((linear.weight, linear.weight.version))
-                if linear.bias is not None:
-                    params.append((linear.bias, linear.bias.version))
             ops.append(
                 AttentionOp(
-                    qkv_strategy,
-                    qkv.bias.data if qkv.bias is not None else None,
-                    out_strategy,
-                    out.bias.data if out.bias is not None else None,
+                    _resolve_strategy(backend, capture(qkv.weight).T),
+                    capture(qkv.bias),
+                    _resolve_strategy(backend, capture(out.weight).T),
+                    capture(out.bias),
                     heads=spec.attrs["heads"],
                     scale=layer.scale,
                     backend=backend,
@@ -339,52 +331,25 @@ def compile_plan(model: Module, backend: MatmulBackend | None = None) -> Executi
                 )
             )
         elif kind == "layernorm":
-            params.append((layer.gamma, layer.gamma.version))
-            params.append((layer.beta, layer.beta.version))
-            ops.append(
-                LayerNormOp(layer.gamma.data, layer.beta.data, layer.eps, name=tag("ln"))
-            )
-        elif kind == "softmax":
-            ops.append(SoftmaxOp())
+            gamma, beta = capture(layer.gamma), capture(layer.beta)
+            ops.append(LayerNormOp(gamma, beta, layer.eps, name=tag("ln")))
         elif kind == "linear":
-            weight = layer.weight
-            strategy, _ = _resolve_strategy(backend, weight.data.T)
-            params.append((weight, weight.version))
-            bias = None
-            if layer.bias is not None:
-                bias = layer.bias.data
-                params.append((layer.bias, layer.bias.version))
-            ops.append(LinearOp(strategy, bias, name=tag("fc")))
+            strategy = _resolve_strategy(backend, capture(layer.weight).T)
+            ops.append(LinearOp(strategy, capture(layer.bias), name=tag("fc")))
         elif kind == "batchnorm2d":
-            params.append((layer.gamma, layer.gamma.version))
-            params.append((layer.beta, layer.beta.version))
+            gamma, beta = capture(layer.gamma), capture(layer.beta)
             ops.append(
                 BatchNormOp(
-                    layer.gamma.data,
-                    layer.beta.data,
-                    layer.running_mean,
-                    layer.running_var,
-                    layer.eps,
-                    name=tag("bn"),
+                    gamma, beta, layer.running_mean, layer.running_var, layer.eps, name=tag("bn")
                 )
             )
-        elif kind == "relu":
-            ops.append(ReluOp())
         elif kind == "maxpool2d":
             ops.append(MaxPoolOp(spec.attrs["size"]))
-        elif kind == "global_avg_pool":
-            ops.append(GlobalAvgPoolOp())
-        elif kind == "flatten":
-            ops.append(FlattenOp())
-        elif kind == "dropout":
-            continue  # inference identity
-        elif kind == "stack_push":
-            ops.append(StackPushOp())
-        elif kind == "stack_swap":
-            ops.append(StackSwapOp())
         elif kind == "stack_add_pop":
-            ops.append(StackAddPopOp())
-        else:
+            ops.append(StackAddPopOp(spec.attrs["swapped"]))
+        elif kind in _STATELESS_OPS:
+            ops.append(_STATELESS_OPS[kind]())
+        elif kind != "dropout":  # dropout is an inference identity
             raise ValueError(f"unknown plan op kind {kind!r}")
 
     return ExecutionPlan(

@@ -1,9 +1,10 @@
 """Acceptance parity: compiled plans == eager forward, byte for byte.
 
-The acceptance criterion of the runtime PR: compiled-plan batched
-inference is byte-identical to eager ``Module.forward`` for every
-``model_zoo`` model under the exact, quantised and DAISM backends, at
-1, 2 and 8 shards.
+Compiled-plan batched inference is byte-identical to eager
+``Module.forward`` for every ``model_zoo`` model under the exact,
+quantised and DAISM backends, at 1, 2 and 8 shards, and under the
+batch-coupled BFP backend for the MLP and the conv, residual and
+attention models.
 """
 
 import numpy as np
@@ -18,7 +19,8 @@ from repro.nn.backend import (
     quantized_backend,
     use_backend,
 )
-from repro.nn.models import build_mlp, model_zoo
+from repro.nn.layers import Flatten, Linear, Residual, Sequential
+from repro.nn.models import build_mlp, model_input_shape, model_zoo
 from repro.runtime import BatchEngine, compile_plan
 
 BACKENDS = {
@@ -38,7 +40,7 @@ def _input_for(name, batch=16, seed=0):
     rng = np.random.default_rng(seed)
     if name == "mlp":
         return rng.standard_normal((batch, 32)).astype(np.float32)
-    return rng.standard_normal((batch, 1, 16, 16)).astype(np.float32)
+    return rng.standard_normal((batch, *model_input_shape(name))).astype(np.float32)
 
 
 class TestPlanParity:
@@ -109,3 +111,34 @@ class TestBatchCoupledBackends:
         engine = BatchEngine(plan, shards=1)
         with pytest.raises(ValueError, match="couples samples"):
             engine.run(x, shards=4)
+
+    @pytest.mark.parametrize("model_name", ["lenet", "mini_resnet", "transformer_encoder"])
+    def test_bfp_plan_matches_eager_beyond_mlp(self, model_name):
+        """Conv, residual and attention ops hand BFP the eager operands."""
+        model = _models()[model_name].eval()
+        backend = bfp_backend(PC3_TR)
+        x = _input_for(model_name, batch=2)
+        with use_backend(backend):
+            want = model(x)
+        plan = compile_plan(model, backend)
+        assert not plan.row_independent
+        np.testing.assert_array_equal(
+            plan.execute(x).view(np.uint32), want.view(np.uint32)
+        )
+
+
+class TestResidualJoin:
+    @pytest.mark.parametrize("shortcut", [False, True], ids=["identity", "shortcut"])
+    def test_nan_payloads_follow_the_eager_operand_order(self, shortcut):
+        """The join adds the body output first on both paths.
+
+        With two NaNs the first operand's payload survives, so a plan
+        that added the block input first would differ in bytes.
+        """
+        model = Sequential(Residual(Linear(4, 4), Flatten() if shortcut else None)).eval()
+        x = np.ones((2, 4), dtype=np.float32)
+        x.view(np.uint32)[:, 0] = 0x7FC00001
+        x.view(np.uint32)[:, 1] = 0x7FC00002
+        np.testing.assert_array_equal(
+            compile_plan(model).execute(x).view(np.uint32), model(x).view(np.uint32)
+        )
