@@ -55,6 +55,29 @@ and one sample's output never depends on what shares its batch.  Each
 kernel picks its tiling from the GEMM shape and the constant row-block
 budget :data:`ROW_BUDGET`.
 
+Zero bypass: like the array, which never multiplies by zero (Sec.
+III-C), ``float_table`` skips products whose activation significand is
+zero, and the bits do not change.  The accumulator starts at ``+0``; in
+round-to-nearest a float32 sum is ``-0`` only when both addends are
+``-0``, so the running total is never ``-0`` and adding a ``±0`` product
+leaves it unchanged (``inf`` and ``NaN`` totals too).  Inside
+``f32_exact`` no operand is inf or NaN and ``V0``'s row 0 is zero, so a
+zero-activation product is ``±0``, and the flush and overflow masks map
+``±0`` to itself.  Two hot loops bypass:
+
+* :meth:`FloatTableKernel.run` in the standard orientation (the dW GEMMs
+  of training, and ``gather``-layout forwards) compacts each row's
+  nonzero-activation K indices, in K order, when at least
+  :data:`BYPASS_ZEROS` of the activations are zero and one row's dense
+  products ``k * n`` reach :data:`BYPASS_ROW_WORK`;
+* the weight-stationary layout adds, per K step, only the rows whose
+  activation is nonzero there, when at least
+  :data:`BYPASS_STATIONARY_ZEROS` of the activations are zero and one
+  step's dense products ``m * n`` reach :data:`BYPASS_STEP_WORK`.
+
+The rule reads only the operand's zero count and the GEMM shape, so it
+never changes a bit either; calls it turns away run the dense loops.
+
 All product tables are built once per ``(bits, config)`` (weight-stationary
 tables once per weight) and cached;
 :func:`table_cache_counters` exposes hit/miss counts alongside the
@@ -124,6 +147,27 @@ def _tiling(m: int, k: int, n: int) -> tuple[int, int]:
     rows = max(1, min(m, TILE_ROWS))
     k_step = max(1, min(k, ROW_BUDGET // (rows * n)))
     return k_step, max(1, ROW_BUDGET // (k_step * n))
+
+
+#: Zero bypass (module docstring): plain ``run`` calls whose activation
+#: operand is at least this share zeros skip the products by zero ...
+BYPASS_ZEROS = 0.5
+#: ... when one row's dense products (``k * n``) reach this many; below
+#: it, per-block overhead outweighs the skipped work.
+BYPASS_ROW_WORK = 4096
+#: Products of one compacted ``(rows, extent, n)`` block: rows sharing
+#: a block pad to its longest row's nonzero count.
+BYPASS_BLOCK = 1 << 14
+#: Weight-stationary calls bypass at this share of zero activations ...
+BYPASS_STATIONARY_ZEROS = 0.75
+#: ... when one K step's dense products (``m * n``) reach this many.
+BYPASS_STEP_WORK = 1 << 15
+
+
+def _zero_share(packed: PackedTensor) -> float:
+    """Share of zero elements (zero significands) in a packed operand."""
+    sig = packed.significand
+    return 1.0 - np.count_nonzero(sig) / max(1, sig.size)
 
 
 def _accumulate(values: np.ndarray, acc: np.ndarray) -> None:
@@ -689,6 +733,8 @@ class FloatTableKernel(GemmKernel):
         batched conv/fc layers) run in a transposed orientation whose
         inner SIMD axis is the long row dimension; the reduction order
         over K is the same, so both orientations produce identical bits.
+        Otherwise mostly-zero activations skip their products by zero
+        (:meth:`_run_compacted`; the zero bypass rule above).
         """
         m, k = pa.shape
         n = pb.shape[1]
@@ -696,6 +742,8 @@ class FloatTableKernel(GemmKernel):
         f32_exact = masks[0]
         if f32_exact and m >= self.TRANSPOSE_ASPECT * max(1, n):
             return self._run_transposed(pa, pb, config, masks)
+        if f32_exact and k * n >= BYPASS_ROW_WORK and _zero_share(pa) >= BYPASS_ZEROS:
+            return self._run_compacted(pa, pb, config, masks)
 
         table = value_table(pa.fmt.significand_bits, config)
         flat = table.reshape(-1)
@@ -731,6 +779,61 @@ class FloatTableKernel(GemmKernel):
                         values = scaled
                     self._apply_masks(values, *masks[1:])
                     _accumulate(values, out[r0:r1])
+        return out
+
+    def _run_compacted(self, pa, pb, config, masks):
+        """Standard orientation over each row's nonzero activations (zero bypass).
+
+        Each row's nonzero-activation K indices move to its front, in K
+        order, padded with the index of the row's first zero.  Rows run
+        in blocks sorted by nonzero count, each over the K extent of its
+        longest row, so a shorter row's padding products are ±0.  ``mb``
+        and ``beta`` are gathered at the compacted indices and each tile
+        goes through :func:`_accumulate` as in :meth:`run`.  Only taken
+        in the ``f32_exact`` regime.
+        """
+        m, k = pa.shape
+        n = pb.shape[1]
+        table = value_table(pa.fmt.significand_bits, config)
+        flat = table.reshape(-1)
+        sig = pa.significand
+        counts = np.count_nonzero(sig, axis=1)
+        rows, cols = np.nonzero(sig)
+        compact = np.repeat(np.argmin(sig, axis=1)[:, None], counts.max(initial=0), axis=1)
+        compact[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = cols
+        order = np.argsort(counts, kind="stable")
+        counts, compact = counts[order], compact[order]
+        cells = compact + (order * k)[:, None]
+        ma = sig.reshape(-1).take(cells).astype(np.intp)
+        ma *= table.shape[0]
+        alpha = pa.scale().reshape(-1).take(cells)
+        mbi = pb.significand.astype(np.intp)
+        beta = pb.scale()
+
+        out = np.zeros((m, n), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0 = 0
+            while r0 < m:
+                # As many rows as fit BYPASS_BLOCK at the last row's extent.
+                r1 = min(m, r0 + max(1, BYPASS_BLOCK // (n * max(1, counts[r0]))))
+                while r1 - r0 > 1 and (r1 - r0) * counts[r1 - 1] * n > BYPASS_BLOCK:
+                    r1 = r0 + (r1 - r0) // 2
+                extent = int(counts[r1 - 1])
+                if extent:
+                    acc = np.zeros((r1 - r0, n), dtype=np.float32)
+                    k_step = max(1, min(extent, ROW_BUDGET // ((r1 - r0) * n)))
+                    for c0 in range(0, extent, k_step):
+                        c1 = min(extent, c0 + k_step)
+                        kk = compact[r0:r1, c0:c1]
+                        idx = mbi.take(kk, axis=0)
+                        idx += ma[r0:r1, c0:c1, None]
+                        values = flat.take(idx)
+                        values *= alpha[r0:r1, c0:c1, None]
+                        values *= beta.take(kk, axis=0)
+                        self._apply_masks(values, *masks[1:])
+                        _accumulate(values, acc)
+                    out[order[r0:r1]] = acc
+                r0 = r1
         return out
 
     def _run_transposed(self, pa, pb, config, masks):
@@ -891,12 +994,17 @@ class FloatTableKernel(GemmKernel):
         factors as :meth:`run` — ``V0[ma, mb]``, ``alpha`` and ``beta`` —
         only grouped differently, and in the ``f32_exact`` regime every
         grouping is exact.  The K-sum is the same :func:`_accumulate`, so
-        the output bits equal :meth:`run`'s.
+        the output bits equal :meth:`run`'s.  A weight-stationary call
+        with mostly-zero activations takes the zero bypass
+        (:meth:`_run_stationary_sparse`).
         """
         if prepared.layout in (WEIGHT_STATIONARY, ACTIVATION_EXPANDED):
             masks = self._range_masks(pa, prepared.weight)
             if masks[0]:
                 if prepared.layout == WEIGHT_STATIONARY:
+                    m, n = pa.shape[0], prepared.weight.shape[1]
+                    if m * n >= BYPASS_STEP_WORK and _zero_share(pa) >= BYPASS_STATIONARY_ZEROS:
+                        return self._run_stationary_sparse(pa, prepared, masks)
                     return self._run_stationary(pa, prepared, masks)
                 return self._run_expanded(pa, prepared, masks)
         return self.run(pa, prepared.weight, prepared.config)
@@ -932,6 +1040,33 @@ class FloatTableKernel(GemmKernel):
                     values *= alpha[r0:r1, c0:c1, None]
                     self._apply_masks(values, *masks[1:])
                     _accumulate(values, out[r0:r1])
+        return out
+
+    def _run_stationary_sparse(self, pa, prepared, masks):
+        """:meth:`_run_stationary` over nonzero activations only (zero bypass).
+
+        Per K step, gathers table rows for the rows whose activation is
+        nonzero there, scales them by ``alpha`` and adds them to those
+        rows' totals.  A step selects each row at most once, so every
+        output still gets its terms in K order.
+        """
+        m, k = pa.shape
+        n = prepared.weight.shape[1]
+        table = self._stationary_table(prepared)
+        significands, row_of = _significand_rows(pa.fmt.significand_bits)
+        sig_t = np.ascontiguousarray(pa.significand.T)
+        alpha_t = np.ascontiguousarray(pa.scale().T)
+
+        out = np.zeros((m, n), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(k):
+                sel = np.flatnonzero(sig_t[t])
+                index = row_of.take(sig_t[t].take(sel))
+                index += t * significands.size
+                values = table.take(index, axis=0)
+                values *= alpha_t[t].take(sel)[:, None]
+                self._apply_masks(values, *masks[1:])
+                out[sel] += values
         return out
 
     def _run_expanded(self, pa, prepared, masks):
