@@ -1,4 +1,4 @@
-"""Kernel-state integrity: checksums, canary probes, heal-or-demote.
+"""Kernel-state integrity: checksums, canary probes, heal, recurrence.
 
 The serving stack keeps long-lived arithmetic state in process memory —
 the cached product tables (:mod:`repro.core.kernels`) and pre-packed
@@ -17,18 +17,19 @@ recoverable* event:
 * **heal** — a checksum or canary mismatch rebuilds the table from
   source (tables are pure functions of ``(bits, config)``) and
   re-verifies;
-* **demote** — corruption that *recurs* on the same table marks its
-  ``(significand bits, config)`` as demoted and a structured
-  :class:`IntegrityError` event records it; health reports carry the
-  flag, and a fleet respawns a demoted deployment's workers on the
-  bit-exact kernel (:meth:`repro.runtime.fleet.FleetServer.check_health`).
+* **recurrence** — corruption that *recurs* on one table site
+  (:data:`RECURRENCE_THRESHOLD` detections) or a canary still wrong
+  after the heal sets ``recurred`` in the :func:`check_and_heal`
+  report.  The process's memory is then suspect beyond what a rebuild
+  fixes, and a fleet respawns the worker that reported it
+  (:meth:`repro.runtime.fleet.FleetServer.check_health`).
 
-Every detection, heal and demotion is a record in the process event
-journal (:mod:`repro.journal`), read back by :func:`integrity_events`.
+Every detection and heal is a record in the process event journal
+(:mod:`repro.journal`), read back by :func:`integrity_events`.
 Everything is in-process state: fleet workers each run their own
 registry (a worker's ``("health",)`` message triggers
-:func:`check_and_heal` there), and the parent mirrors demotions into
-its deployment snapshots so respawned workers inherit them.
+:func:`check_and_heal` there), so a respawned worker starts with fresh
+corruption counts.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import numpy as np
 from .. import journal
 
 __all__ = [
-    "IntegrityError",
-    "IntegrityEvent",
     "checksum_value",
     "register_table",
     "register_canary",
@@ -53,8 +52,6 @@ __all__ = [
     "verify_tables",
     "verify_canaries",
     "check_and_heal",
-    "demote",
-    "demoted_keys",
     "integrity_events",
     "corruption_counts",
     "reset_integrity",
@@ -88,35 +85,6 @@ def _feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-@dataclasses.dataclass(frozen=True)
-class IntegrityEvent:
-    """One detection/recovery/degradation event, structured for wires."""
-
-    kind: str  #: ``table_corruption`` | ``canary_mismatch`` | ``demotion``
-    site: str  #: table key / canary key, stringified
-    action: str  #: ``rebuilt`` | ``demoted`` | ``detected``
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self) | {"error": "integrity"}
-
-
-class IntegrityError(RuntimeError):
-    """Corruption recurred past the heal budget; carries the event.
-
-    Emitted as a structured *event* on the healing path (recorded, the
-    tier demotes, serving continues) and raised only by callers that opt
-    into strict mode.
-    """
-
-    def __init__(self, event: IntegrityEvent):
-        self.event = event
-        super().__init__(f"integrity: {event.kind} at {event.site} -> {event.action}")
-
-    def as_dict(self) -> dict:
-        return self.event.as_dict()
-
-
 @dataclasses.dataclass
 class _TableRecord:
     digest: str
@@ -136,12 +104,11 @@ _LOCK = threading.RLock()
 _TABLES: dict[tuple, _TableRecord] = {}
 _CANARIES: dict[tuple, _CanaryRecord] = {}
 _CORRUPTIONS: dict[tuple, int] = {}
-_DEMOTED: set[tuple] = set()
 _JOURNAL = journal.Channel("integrity")
 
-#: Distinct corruption detections on one site before its config is
-#: demoted (the "corruption recurs" policy).
-DEMOTE_AFTER = 2
+#: Corruption detections on one table site at which the corruption
+#: counts as recurring (``recurred`` in the :func:`check_and_heal` report).
+RECURRENCE_THRESHOLD = 2
 
 
 # --------------------------------------------------------------------------
@@ -233,39 +200,11 @@ def registered_canaries() -> list[tuple]:
 # --------------------------------------------------------------------------
 
 
-def _demote_key_for_table(key: tuple) -> tuple:
-    # Table cache keys are (bits, scheme, truncated, kind); demotion is
-    # per (bits, scheme, truncated) — every kind shares the config.
-    return tuple(key[:3])
-
-
-def _note_corruption(key: tuple, kind: str, site: str) -> IntegrityEvent | None:
-    """Count one detection; returns the demotion event if the budget blew."""
+def _note_corruption(key: tuple) -> bool:
+    """Count one table detection; True once the site's corruption recurs."""
     _CORRUPTIONS[key] = _CORRUPTIONS.get(key, 0) + 1
-    _record(IntegrityEvent(kind=kind, site=site, action="rebuilt"))
-    if _CORRUPTIONS[key] >= DEMOTE_AFTER:
-        if kind == "table_corruption":
-            demote_key = _demote_key_for_table(key)
-        else:  # canary key: (fmt_name, config_name, kernel_name)
-            record = _CANARIES[key]
-            demote_key = _demote_key_for_canary(record)
-        if demote_key not in _DEMOTED:
-            _DEMOTED.add(demote_key)
-            event = IntegrityEvent(
-                kind="demotion",
-                site=site,
-                action="demoted",
-                detail=f"corruption recurred {_CORRUPTIONS[key]}x",
-            )
-            return _record(event)
-    return None
-
-
-def _demote_key_for_canary(record: _CanaryRecord) -> tuple:
-    config = record.config
-    if config is None:
-        return (record.fmt.significand_bits, None, False)
-    return (record.fmt.significand_bits, config.scheme, config.truncated)
+    _record("table_corruption", str(key), "rebuilt")
+    return _CORRUPTIONS[key] >= RECURRENCE_THRESHOLD
 
 
 def verify_tables(heal: bool = True) -> dict:
@@ -274,20 +213,20 @@ def verify_tables(heal: bool = True) -> dict:
     A mismatch is *always* detected (the digest covers every byte).
     With ``heal`` the table is rebuilt from source and reinstalled in
     the cache, and so is every table derived from a healed one whose
-    rebuild comes out different (it was computed from corrupted bytes);
-    recurring corruption demotes (see :data:`DEMOTE_AFTER`).
+    rebuild comes out different (it was computed from corrupted bytes).
+    ``recurred`` is True when a site flagged here reached
+    :data:`RECURRENCE_THRESHOLD` detections.
     """
     from . import kernels
 
     corrupted: list[tuple] = []
-    demotions: list[dict] = []
+    recurred = False
 
     def flag(key: tuple) -> None:
+        nonlocal recurred
         corrupted.append(key)
         with _LOCK:
-            event = _note_corruption(key, "table_corruption", str(key))
-            if event is not None:
-                demotions.append(event.as_dict())
+            recurred |= _note_corruption(key)
 
     with _LOCK:
         _forget_released()
@@ -321,7 +260,7 @@ def verify_tables(heal: bool = True) -> dict:
         "tables_checked": len(records),
         "corrupted_tables": [str(k) for k in corrupted],
         "healed_tables": len(corrupted) if heal else 0,
-        "demotions": demotions,
+        "recurred": recurred,
     }
 
 
@@ -338,14 +277,14 @@ def verify_canaries(heal: bool = True) -> dict:
 
     On mismatch the table layer is healed first (the usual cause) and
     the probe retried; a mismatch that *survives* healing counts as
-    recurred corruption and demotes immediately — the kernel's output
-    is wrong for reasons a rebuild did not fix.
+    recurred corruption — the kernel's output is wrong for reasons a
+    rebuild did not fix.
     """
     with _LOCK:
         records = list(_CANARIES.items())
     failures: list[str] = []
     persistent: list[str] = []
-    demotions: list[dict] = []
+    recurred = False
     for key, record in records:
         got = _probe_digest(record.fmt, record.config, record.kernel)
         if got == record.expected:
@@ -353,31 +292,21 @@ def verify_canaries(heal: bool = True) -> dict:
         failures.append(str(key))
         if not heal:
             continue
-        verify_tables(heal=True)
+        recurred |= verify_tables(heal=True)["recurred"]
         got = _probe_digest(record.fmt, record.config, record.kernel)
-        with _LOCK:
-            if got == record.expected:
-                _record(
-                    IntegrityEvent(
-                        kind="canary_mismatch", site=str(key), action="rebuilt"
-                    )
-                )
-            else:
-                persistent.append(str(key))
-                demote_key = _demote_key_for_canary(record)
-                _DEMOTED.add(demote_key)
-                event = IntegrityEvent(
-                    kind="canary_mismatch",
-                    site=str(key),
-                    action="demoted",
-                    detail="probe still wrong after table heal",
-                )
-                demotions.append(_record(event).as_dict())
+        if got == record.expected:
+            _record("canary_mismatch", str(key), "rebuilt")
+        else:
+            persistent.append(str(key))
+            recurred = True
+            _record(
+                "canary_mismatch", str(key), "detected", "probe still wrong after table heal"
+            )
     return {
         "canaries_checked": len(records),
         "canary_failures": failures,
         "persistent_failures": persistent,
-        "demotions": demotions,
+        "recurred": recurred,
     }
 
 
@@ -385,46 +314,28 @@ def check_and_heal() -> dict:
     """One full integrity round: tables, then canaries; heals in place.
 
     The worker ``("health",)`` message and the fleet's periodic health
-    monitor run exactly this.  Returns a merged, wire-ready report.
+    monitor run exactly this.  Returns a merged, wire-ready report whose
+    ``recurred`` is True when a table site reached
+    :data:`RECURRENCE_THRESHOLD` or a canary was still wrong after the
+    heal.
     """
     t0 = time.perf_counter()
     tables = verify_tables(heal=True)
     canaries = verify_canaries(heal=True)
     report = {**tables, **canaries}
-    report["demotions"] = tables["demotions"] + canaries["demotions"]
-    report["demoted"] = bool(report["demotions"]) or bool(demoted_keys())
+    report["recurred"] = tables["recurred"] or canaries["recurred"]
     report["elapsed_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return report
 
 
-# --------------------------------------------------------------------------
-# Demotion state (reported by check_and_heal)
-# --------------------------------------------------------------------------
+def _record(kind: str, site: str, action: str, detail: str = "") -> None:
+    """Journal one detection.
 
-
-def demote(fmt, config) -> None:
-    """Manually demote ``(fmt, config)`` (tests / operator override)."""
-    with _LOCK:
-        _DEMOTED.add((fmt.significand_bits, config.scheme, config.truncated))
-        _record(
-            IntegrityEvent(
-                kind="demotion",
-                site=f"({fmt.name}, {config.name})",
-                action="demoted",
-                detail="manual demotion",
-            )
-        )
-
-
-def demoted_keys() -> list[tuple]:
-    """Snapshot of demoted ``(significand_bits, scheme, truncated)`` keys."""
-    with _LOCK:
-        return sorted(_DEMOTED)
-
-
-def _record(event: IntegrityEvent) -> IntegrityEvent:
-    _JOURNAL.record("integrity", **dataclasses.asdict(event))
-    return event
+    ``kind`` is ``table_corruption`` or ``canary_mismatch``, ``site`` the
+    stringified table or canary key, and ``action`` ``rebuilt`` or
+    ``detected`` (still wrong after the heal).
+    """
+    _JOURNAL.record("integrity", kind=kind, site=site, action=action, detail=detail)
 
 
 def integrity_events() -> list[dict]:
@@ -433,13 +344,13 @@ def integrity_events() -> list[dict]:
 
 
 def corruption_counts() -> dict[tuple, int]:
-    """Per-site detection counts (drives the demote-after policy)."""
+    """Per-site detection counts (drive :data:`RECURRENCE_THRESHOLD`)."""
     with _LOCK:
         return dict(_CORRUPTIONS)
 
 
 def reset_integrity() -> None:
-    """Clear events, corruption counts and demotions (tests).
+    """Clear events and corruption counts (tests).
 
     Table/canary registrations are kept — they mirror live cache state,
     which a reset does not change.
@@ -447,5 +358,4 @@ def reset_integrity() -> None:
     global _JOURNAL
     with _LOCK:
         _CORRUPTIONS.clear()
-        _DEMOTED.clear()
         _JOURNAL = journal.Channel("integrity")

@@ -66,8 +66,12 @@ Self-healing (PR 9) extends the contract to *detected* degradation:
 * **integrity health checks** — ``check_health(model)`` asks each
   worker to run :func:`repro.core.integrity.check_and_heal` (checksum +
   canary verification, rebuild on mismatch); a worker that reports
-  recurring corruption demotes the deployment to the bit-exact kernel
-  tier and respawns on it.
+  recurring corruption is respawned from the unchanged snapshot while
+  its siblings keep serving.
+
+Every worker respawn — heartbeat, crash, integrity recurrence and
+breaker revival — goes through :meth:`FleetServer._respawn`, which
+times it and journals ``worker_respawned`` or ``respawn_failed``.
 
 The open-loop Poisson benchmark over this fleet lives in
 :mod:`repro.runtime.serving_bench`; the TCP frontend in
@@ -411,20 +415,6 @@ class DeadlineExceededError(RuntimeError):
 # --------------------------------------------------------------------------
 
 
-def _worker_exact_tier(snapshot: ModelSnapshot) -> str | None:
-    """The bit-exact kernel tier name for this snapshot's backend.
-
-    Reported in health replies so the parent can demote the deployment
-    (respawn workers pinned to this tier) without re-deriving the
-    format; ``None`` for backends without a packed kernel path.
-    """
-    from ..core.kernels import exact_tier_name
-
-    backend = resolve_backend(snapshot.backend, snapshot.kernel)
-    fmt = getattr(backend, "fmt", None)
-    return exact_tier_name(fmt) if fmt is not None else None
-
-
 def _worker_main(conn, snapshot: ModelSnapshot) -> None:
     """Worker process body: rebuild the plan, then serve the pipe.
 
@@ -437,7 +427,7 @@ def _worker_main(conn, snapshot: ModelSnapshot) -> None:
     batch (an already-expired deadline replies ``("expired", late_s)``
     without computing); ``("digest",)`` / ``("ping",)`` introspect;
     ``("health",)`` runs a full integrity round (checksums, canaries,
-    heal) and replies with its report plus the demotion tier;
+    heal) and replies with its report;
     ``("chaos", params)`` injects table corruption on demand (tests).
     """
     try:
@@ -449,7 +439,6 @@ def _worker_main(conn, snapshot: ModelSnapshot) -> None:
             run_batch = BatchEngine(plan, shards=shards).run
         else:
             run_batch = plan.execute
-        exact_tier = _worker_exact_tier(snapshot)
         chaos = None
         if snapshot.chaos:
             from ..chaos.worker import WorkerChaos
@@ -498,7 +487,6 @@ def _worker_main(conn, snapshot: ModelSnapshot) -> None:
 
             try:
                 report = check_and_heal()
-                report["exact_tier"] = exact_tier
                 report["pid"] = os.getpid()
                 conn.send(("ok", report))
             except BaseException as exc:
@@ -665,7 +653,6 @@ class _Deployment:
             "breaker_opens": 0,
             "integrity_checks": 0,
             "integrity_corruptions": 0,
-            "integrity_demotions": 0,
         }
 
     def note_service(self, elapsed_ms: float, samples: int) -> None:
@@ -1167,7 +1154,6 @@ class FleetServer:
         Caller holds ``handle.lock``, so the respawn cannot race the
         monitor.
         """
-        t_crash = time.perf_counter()
         handle.kill()  # reap whatever is left of the crashed worker
         with dep.lock:
             dep.stats["worker_restarts"] += 1
@@ -1190,20 +1176,47 @@ class FleetServer:
                 self._fail(dep, r, WorkerCrashError(dep.snapshot.model, r.retries, reason))
         if dep.batcher.state == STOPPED:
             return False
+        if self._respawn(dep, handle, "crash"):
+            return True
+        # Without a worker this runner is useless: open the breaker,
+        # which fails the queue structurally, and exit cleanly.
+        self._quarantine(dep, "respawn failed")
+        return False
+
+    def _respawn(self, dep: _Deployment, handle: _WorkerHandle, cause: str) -> bool:
+        """Start a fresh worker in ``handle`` from the deployment's snapshot.
+
+        Every respawn the fleet does comes through here; ``cause`` is
+        ``heartbeat``, ``crash``, ``integrity`` or ``revive``.  Success
+        keeps the respawn time as ``last_recovery_ms`` and journals
+        ``worker_respawned``; failure journals ``respawn_failed`` and
+        the caller decides what it means.  ``worker_restarts`` is the
+        caller's: a crash counts when the runner sees it, a heartbeat or
+        integrity respawn when it succeeds, a revive not at all.  The
+        caller holds ``handle.lock`` (a revive holds the submit lock
+        with the runners joined), so no request is on the pipe.
+        """
+        model = dep.snapshot.model
+        t0 = time.perf_counter()
         try:
             handle.spawn()
         except Exception as exc:
-            # Without a worker this runner is useless: open the breaker,
-            # which fails the queue structurally, and exit cleanly.
             self._journal.record(
                 "respawn_failed",
-                model=dep.snapshot.model,
+                model=model,
                 worker=handle.name,
+                cause=cause,
                 detail=f"{type(exc).__name__}: {exc}",
             )
-            self._quarantine(dep, "respawn failed")
             return False
-        dep.last_recovery_ms = (time.perf_counter() - t_crash) * 1e3
+        dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
+        self._journal.record(
+            "worker_respawned",
+            model=model,
+            worker=handle.name,
+            cause=cause,
+            recovery_ms=dep.last_recovery_ms,
+        )
         return True
 
     # -- circuit breaker ---------------------------------------------------
@@ -1250,20 +1263,12 @@ class FleetServer:
         re-opens the breaker through the normal counting path; a worker
         that fails to start keeps the breaker open another cooldown.
         """
-        t0 = time.perf_counter()
-        model = dep.snapshot.model
         for runner in dep.runners:
             runner.join()
         for handle in dep.handles:
             handle.kill()
-        try:
-            for handle in dep.handles:
-                handle.spawn()
-        except Exception as exc:
+        if not all(self._respawn(dep, handle, "revive") for handle in dep.handles):
             dep.open_until = time.monotonic() + self.breaker_cooldown_s
-            self._journal.record(
-                "respawn_failed", model=model, detail=f"{type(exc).__name__}: {exc}"
-            )
             return
         dep.runners = [self._runner(dep, h, i) for i, h in enumerate(dep.handles)]
         with dep.lock:
@@ -1272,8 +1277,7 @@ class FleetServer:
         dep.open_until = None
         for runner in dep.runners:
             runner.start()
-        dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        self._journal.record("circuit_closed", model=model)
+        self._journal.record("circuit_closed", model=dep.snapshot.model)
 
     def _runner(self, dep: _Deployment, handle: _WorkerHandle, i: int) -> threading.Thread:
         return threading.Thread(
@@ -1335,43 +1339,22 @@ class FleetServer:
                     healthy = True
             except (EOFError, OSError, BrokenPipeError):
                 pass
-        if healthy:
-            return
-        t0 = time.perf_counter()
-        try:
-            handle.spawn()
-        except Exception as exc:
-            self._journal.record(
-                "respawn_failed",
-                model=dep.snapshot.model,
-                worker=handle.name,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-            return
-        dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        with dep.lock:
-            dep.stats["worker_restarts"] += 1
-        self._journal.record(
-            "worker_respawned",
-            model=dep.snapshot.model,
-            worker=handle.name,
-            recovery_ms=dep.last_recovery_ms,
-        )
+        if not healthy and self._respawn(dep, handle, "heartbeat"):
+            with dep.lock:
+                dep.stats["worker_restarts"] += 1
 
     def check_health(self, model: str) -> list[dict]:
         """Run one integrity round (checksums + canaries + heal) per worker.
 
         Each worker executes :func:`repro.core.integrity.check_and_heal`
         in its own process; the merged reports come back per worker.  A
-        worker reporting recurred corruption (``demoted``) demotes the
-        whole deployment: its snapshot is pinned to the bit-exact kernel
-        tier and every worker respawns on it — corrupted state cannot
-        survive the respawn, and the tier cannot re-corrupt the same way
-        (no approximate tables to flip).
+        worker whose report has ``recurred`` (corruption its heal did
+        not end) is respawned from the unchanged snapshot under its
+        handle's lock, as a crashed one is.  Its siblings keep running:
+        corruption in one process's memory says nothing about another's.
         """
         dep = self._deployment(model)
         reports: list[dict] = []
-        demote_tier: str | None = None
         for handle in dep.handles:
             with handle.lock:
                 try:
@@ -1379,40 +1362,23 @@ class FleetServer:
                 except (EOFError, OSError, BrokenPipeError):
                     reports.append({"error": "worker_unreachable", "worker": handle.name})
                     continue
-            if status != "ok":
-                reports.append({"error": "health_failed", "detail": payload})
-                continue
-            reports.append(payload)
-            with dep.lock:
-                dep.stats["integrity_checks"] += 1
-                dep.stats["integrity_corruptions"] += len(
-                    payload.get("corrupted_tables", ())
-                ) + len(payload.get("canary_failures", ()))
-            if payload.get("demoted") and payload.get("exact_tier"):
-                demote_tier = payload["exact_tier"]
-        if demote_tier is not None and dep.snapshot.kernel != demote_tier:
-            self._demote(dep, demote_tier)
+                if status != "ok":
+                    reports.append({"error": "health_failed", "detail": payload})
+                    continue
+                reports.append(payload)
+                with dep.lock:
+                    dep.stats["integrity_checks"] += 1
+                    dep.stats["integrity_corruptions"] += len(
+                        payload["corrupted_tables"]
+                    ) + len(payload["canary_failures"])
+                if (
+                    payload["recurred"]
+                    and dep.batcher.state == OPEN
+                    and self._respawn(dep, handle, "integrity")
+                ):
+                    with dep.lock:
+                        dep.stats["worker_restarts"] += 1
         return reports
-
-    def _demote(self, dep: _Deployment, tier: str) -> None:
-        """Pin the deployment to the bit-exact tier and respawn its workers."""
-        t0 = time.perf_counter()
-        model = dep.snapshot.model
-        dep.snapshot = dataclasses.replace(dep.snapshot, kernel=tier)
-        with dep.lock:
-            dep.stats["integrity_demotions"] += 1
-        for handle in dep.handles:
-            with handle.lock:
-                handle.snapshot = dep.snapshot
-                handle.spawn()
-        dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        self._journal.record(
-            "integrity",
-            model=model,
-            action="demoted",
-            kernel=tier,
-            recovery_ms=dep.last_recovery_ms,
-        )
 
     def plan_digests(self, model: str) -> list[list[str] | None]:
         """Per-worker :func:`plan_digest` — the byte-identity proof.

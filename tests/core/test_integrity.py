@@ -1,9 +1,10 @@
-"""Tests for the kernel-state integrity layer: checksum, canary, heal, demote.
+"""Tests for the kernel-state integrity layer: checksum, canary, heal, recurrence.
 
 The contract under test: every registered table's corruption is
 detected (the digest covers every byte), healing restores byte-exact
-behaviour, recurring corruption demotes the config, and the whole
-loop is observable through structured events.
+behaviour, corruption that recurs on a site sets ``recurred`` in the
+health report (a fleet respawns the worker on it), and the whole loop
+is observable through structured events.
 """
 
 import numpy as np
@@ -13,13 +14,9 @@ from repro.core import integrity, kernels
 from repro.core.config import PC3_TR
 from repro.core.gemm import approx_matmul
 from repro.core.integrity import (
-    IntegrityError,
-    IntegrityEvent,
     check_and_heal,
     checksum_value,
     corruption_counts,
-    demote,
-    demoted_keys,
     integrity_events,
     registered_canaries,
     registered_tables,
@@ -36,7 +33,7 @@ def _clean_integrity():
     reset_integrity()
     yield
     # Heal anything a test corrupted and forgot, then drop the
-    # demotion/event state.
+    # corruption counts and events.
     check_and_heal()
     reset_integrity()
 
@@ -163,29 +160,27 @@ class TestCanary:
         )
 
 
-class TestDemotion:
-    def test_recurring_corruption_demotes_the_config(self):
+class TestRecurrence:
+    def test_recurring_corruption_sets_recurred(self):
         _gemm()
-        demotions = []
-        for _ in range(integrity.DEMOTE_AFTER):
+        reports = []
+        for _ in range(integrity.RECURRENCE_THRESHOLD):
             _corrupt_one_table()
-            demotions += verify_tables(heal=True)["demotions"]
-        assert demotions, "corruption recurred past the budget but no demotion"
-        assert demoted_keys()
-        assert max(corruption_counts().values()) >= integrity.DEMOTE_AFTER
+            reports.append(verify_tables(heal=True))
+        assert not any(r["recurred"] for r in reports[:-1])
+        assert reports[-1]["recurred"], "corruption recurred but was not reported"
+        assert max(corruption_counts().values()) >= integrity.RECURRENCE_THRESHOLD
 
-    def test_integrity_error_carries_wire_dict(self):
-        event = IntegrityEvent(kind="demotion", site="x", action="demoted")
-        exc = IntegrityError(event)
-        assert exc.event is event
-        assert exc.as_dict()["error"] == "integrity"
-
-    def test_check_and_heal_reports_demoted_flag(self):
+    def test_check_and_heal_reports_recurred_flag(self):
         _gemm()
-        report = check_and_heal()
-        assert report["demoted"] is False
-        demote(BFLOAT16, PC3_TR)
-        assert check_and_heal()["demoted"] is True
+        assert check_and_heal()["recurred"] is False
+        for _ in range(integrity.RECURRENCE_THRESHOLD - 1):
+            _corrupt_one_table()
+            assert check_and_heal()["recurred"] is False
+        _corrupt_one_table()
+        assert check_and_heal()["recurred"] is True
+        # Not sticky: a clean round after the recurrence reports none.
+        assert check_and_heal()["recurred"] is False
 
 
 class TestRebuildRegistration:

@@ -3,8 +3,9 @@
 Companion to ``test_fleet_chaos.py`` (crash redelivery, respawn,
 accounting): here the PR-9 machinery — deadline propagation, hedged
 dispatch, the crash circuit breaker with quarantine/revive, the
-integrity health round and its demotion path, and the heartbeat
-monitor — each against a real multi-process fleet.
+integrity health round and its respawn of a worker whose corruption
+recurs, and the heartbeat monitor — each against a real multi-process
+fleet.
 """
 
 import time
@@ -18,6 +19,7 @@ from repro.runtime.fleet import (
     FleetServer,
     ShedLoadError,
     WorkerCrashError,
+    plan_digest,
     rebuild_plan,
     snapshot_model,
 )
@@ -201,33 +203,45 @@ class TestHealthAndDemotion:
             for report in fleet.check_health("lenet"):
                 assert report["corrupted_tables"] == []
 
-    def test_recurring_corruption_demotes_to_exact_tier(self):
-        from repro.core.integrity import DEMOTE_AFTER
+    def test_recurrence_respawns_only_that_worker(self):
+        from repro.core.integrity import RECURRENCE_THRESHOLD
 
-        with FleetServer(workers=1, max_batch=4, max_delay_ms=0.5) as fleet:
+        with FleetServer(
+            workers=2, max_batch=4, max_delay_ms=0.5, heartbeat_interval_s=None
+        ) as fleet:
             fleet.register(_snapshot())
             dep = fleet._deployment("lenet")
-            assert dep.snapshot.kernel != "float_table"
-            # Corrupt the same tables repeatedly inside the worker; each
-            # health round detects + heals, and the recurrence demotes.
-            for _ in range(DEMOTE_AFTER):
+            snapshot = dep.snapshot
+            pids = [h.pid for h in dep.handles]
+            restarts = fleet.stats()["lenet"]["worker_restarts"]
+            # Corrupt the same tables of worker 0 before each health
+            # round: each round detects and heals, and the recurrence
+            # respawns worker 0 alone.
+            for _ in range(RECURRENCE_THRESHOLD):
                 handle = dep.handles[0]
                 with handle.lock:
                     status, corrupted = handle.request(
                         ("chaos", {"n_tables": 2, "flips_per_table": 1})
                     )
                 assert status == "ok" and corrupted
-                fleet.check_health("lenet")
-            stats = fleet.stats()["lenet"]
-            assert stats["integrity_demotions"] >= 1
-            assert dep.snapshot.kernel == "float_table"
-            assert any(e["event"] == "integrity" for e in fleet.events())
-            # The demoted fleet still serves, byte-identical to a
-            # parent-side plan on the demoted snapshot.
+                reports = fleet.check_health("lenet")
+            assert [r["recurred"] for r in reports] == [True, False]
+            assert dep.handles[0].pid != pids[0]
+            assert dep.handles[1].pid == pids[1]
+            assert fleet.stats()["lenet"]["worker_restarts"] == restarts + 1
+            assert any(
+                e["event"] == "worker_respawned" and e["cause"] == "integrity"
+                for e in fleet.events()
+            )
+            # The snapshot is untouched: same kernel, same plan, same bits.
+            assert dep.snapshot is snapshot and dep.snapshot.kernel is None
+            parent = rebuild_plan(snapshot)
+            assert fleet.plan_digests("lenet") == [plan_digest(parent)] * 2
             x = _x(2, seed=3)
-            want = rebuild_plan(dep.snapshot).execute(x)
             got = fleet.submit("lenet", x).result(timeout=60)
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                got.view(np.uint32), parent.execute(x).view(np.uint32)
+            )
 
 
 class TestHeartbeatMonitor:

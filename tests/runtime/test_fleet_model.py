@@ -3,9 +3,10 @@
 A hypothesis ``RuleBasedStateMachine`` drives a real two-worker LeNet
 :class:`~repro.runtime.fleet.FleetServer` through random interleavings
 of its lifecycle: submit (with and without a deadline), kill a worker
-process, open the circuit breaker, wait out its cooldown, and close
-with or without drain.  A reference model checks the fleet after every
-step and after close:
+process, open the circuit breaker, wait out its cooldown, corrupt one
+worker's tables and run a health round, and close with or without
+drain.  A reference model checks the fleet after every step and after
+close:
 
 * the books never overdraw, and balance after close:
   ``accepted == completed + failed``;
@@ -16,7 +17,9 @@ step and after close:
   to a parent-side plan's bytes or a structured error;
 * no worker process is alive after close;
 * every live worker's :func:`~repro.runtime.fleet.plan_digest` equals a
-  parent-side compile, and only a worker that is down reports ``None``.
+  parent-side compile, and only a worker that is down reports ``None``;
+* a health round detects every corruption it is sent after, and
+  respawns exactly the workers whose corruption recurred.
 
 The fleet opens its breaker on its own when a respawn fails — here,
 when a worker is killed while it boots — so the model adopts every
@@ -38,6 +41,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.integrity import RECURRENCE_THRESHOLD
 from repro.runtime.fleet import (
     DeadlineExceededError,
     FleetServer,
@@ -169,6 +173,49 @@ class FleetLifecycle(RuleBasedStateMachine):
                 assert process is None or not process.is_alive()
             else:
                 assert digest == want
+
+    @precondition(lambda self: not self.closed)
+    @rule(index=st.integers(0, WORKERS - 1), rounds=st.integers(1, RECURRENCE_THRESHOLD))
+    def corrupt_then_check_health(self, index, rounds):
+        # Every accepted request resolves first, so no batch runs on the
+        # corrupted tables before the health round heals them.
+        for _, _, future in self.accepted:
+            future.exception(timeout=60)
+        for _ in range(rounds):
+            # The same table each round, so the corruption can recur.
+            handle = self.dep.handles[index]
+            corrupted = []
+            with handle.lock:
+                try:
+                    status, corrupted = handle.request(("chaos", {"n_tables": 1}))
+                except (EOFError, OSError, BrokenPipeError):
+                    pass  # killed, or quarantined: nothing to corrupt
+                else:
+                    assert status == "ok" and corrupted
+            pids = [h.pid for h in self.dep.handles]
+            reports = self.fleet.check_health("lenet")
+            assert len(reports) == WORKERS
+            if corrupted:
+                assert reports[index]["corrupted_tables"], "corruption went undetected"
+            for handle, pid, report in zip(self.dep.handles, pids, reports):
+                if "error" in report:
+                    assert report["error"] == "worker_unreachable"
+                    continue
+                # Recurred corruption respawns that worker and no other.
+                assert (handle.pid != pid) == report["recurred"]
+        self._sync()
+        want = plan_digest(_parent_plan())
+        for digest in self.fleet.plan_digests("lenet"):
+            assert digest is None or digest == want
+        # The books balance: every request resolved, none was dropped.
+        deadline = time.monotonic() + 5.0
+        while True:
+            stats = self.fleet.stats()["lenet"]
+            settled = stats["completed_requests"] + stats["failed_requests"]
+            if settled == len(self.accepted) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert stats["accepted_requests"] == settled == len(self.accepted)
 
     @precondition(lambda self: not self.closed)
     @rule(drain=st.booleans())
