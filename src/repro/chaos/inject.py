@@ -131,10 +131,11 @@ def corrupt_packed(pt: PackedTensor, faults: FaultModel) -> PackedTensor:
     sign = pt.sign.reshape(-1).copy()
     exponent = pt.exponent.reshape(-1).copy()
     significand = pt.significand.reshape(-1).copy()
+    cell = significand.dtype.type
     for r, c in faults.stuck_at_1:
-        significand[r] |= np.uint32(1 << c)
+        significand[r] |= cell(1 << c)
     for r, c in faults.stuck_at_0:
-        significand[r] &= np.uint32(~(1 << c) & 0xFFFFFFFF)
+        significand[r] &= ~cell(1 << c)
     if faults.dead_rows:
         dead = np.fromiter(faults.dead_rows, dtype=np.intp)
         sign[dead] = 0

@@ -15,7 +15,7 @@ Three kernels are built in:
     ``2^bits x 2^bits`` float32 table of *normalised significand product
     values* (the one-position normalisation bump folded in, so entries
     lie in ``[1, 4)``).  Per element the kernel does one table gather
-    and two multiplies by the cached per-operand scale planes, and is
+    and two multiplies by the per-operand scale planes pack stores, and is
     bit-identical to the scalar ``core.mantissa`` pipeline: scale
     products are exact powers of two, the gathered value has at most
     ``significand_bits + 1`` significant bits, overflow to inf falls out
@@ -510,14 +510,14 @@ def _row_addressable(weight: PackedTensor) -> bool:
 
 
 def _row_plane(packed: PackedTensor) -> np.ndarray:
-    """``row_of[significand]`` as ``uint32``, without a select on the zero mask.
+    """``row_of[significand]`` in the significand's dtype, without a select on the zero mask.
 
     A nonzero significand's row is ``mb - (2^(bits-1) - 1)``: its bits
     below the MSB plus the MSB itself; zero maps to row 0.
     """
     sig, bits = packed.significand, packed.fmt.significand_bits
-    row = sig & np.uint32((1 << (bits - 1)) - 1)
-    row += sig >> np.uint32(bits - 1)
+    row = sig & sig.dtype.type((1 << (bits - 1)) - 1)
+    row += sig >> sig.dtype.type(bits - 1)
     return row
 
 
@@ -691,9 +691,8 @@ class FloatTableKernel(GemmKernel):
     @staticmethod
     def _range_masks(pa, pb) -> tuple[bool, bool, bool, np.uint32, np.uint32]:
         fmt = pa.fmt
-        ea, eb = pa.exponent, pb.exponent
-        ea_min, ea_max = int(ea.min(initial=0)), int(ea.max(initial=0))
-        eb_min, eb_max = int(eb.min(initial=0)), int(eb.max(initial=0))
+        ea_min, ea_max = pa.exponent_range()
+        eb_min, eb_max = pb.exponent_range()
 
         # Every float32 intermediate is exact when scale products cannot
         # overflow or go subnormal; then the in-place multiply order is
@@ -954,13 +953,13 @@ class FloatTableKernel(GemmKernel):
         def interleave(planes):
             return np.stack(planes, axis=1).reshape(-1, n)
 
-        stacked = PackedTensor(
+        ranges = [w.exponent_range() for w in weights]
+        stacked = PackedTensor.from_planes(
             weights[0].fmt,
-            interleave([w.sign for w in weights]),
-            interleave([w.exponent for w in weights]),
             interleave([w.significand for w in weights]),
+            interleave([w.scale() for w in weights]),
+            (min(lo for lo, _ in ranges), max(hi for _, hi in ranges)),
         )
-        stacked._scale = interleave([w.scale() for w in weights])
         if not _row_addressable(stacked):
             return None
         return self._prepare_stationary(stacked, config, DIRECT)
@@ -1237,7 +1236,7 @@ class BlasFactoredKernel(GemmKernel):
         """Exact BLAS component plus low-rank error-table correction.
 
         The correction is contracted one rank at a time: two 1-D table
-        gathers re-map each operand's significand plane, the cached
+        gathers re-map each operand's significand plane, the stored
         scale planes fold in the signed exponents, and a standard BLAS
         GEMM accumulates — ``rank`` small matmuls instead of one wide
         one, which avoids materialising transposed ``(m, k, rank)``

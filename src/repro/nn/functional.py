@@ -17,12 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.gemm import MatmulBackend
-from ..formats.packed import pack
+from ..formats.packed import PackedTensor, pack
 from .backend import default_backend
 
 __all__ = [
     "im2col",
     "col2im",
+    "gather_packed_cols",
+    "group_columns",
     "conv2d_forward",
     "conv2d_cols",
     "conv2d_output",
@@ -106,6 +108,40 @@ def col2im(
     return padded
 
 
+def gather_packed_cols(
+    packed: PackedTensor,
+    kernel: int,
+    stride: int,
+    padding: int,
+    need_dense: bool = False,
+) -> PackedTensor:
+    """Gather already-packed image planes through :func:`im2col`.
+
+    ``gather_packed_cols(pack(x, fmt), ...)`` is byte-identical to
+    ``pack(im2col(x), fmt)``: quantisation is elementwise, so it
+    commutes with the gather, and zero padding packs to all-zero planes.
+    Gathers the two stored planes (and the dense values when
+    ``need_dense``); the result derives its own exponent range.
+
+    Columns come in im2col's ``(c, kh, kw)`` order, so the columns of a
+    channel group form one contiguous block (:func:`group_columns`).
+    """
+    cols = PackedTensor.from_planes(
+        packed.fmt,
+        im2col(packed.significand, kernel, stride, padding),
+        im2col(packed.scale(), kernel, stride, padding),
+    )
+    if need_dense:
+        cols._dense = im2col(packed.dense(), kernel, stride, padding)
+    return cols
+
+
+def group_columns(cols: PackedTensor, groups: int) -> list[PackedTensor]:
+    """Each channel group's contiguous block of gathered patch columns (views)."""
+    width = cols.shape[1] // groups
+    return [cols[:, g * width : (g + 1) * width] for g in range(groups)]
+
+
 def direct_conv2d(
     kernel, packed, direct, bias: np.ndarray | None, size: int, stride: int, padding: int,
     groups: int,
@@ -171,10 +207,11 @@ def conv2d_forward(
     per-group ``(C/G*K*K, F/G)`` matrices — layers pass their cached
     weights here so inference performs zero per-call weight packing.
     ``direct``, a direct-layout weight on the backend's kernel, runs all
-    groups as one tap loop instead (:func:`direct_conv2d`).  Returns
-    ``(output, cols_cache)`` with one patch matrix per group for the
-    backward pass; ``cols_cache`` is ``None`` when the direct loop ran,
-    which builds none (:func:`conv2d_cols` gives them).
+    groups as one tap loop over the packed image instead
+    (:func:`direct_conv2d`).  Returns ``(output, saved)`` for the
+    backward pass: the packed image when the forward packed one (its
+    dW operands are gathered from it, never packed again), else one
+    float patch matrix per group.
     """
     backend = backend or default_backend()
     n, c, h, w = x.shape
@@ -187,13 +224,14 @@ def conv2d_forward(
     fg = f // groups
     oh = _out_size(h, kernel, stride, padding)
     ow = _out_size(w, kernel, stride, padding)
+    packed = None
     if direct is not None:
+        packed = pack(x, direct.weight.fmt)
         out = direct_conv2d(
-            backend.packed_kernel()[0], pack(x, direct.weight.fmt), direct, bias,
-            kernel, stride, padding, groups,
+            backend.packed_kernel()[0], packed, direct, bias, kernel, stride, padding, groups
         )
         if out is not None:
-            return out, None
+            return out, packed
     cols_cache = conv2d_cols(x, groups, kernel, stride, padding)
     if prepared_weights is None:
         prepared_weights = [weight[g * fg : (g + 1) * fg].reshape(fg, -1).T for g in range(groups)]
@@ -201,13 +239,13 @@ def conv2d_forward(
         backend.matmul(cols.reshape(n, oh * ow, -1), wmat)
         for cols, wmat in zip(cols_cache, prepared_weights)
     ]
-    return conv2d_output(outs, bias, n, oh, ow), cols_cache
+    return conv2d_output(outs, bias, n, oh, ow), cols_cache if packed is None else packed
 
 
 def conv2d_backward(
     grad_out: np.ndarray,
     x_shape: tuple[int, int, int, int],
-    cols_cache: list[np.ndarray],
+    saved,
     weight: np.ndarray,
     stride: int,
     padding: int,
@@ -215,7 +253,8 @@ def conv2d_backward(
     *,
     groups: int = 1,
     prepared_weights=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of :func:`conv2d_forward`: ``(dx, dweight, dbias)``.
 
     The backward GEMMs also run on the configured backend — on the
@@ -223,36 +262,42 @@ def conv2d_backward(
     (the paper targets "DNN Training and Inference").  Each group's
     backward is the one-group backward of its contiguous slice of the
     gradient and its patch matrix: a bias sum, a ``dweight`` GEMM and a
-    ``dcols`` GEMM folded back by :func:`col2im`.  ``prepared_weights``
-    is an optional sequence of backend-prepared per-group
-    ``(F/G, C/G*K*K)`` weight rows for the ``dcols`` GEMMs.
+    ``dcols`` GEMM folded back by :func:`col2im`.  ``saved`` is what the
+    forward returned: a packed image, whose gathered columns are the
+    ``dweight`` operands, or the per-group float patches.
+    ``prepared_weights`` is an optional sequence of backend-prepared
+    per-group ``(F/G, C/G*K*K)`` weight rows for the ``dcols`` GEMMs.
+    Without ``input_grad`` the ``dcols`` GEMMs and ``col2im`` do not
+    run and ``dx`` is ``None``.
     """
     backend = backend or default_backend()
     f, cg, kernel, _ = weight.shape
     n, _c, h, w = x_shape
     fg = f // groups
-    parts = []
-    for g, cols in enumerate(cols_cache):
+    if isinstance(saved, PackedTensor):
+        saved = group_columns(gather_packed_cols(saved, kernel, stride, padding), groups)
+    dxs, dweights, dbiases = [], [], []
+    for g, cols in enumerate(saved):
         filters = slice(g * fg, (g + 1) * fg)
         grad = np.ascontiguousarray(grad_out[:, filters])
         # ``(N*OH*OW, F/G)`` GEMM rows, a view or a copy depending on the
         # shape; the bias sum follows that layout.
         rows = grad.transpose(0, 2, 3, 1).reshape(-1, fg)
-        if prepared_weights is not None:
-            wrows = prepared_weights[g]
-        else:
-            wrows = weight[filters].reshape(fg, -1)
-        dweight = backend.matmul(rows.T, cols).reshape(fg, cg, kernel, kernel)
-        dx = col2im(backend.matmul(rows, wrows), (n, cg, h, w), kernel, stride, padding)
-        parts.append((dx, dweight, rows.sum(axis=0)))
-    if groups == 1:
-        dx, dweight, dbias = parts[0]
-    else:
-        dxs, dweights, dbiases = zip(*parts)
-        dx = np.concatenate(dxs, axis=1)
-        dweight = np.concatenate(dweights)
-        dbias = np.concatenate(dbiases)
-    return dx.astype(np.float32), dweight.astype(np.float32), dbias.astype(np.float32)
+        dweights.append(backend.matmul(rows.T, cols).reshape(fg, cg, kernel, kernel))
+        dbiases.append(rows.sum(axis=0))
+        if input_grad:
+            if prepared_weights is not None:
+                wrows = prepared_weights[g]
+            else:
+                wrows = weight[filters].reshape(fg, -1)
+            dcols = backend.matmul(rows, wrows)
+            dxs.append(col2im(dcols, (n, cg, h, w), kernel, stride, padding))
+    dx = None
+    if input_grad:
+        dx = (dxs[0] if groups == 1 else np.concatenate(dxs, axis=1)).astype(np.float32)
+    dweight = dweights[0] if groups == 1 else np.concatenate(dweights)
+    dbias = dbiases[0] if groups == 1 else np.concatenate(dbiases)
+    return dx, dweight.astype(np.float32), dbias.astype(np.float32)
 
 
 def linear(x: np.ndarray, matmul, bias: np.ndarray | None) -> np.ndarray:

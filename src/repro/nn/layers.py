@@ -6,6 +6,12 @@ A tiny PyTorch-shaped stack: :class:`Module` with parameters,
 :class:`~repro.core.gemm.MatmulBackend` (or fall back to the process
 default), which is the single switch between exact float32 and the DAISM
 approximate datapath.
+
+As in autograd, where a tensor the caller creates does not require a
+gradient, ``backward`` always accumulates the parameter gradients but
+computes the gradient with respect to the input only when asked
+(``input_grad=True``); a container asks each inner module whose input
+another module produced, so nothing differentiates the image.
 """
 
 from __future__ import annotations
@@ -106,7 +112,13 @@ class Module:
         """
         raise TypeError(f"{type(self).__name__} does not describe a plan op")
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        """Accumulate parameter gradients from ``grad``, the loss gradient of the output.
+
+        Returns the loss gradient with respect to the input when
+        ``input_grad`` is true, ``None`` otherwise (the work that only
+        the input gradient needs is skipped).
+        """
         raise NotImplementedError
 
     def parameters(self) -> list[Parameter]:
@@ -329,23 +341,24 @@ class Conv2d(Module):
             backend, self.weight, "fwd", lambda: [r.T for r in self._group_rows()], direct=True
         )
         bias = self.bias.data if self.bias is not None else None
-        out, cols = F.conv2d_forward(
+        out, saved = F.conv2d_forward(
             x, self.weight.data, bias, self.stride, self.padding, backend,
             groups=self.groups, prepared_weights=wmats, direct=direct,
         )
-        self._cache = (x, cols) if self.training else None
+        # The packed image when the forward packed one: the dW GEMMs
+        # gather their patches from it rather than packing them again.
+        self._cache = (x.shape, saved) if self.training else None
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x, cols = _require(self._cache)
-        if cols is None:  # the direct loop ran
-            kernel = self.weight.data.shape[2]
-            cols = F.conv2d_cols(x, self.groups, kernel, self.stride, self.padding)
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        x_shape, saved = _require(self._cache)
         backend = self.backend or default_backend()
-        wrows = self._prepared.get(backend, self.weight, "bwd", self._group_rows)
+        wrows = None
+        if input_grad:
+            wrows = self._prepared.get(backend, self.weight, "bwd", self._group_rows)
         dx, dw, db = F.conv2d_backward(
-            grad, x.shape, cols, self.weight.data, self.stride, self.padding, backend,
-            groups=self.groups, prepared_weights=wrows,
+            grad, x_shape, saved, self.weight.data, self.stride, self.padding, backend,
+            groups=self.groups, prepared_weights=wrows, input_grad=input_grad,
         )
         self.weight.grad += dw
         if self.bias is not None:
@@ -390,7 +403,7 @@ class Linear(Module):
         bias = self.bias.data if self.bias is not None else None
         return F.linear(x, lambda a: backend.matmul(a, wt), bias)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
         x = _require(self._x)
         backend = self.backend or default_backend()
         if grad.ndim > 2:
@@ -403,6 +416,8 @@ class Linear(Module):
         self.weight.grad += backend.matmul(grad2.T, x2)
         if self.bias is not None:
             self.bias.grad += grad2.sum(axis=0)
+        if not input_grad:
+            return None
         w = self._prepared.get(backend, self.weight, "bwd", lambda: self.weight.data)
         return backend.matmul(grad, w).astype(np.float32)
 
@@ -421,8 +436,9 @@ class ReLU(Module):
         self._mask = x > 0 if self.training else None
         return F.relu(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return np.where(_require(self._mask), grad, 0.0).astype(np.float32)
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        mask = _require(self._mask)
+        return np.where(mask, grad, 0.0).astype(np.float32) if input_grad else None
 
 
 class MaxPool2d(Module):
@@ -444,9 +460,9 @@ class MaxPool2d(Module):
         self._cache = (x.shape, arg)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
         x_shape, arg = _require(self._cache)
-        return F.maxpool2d_backward(grad, arg, x_shape, self.size)
+        return F.maxpool2d_backward(grad, arg, x_shape, self.size) if input_grad else None
 
 
 class GlobalAvgPool(Module):
@@ -463,8 +479,9 @@ class GlobalAvgPool(Module):
         self._shape = x.shape if self.training else None
         return F.avgpool_global_forward(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return F.avgpool_global_backward(grad, _require(self._shape))
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        shape = _require(self._shape)
+        return F.avgpool_global_backward(grad, shape) if input_grad else None
 
 
 class BatchNorm2d(Module):
@@ -496,12 +513,14 @@ class BatchNorm2d(Module):
         self._cache = (x_hat, inv_std) if self.training else None
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
         x_hat, inv_std = _require(self._cache)
         n, _c, h, w = grad.shape
         m = n * h * w
         self.gamma.grad += (grad * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
 
         g = grad * self.gamma.data[None, :, None, None]
         sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
@@ -528,11 +547,11 @@ class LayerNorm(Module):
         self._cache = cache if self.training else None
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
         dx, dgamma, dbeta = F.layernorm_backward(grad, self.gamma.data, _require(self._cache))
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        return dx
+        return dx if input_grad else None
 
 
 class Softmax(Module):
@@ -550,8 +569,9 @@ class Softmax(Module):
         self._probs = probs if self.training else None
         return probs
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return F.softmax_backward(grad, _require(self._probs))
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        probs = _require(self._probs)
+        return F.softmax_backward(grad, probs) if input_grad else None
 
 
 class MultiHeadAttention(Module):
@@ -594,17 +614,17 @@ class MultiHeadAttention(Module):
         self._cache = cache if self.training else None
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
         q, k, v, probs = _require(self._cache)
         backend = self.backend or default_backend()
-        d_context = F.split_heads(self.out.backward(grad), self.heads)
+        d_context = F.split_heads(self.out.backward(grad, input_grad=True), self.heads)
         dq, dk, dv = F.attention_core_backward(
             d_context, q, k, v, probs, backend, self.scale
         )
         d_qkv = np.concatenate(
             [F.merge_heads(dq), F.merge_heads(dk), F.merge_heads(dv)], axis=-1
         )
-        return self.qkv.backward(d_qkv)
+        return self.qkv.backward(d_qkv, input_grad=input_grad)
 
 
 class Dropout(Module):
@@ -637,8 +657,9 @@ class Dropout(Module):
         self._mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
         return (x * self._mask).astype(np.float32)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return (grad * _require(self._mask)).astype(np.float32)
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        mask = _require(self._mask)
+        return (grad * mask).astype(np.float32) if input_grad else None
 
 
 class Flatten(Module):
@@ -655,8 +676,9 @@ class Flatten(Module):
         self._shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(_require(self._shape))
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        shape = _require(self._shape)
+        return grad.reshape(shape) if input_grad else None
 
 
 class Sequential(Module):
@@ -670,9 +692,10 @@ class Sequential(Module):
             x = module(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for module in reversed(self.modules):
-            grad = module.backward(grad)
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        """Back through the chain; each module but the first returns its input gradient."""
+        for i in range(len(self.modules) - 1, -1, -1):
+            grad = self.modules[i].backward(grad, input_grad=input_grad or i > 0)
         return grad
 
     def parameters(self) -> list[Parameter]:
@@ -699,10 +722,12 @@ class Residual(Module):
         skip = self.shortcut(x) if self.shortcut is not None else x
         return F.residual_add(main, skip)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        d_main = self.body.backward(grad)
-        d_skip = self.shortcut.backward(grad) if self.shortcut is not None else grad
-        return (d_main + d_skip).astype(np.float32)
+    def backward(self, grad: np.ndarray, *, input_grad: bool = False) -> np.ndarray | None:
+        d_main = self.body.backward(grad, input_grad=input_grad)
+        d_skip = grad
+        if self.shortcut is not None:
+            d_skip = self.shortcut.backward(grad, input_grad=input_grad)
+        return (d_main + d_skip).astype(np.float32) if input_grad else None
 
     def parameters(self) -> list[Parameter]:
         params = self.body.parameters()

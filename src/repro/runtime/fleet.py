@@ -237,20 +237,30 @@ def _digest_arrays(h: "hashlib._Hash", arrays) -> None:
         h.update(arr.tobytes())
 
 
+def _planes(w: PackedTensor) -> list[np.ndarray]:
+    """Sign, exponent, significand and scale in the dtypes the digest is defined over.
+
+    ``uint32`` sign and significand, ``int32`` exponent, so a digest
+    does not depend on how a packed tensor stores its planes.  Derived
+    through a view, so the plan's weight keeps only its two planes.
+    """
+    view = w[...]
+    return [view.sign, view.exponent, view.significand.astype(np.uint32), view.scale()]
+
+
 def _strategy_arrays(strategy) -> list[np.ndarray]:
     if isinstance(strategy, ExactStrategy):
         return [strategy.weight]
     if isinstance(strategy, QuantDenseStrategy):
         return [strategy.weight_q]
     if isinstance(strategy, PackedKernelStrategy):
-        w = strategy.weight
-        return [w.sign, w.exponent, w.significand, w.scale()]
+        return _planes(strategy.weight)
     if isinstance(strategy, BackendStrategy):
         prepared = strategy.prepared
         if isinstance(prepared, np.ndarray):
             return [prepared]
         if isinstance(prepared, PackedTensor):
-            return [prepared.sign, prepared.exponent, prepared.significand]
+            return _planes(prepared)[:3]
         return [np.frombuffer(pickle.dumps(prepared), dtype=np.uint8)]
     return []
 
@@ -1156,7 +1166,6 @@ class FleetServer:
         """
         handle.kill()  # reap whatever is left of the crashed worker
         with dep.lock:
-            dep.stats["worker_restarts"] += 1
             dep.crash_times.append(time.monotonic())
         if self._breaker_should_open(dep):
             self._quarantine(dep, "circuit open")
@@ -1188,13 +1197,13 @@ class FleetServer:
 
         Every respawn the fleet does comes through here; ``cause`` is
         ``heartbeat``, ``crash``, ``integrity`` or ``revive``.  Success
-        keeps the respawn time as ``last_recovery_ms`` and journals
-        ``worker_respawned``; failure journals ``respawn_failed`` and
-        the caller decides what it means.  ``worker_restarts`` is the
-        caller's: a crash counts when the runner sees it, a heartbeat or
-        integrity respawn when it succeeds, a revive not at all.  The
-        caller holds ``handle.lock`` (a revive holds the submit lock
-        with the runners joined), so no request is on the pipe.
+        keeps the respawn time as ``last_recovery_ms``, counts a
+        ``worker_restarts`` (a revive starts a deployment's workers
+        afresh and does not count) and journals ``worker_respawned``;
+        failure journals ``respawn_failed`` and the caller decides what
+        it means.  The caller holds ``handle.lock`` (a revive holds the
+        submit lock with the runners joined), so no request is on the
+        pipe.
         """
         model = dep.snapshot.model
         t0 = time.perf_counter()
@@ -1210,13 +1219,18 @@ class FleetServer:
             )
             return False
         dep.last_recovery_ms = (time.perf_counter() - t0) * 1e3
-        self._journal.record(
-            "worker_respawned",
-            model=model,
-            worker=handle.name,
-            cause=cause,
-            recovery_ms=dep.last_recovery_ms,
-        )
+        # Under the lock stats() reads, so a reader that sees the count
+        # or the event sees both.
+        with dep.lock:
+            if cause != "revive":
+                dep.stats["worker_restarts"] += 1
+            self._journal.record(
+                "worker_respawned",
+                model=model,
+                worker=handle.name,
+                cause=cause,
+                recovery_ms=dep.last_recovery_ms,
+            )
         return True
 
     # -- circuit breaker ---------------------------------------------------
@@ -1339,9 +1353,8 @@ class FleetServer:
                     healthy = True
             except (EOFError, OSError, BrokenPipeError):
                 pass
-        if not healthy and self._respawn(dep, handle, "heartbeat"):
-            with dep.lock:
-                dep.stats["worker_restarts"] += 1
+        if not healthy:
+            self._respawn(dep, handle, "heartbeat")
 
     def check_health(self, model: str) -> list[dict]:
         """Run one integrity round (checksums + canaries + heal) per worker.
@@ -1371,13 +1384,8 @@ class FleetServer:
                     dep.stats["integrity_corruptions"] += len(
                         payload["corrupted_tables"]
                     ) + len(payload["canary_failures"])
-                if (
-                    payload["recurred"]
-                    and dep.batcher.state == OPEN
-                    and self._respawn(dep, handle, "integrity")
-                ):
-                    with dep.lock:
-                        dep.stats["worker_restarts"] += 1
+                if payload["recurred"] and dep.batcher.state == OPEN:
+                    self._respawn(dep, handle, "integrity")
         return reports
 
     def plan_digests(self, model: str) -> list[list[str] | None]:

@@ -33,7 +33,8 @@ instead of re-walking the module tree with their own shape logic.
 
 What only the plan has lives here: the strategies, and the conv's
 packed im2col, which packs the *input image* once and gathers the
-packed planes through im2col (:func:`gather_packed_cols`) instead of
+packed planes through im2col (:func:`~repro.nn.functional.gather_packed_cols`,
+re-exported here, where the perf harness wraps it) instead of
 quantising the ``K*K``-fold redundant patch matrix — byte-identical,
 since quantisation is elementwise.
 """
@@ -49,6 +50,7 @@ from ..core.kernels import FloatTableKernel, GemmKernel, PreparedWeight
 from ..formats.floatfmt import FloatFormat, quantize
 from ..formats.packed import PackedTensor, pack
 from ..nn import functional as F
+from ..nn.functional import gather_packed_cols
 
 __all__ = [
     "OpSpec",
@@ -277,57 +279,6 @@ class BackendStrategy(MatmulStrategy):
 
 
 # --------------------------------------------------------------------------
-# Packed im2col: quantise the image once, gather planes K*K-fold
-# --------------------------------------------------------------------------
-
-
-def gather_packed_cols(
-    packed: PackedTensor,
-    kernel: int,
-    stride: int,
-    padding: int,
-    need_dense: bool = False,
-) -> PackedTensor:
-    """Gather already-packed image planes through im2col.
-
-    ``gather_packed_cols(pack(x, fmt), ...)`` is byte-identical to
-    ``pack(im2col(x), fmt)``: quantisation is elementwise, so it
-    commutes with the gather, and zero padding packs to all-zero planes.
-
-    Columns come in im2col's ``(c, kh, kw)`` order, so the columns of a
-    channel group form one contiguous block (see :func:`_column_block`).
-    """
-
-    def gather(plane: np.ndarray) -> np.ndarray:
-        return F.im2col(plane, kernel, stride, padding)
-
-    cols = PackedTensor(
-        packed.fmt,
-        gather(packed.sign),
-        gather(packed.exponent),
-        gather(packed.significand),
-    )
-    cols._scale = gather(packed.scale())
-    if need_dense:
-        cols._dense = gather(packed.dense())
-    return cols
-
-
-def _column_block(cols: PackedTensor, start: int, stop: int) -> PackedTensor:
-    """Columns ``start:stop`` of packed patch planes, as views."""
-    block = PackedTensor(
-        cols.fmt,
-        cols.sign[:, start:stop],
-        cols.exponent[:, start:stop],
-        cols.significand[:, start:stop],
-    )
-    block._scale = cols.scale()[:, start:stop]
-    if cols._dense is not None:
-        block._dense = cols._dense[:, start:stop]
-    return block
-
-
-# --------------------------------------------------------------------------
 # Compiled ops
 # --------------------------------------------------------------------------
 
@@ -415,8 +366,7 @@ class ConvOp(PlanOp):
                 packed, self.kernel, self.stride, self.padding,
                 any(s.needs_dense for s in self.strategies),
             )
-            width = cols.shape[1] // self.groups
-            blocks = [_column_block(cols, g * width, (g + 1) * width) for g in range(self.groups)]
+            blocks = F.group_columns(cols, self.groups)
             outs = [s.matmul_packed(b) for s, b in zip(self.strategies, blocks)]
         else:
             cols = F.conv2d_cols(x, self.groups, self.kernel, self.stride, self.padding)

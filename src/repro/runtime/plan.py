@@ -146,15 +146,14 @@ def _resolve_strategy(backend: MatmulBackend, weight: np.ndarray) -> MatmulStrat
         strategy = PackedKernelStrategy(backend.fmt, None, kernel, prepared)
     else:
         return BackendStrategy(backend, prepared)
-    # Warm the packed weight's cached planes now so first execution (and
-    # concurrent shards) never race to build them lazily.
+    # Warm the packed weight's derived dense values now so first
+    # execution (and concurrent shards) never race to build them lazily.
     if isinstance(prepared, PackedTensor):
-        prepared.scale()
         if strategy.needs_dense:
             prepared.dense()
         else:
             # Bit-exact kernels read only the planes; the plan holds this
-            # weight for its lifetime, so drop the dense copy pack made.
+            # weight for its lifetime, so drop any dense copy pack made.
             prepared._dense = None
     # Record the healthy canary digest for this (fmt, config, kernel)
     # while the tables are freshly built — the integrity subsystem's

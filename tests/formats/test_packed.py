@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.chaos.inject import corrupt_packed
+from repro.core.config import PC3_TR
+from repro.core.kernels import GATHER, FloatTableKernel
 from repro.formats.floatfmt import (
     BFLOAT16,
     FLOAT8_E4M3,
     FLOAT16,
     FLOAT32,
+    FloatFormat,
     decompose,
     quantize,
 )
@@ -16,7 +23,10 @@ from repro.formats.packed import (
     pack,
     packing_counters,
     reset_packing_counters,
+    significand_dtype,
 )
+from repro.nn import functional as F
+from repro.sram.faults import FaultModel
 
 FORMATS = [FLOAT32, BFLOAT16, FLOAT16, FLOAT8_E4M3]
 
@@ -186,3 +196,129 @@ class TestCounters:
         packed.dense()
         packed.dense()
         assert packing_counters() == before
+
+
+# --------------------------------------------------------------------------
+# Two-plane packs: properties against quantize + decompose
+# --------------------------------------------------------------------------
+
+#: bfloat16 and two more 8-exponent-bit widths, one with a two-byte significand.
+E8_FORMATS = [
+    BFLOAT16,
+    FloatFormat("e8m3", exponent_bits=8, mantissa_bits=3),
+    FloatFormat("e8m10", exponent_bits=8, mantissa_bits=10),
+]
+
+
+def _from_bits(lo: int, hi: int):
+    """float32 values whose magnitude bits lie in ``[lo, hi]``, either sign."""
+    return st.tuples(st.integers(lo, hi), st.booleans()).map(
+        lambda t: np.uint32(t[0] | (t[1] << 31)).view(np.float32)
+    )
+
+
+#: Signed zeros, float32 subnormals, values near the float32 maximum
+#: (bfloat16 rounds some to inf), ordinary magnitudes, and any bit
+#: pattern at all (inf and NaN payloads send the pack to its fallback).
+edge_values = st.one_of(
+    st.sampled_from([np.float32(0.0), np.float32(-0.0)]),
+    _from_bits(1, 0x007F_FFFF),
+    _from_bits(0x7F7E_0000, 0x7F7F_FFFF),
+    _from_bits(0x3000_0000, 0x5000_0000),
+    st.integers(0, 2**32 - 1).map(lambda b: np.uint32(b).view(np.float32)),
+)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _nonzero_range(exponent: np.ndarray, significand: np.ndarray) -> tuple[int, int]:
+    """The exponent range over nonzero elements, widened to include 0."""
+    e = exponent[significand != 0]
+    return min(0, int(e.min(initial=0))), max(0, int(e.max(initial=0)))
+
+
+def _assert_matches_decompose(packed: PackedTensor, quantised: np.ndarray, fmt) -> None:
+    """Stored planes, derived planes and range against ``decompose(quantised)``."""
+    sign, exponent, significand = decompose(quantised, fmt)
+    want = PackedTensor(fmt, sign, exponent, significand)
+    assert packed.significand.dtype == significand_dtype(fmt)
+    np.testing.assert_array_equal(packed.significand, significand)
+    np.testing.assert_array_equal(_bits(packed.scale()), _bits(want.scale()))
+    np.testing.assert_array_equal(packed.sign, sign)
+    np.testing.assert_array_equal(packed.exponent, exponent)
+    assert packed.exponent_range() == _nonzero_range(exponent, significand)
+    if np.all(np.isfinite(quantised)):
+        np.testing.assert_array_equal(_bits(packed.dense()), _bits(quantised))
+    else:
+        np.testing.assert_array_equal(packed.dense(), quantised)
+
+
+class TestTwoPlanePack:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(E8_FORMATS),
+        arrays(np.float32, st.integers(0, 40), elements=edge_values),
+    )
+    def test_planes_match_quantize_decompose(self, fmt, x):
+        packed = pack(x, fmt)
+        _assert_matches_decompose(packed, quantize(x, fmt), fmt)
+
+    def test_bfloat16_stores_five_bytes_per_element(self):
+        packed = pack(np.ones((4, 8), dtype=np.float32), BFLOAT16)
+        assert packed.significand.dtype == np.uint8
+        assert packed.scale().dtype == np.float32
+        # Nothing else is stored until a path asks for it.
+        assert packed._sign is None and packed._exponent is None and packed._dense is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),  # groups
+        st.integers(1, 3),  # channels per group
+        st.sampled_from([1, 2, 3]),  # kernel
+        st.integers(1, 3),  # stride
+        st.integers(0, 2),  # padding
+        st.integers(0, 2**31 - 1),  # seed
+        st.booleans(),  # plant a non-finite value
+    )
+    def test_gather_equals_pack_of_im2col(
+        self, groups, cg, kernel, stride, padding, seed, special
+    ):
+        rng = np.random.default_rng(seed)
+        size = kernel + rng.integers(0, 5)
+        x = rng.standard_normal((2, groups * cg, size, size)).astype(np.float32)
+        x[rng.random(x.shape) < 0.4] = 0.0
+        x *= (2.0 ** rng.integers(-140, 120, x.shape)).astype(np.float32)
+        if special:
+            x.flat[rng.integers(x.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        cols = F.gather_packed_cols(pack(x, BFLOAT16), kernel, stride, padding)
+        width = cols.shape[1] // groups
+        for g in range(groups):
+            got = cols[:, g * width : (g + 1) * width]
+            patches = F.im2col(x[:, g * cg : (g + 1) * cg], kernel, stride, padding)
+            want = pack(patches, BFLOAT16)
+            np.testing.assert_array_equal(got.significand, want.significand)
+            np.testing.assert_array_equal(_bits(got.scale()), _bits(want.scale()))
+            assert got.exponent_range() == want.exponent_range()
+            _assert_matches_decompose(got, quantize(patches, BFLOAT16), BFLOAT16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(16, 40))
+    def test_flipped_msb_takes_the_plain_gather(self, seed, k, n):
+        """A significand that lost its MSB has no table row: plain gather, same bits."""
+        rng = np.random.default_rng(seed)
+        weight = pack(rng.standard_normal((k, n)).astype(np.float32), BFLOAT16)
+        # A significand of exactly the MSB would read zero, which has a row.
+        cells = np.flatnonzero(weight.significand != 1 << (BFLOAT16.significand_bits - 1))
+        cell = int(rng.choice(cells))
+        faults = FaultModel(stuck_at_0=frozenset({(cell, BFLOAT16.significand_bits - 1)}))
+        faulty = corrupt_packed(weight, faults)
+        kernel = FloatTableKernel()
+        prepared = kernel.prepare(faulty, PC3_TR)
+        assert prepared.layout == GATHER
+        assert kernel.prepare_direct([faulty], PC3_TR) is None
+        x = pack(rng.standard_normal((3, k)).astype(np.float32), BFLOAT16)
+        np.testing.assert_array_equal(
+            _bits(kernel.run_prepared(x, prepared)), _bits(kernel.run(x, faulty, PC3_TR))
+        )

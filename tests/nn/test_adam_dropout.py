@@ -76,7 +76,7 @@ class TestDropout:
         layer.train()
         x = np.ones((10, 10), dtype=np.float32)
         out = layer(x)
-        grad = layer.backward(np.ones_like(x))
+        grad = layer.backward(np.ones_like(x), input_grad=True)
         np.testing.assert_array_equal(grad == 0, out == 0)
 
     def test_p_zero_passthrough(self):
@@ -84,7 +84,7 @@ class TestDropout:
         layer.train()
         x = np.ones((3, 3), dtype=np.float32)
         np.testing.assert_array_equal(layer(x), x)
-        np.testing.assert_array_equal(layer.backward(x), x)
+        np.testing.assert_array_equal(layer.backward(x, input_grad=True), x)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -108,7 +108,7 @@ class TestSoftmax:
         probs = layer(x)
         np.testing.assert_array_equal(probs, F.softmax(x))
         np.testing.assert_array_equal(
-            layer.backward(grad), F.softmax_backward(grad, probs)
+            layer.backward(grad, input_grad=True), F.softmax_backward(grad, probs)
         )
 
 
@@ -253,7 +253,7 @@ class TestMultiHeadAttention:
         x = rng.standard_normal((2, 3, 8)).astype(np.float32)
         out = mha(x)
         assert out.shape == x.shape
-        dx = mha.backward(np.ones_like(out))
+        dx = mha.backward(np.ones_like(out), input_grad=True)
         assert dx.shape == x.shape
         grads = [p.grad for p in mha.parameters()]
         assert len(grads) == 4  # qkv weight/bias + out weight/bias

@@ -25,7 +25,7 @@ from repro.formats.floatfmt import BFLOAT16
 from repro.formats.packed import pack
 from repro.nn.backend import daism_backend, exact_backend
 from repro.nn.layers import Conv2d
-from repro.runtime.ops import _column_block, gather_packed_cols
+from repro.runtime.ops import gather_packed_cols
 
 # One backend instance per run: daism kernels build value tables on
 # first use, and per-example construction would dominate the runtime.
@@ -142,7 +142,7 @@ class TestPackedColumnBlocks:
         cols = gather_packed_cols(pack(x, BFLOAT16), k, stride, padding, need_dense=True)
         width = cg * k * k
         for g in range(groups):
-            got = _column_block(cols, g * width, (g + 1) * width)
+            got = cols[:, g * width : (g + 1) * width]
             sl = slice(g * cg, (g + 1) * cg)
             want = pack(
                 F.im2col(np.ascontiguousarray(x[:, sl]), k, stride, padding), BFLOAT16

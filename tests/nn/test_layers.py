@@ -45,7 +45,7 @@ class TestLinear:
         x = rng.standard_normal((4, 5)).astype(np.float32)
         g = rng.standard_normal((4, 3)).astype(np.float32)
         layer(x)
-        dx = layer.backward(g)
+        dx = layer.backward(g, input_grad=True)
         np.testing.assert_allclose(dx, g @ layer.weight.data, rtol=1e-5)
         np.testing.assert_allclose(layer.weight.grad, g.T @ x, rtol=1e-5)
         np.testing.assert_allclose(layer.bias.grad, g.sum(axis=0), rtol=1e-5)
@@ -91,21 +91,21 @@ class TestActivationsAndShapes:
         layer = ReLU()
         x = np.array([[-1.0, 2.0]], dtype=np.float32)
         np.testing.assert_array_equal(layer(x), [[0.0, 2.0]])
-        np.testing.assert_array_equal(layer.backward(np.ones_like(x)), [[0.0, 1.0]])
+        np.testing.assert_array_equal(layer.backward(np.ones_like(x), input_grad=True), [[0.0, 1.0]])
 
     def test_flatten_roundtrip(self):
         layer = Flatten()
         x = np.zeros((2, 3, 4, 4), dtype=np.float32)
         out = layer(x)
         assert out.shape == (2, 48)
-        assert layer.backward(out).shape == x.shape
+        assert layer.backward(out, input_grad=True).shape == x.shape
 
     def test_maxpool_module(self):
         layer = MaxPool2d(2)
         x = np.random.default_rng(4).standard_normal((1, 2, 4, 4)).astype(np.float32)
         out = layer(x)
         assert out.shape == (1, 2, 2, 2)
-        assert layer.backward(np.ones_like(out)).shape == x.shape
+        assert layer.backward(np.ones_like(out), input_grad=True).shape == x.shape
 
     def test_global_avg_pool_module(self):
         layer = GlobalAvgPool()
@@ -148,7 +148,7 @@ class TestBatchNorm:
         x = rng.standard_normal((3, 1, 2, 2)).astype(np.float64)
         g = rng.standard_normal((3, 1, 2, 2)).astype(np.float32)
         layer(x.astype(np.float32))
-        dx = layer.backward(g)
+        dx = layer.backward(g, input_grad=True)
         eps = 1e-3
         flat = x.ravel()
         for i in (0, 5, 11):
@@ -169,7 +169,7 @@ class TestContainers:
         x = rng.standard_normal((5, 4)).astype(np.float32)
         out = net(x)
         assert out.shape == (5, 2)
-        dx = net.backward(np.ones_like(out))
+        dx = net.backward(np.ones_like(out), input_grad=True)
         assert dx.shape == x.shape
         assert len(net.parameters()) == 4
 
@@ -180,7 +180,7 @@ class TestContainers:
         out = block(x)
         inner = block.body(x)
         np.testing.assert_allclose(out, inner + x, rtol=1e-5)
-        dx = block.backward(np.ones_like(out))
+        dx = block.backward(np.ones_like(out), input_grad=True)
         assert dx.shape == x.shape
 
     def test_residual_shape_mismatch_rejected(self):

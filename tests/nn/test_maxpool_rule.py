@@ -60,7 +60,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def _three_paths(x: np.ndarray, size: int):
     layer = MaxPool2d(size)
     train = layer.train()(x)
-    grad = layer.backward(np.ones_like(train))
+    grad = layer.backward(np.ones_like(train), input_grad=True)
     evaluated = layer.eval()(x)
     planned = compile_plan(layer).execute(x)
     return train, evaluated, planned, grad

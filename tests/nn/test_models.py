@@ -69,7 +69,7 @@ class TestBackwardPass:
         for name, model in model_zoo().items():
             x = rng.standard_normal((2, *model_input_shape(name))).astype(np.float32)
             out = model(x)
-            dx = model.backward(np.ones_like(out))
+            dx = model.backward(np.ones_like(out), input_grad=True)
             assert dx.shape == x.shape, name
             grads = [p.grad for p in model.parameters()]
             assert any(np.abs(g).sum() > 0 for g in grads), name

@@ -51,4 +51,4 @@ def test_backward_after_eval_forward_raises(cls):
     with pytest.raises(RuntimeError, match="training-mode forward"):
         layer.backward(np.ones_like(out))
     out = layer.train()(x)
-    assert layer.backward(np.ones_like(out)).shape == x.shape
+    assert layer.backward(np.ones_like(out), input_grad=True).shape == x.shape

@@ -64,7 +64,7 @@ def _sgd_step(build, backend, x, weight_scale=1.0):
     with use_backend(backend), np.errstate(all="ignore"):
         out = model(x)
         grad = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
-        dx = model.backward(grad)
+        dx = model.backward(grad, input_grad=True)
         SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4).step()
     tensors = {"out": out, "dx": dx}
     for i, p in enumerate(model.parameters()):

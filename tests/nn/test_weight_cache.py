@@ -138,23 +138,25 @@ class TestConvWeightCache:
         layer = Conv2d(2, 4, kernel=3, backend=daism_backend(PC3_TR), rng=rng)
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
         out = layer(x)
-        layer.backward(np.ones_like(out))  # packs the (F, C*K*K) orientation
+        layer.backward(np.ones_like(out), input_grad=True)  # packs the (F, C*K*K) orientation
         layer(x)
         before = _packs()
-        layer.backward(np.ones_like(out))
-        # dweight GEMM packs grad + cols, dcols GEMM packs grad again; the
-        # dcols weight operand comes from the cache, so exactly 3 packs.
-        assert _packs() - before == 3
+        layer.backward(np.ones_like(out), input_grad=True)
+        # dweight GEMM packs grad (its cols are gathered from the image the
+        # forward packed), dcols GEMM packs grad again; the dcols weight
+        # operand comes from the cache, so exactly 2 packs.
+        assert _packs() - before == 2
 
     def test_grouped_backward_uses_cached_weight_rows(self):
         rng = np.random.default_rng(10)
         layer = Conv2d(4, 6, kernel=3, groups=2, backend=daism_backend(PC3_TR), rng=rng)
         x = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
         out = layer(x)
-        layer.backward(np.ones_like(out))  # packs each group's (F/G, C/G*K*K) rows
+        layer.backward(np.ones_like(out), input_grad=True)  # packs each group's rows
         layer(x)
         before = _packs()
-        layer.backward(np.ones_like(out))
-        # Per group: the dweight GEMM packs grad + cols, the dcols GEMM
-        # packs grad again; the weight rows come from the cache.
-        assert _packs() - before == 3 * 2
+        layer.backward(np.ones_like(out), input_grad=True)
+        # Per group: the dweight GEMM packs grad (cols are gathered from
+        # the packed image), the dcols GEMM packs grad again; the weight
+        # rows come from the cache.
+        assert _packs() - before == 2 * 2

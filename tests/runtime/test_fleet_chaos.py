@@ -33,6 +33,18 @@ def _snap(backend="exact"):
     return snapshot_model("lenet", backend=backend)
 
 
+def _wait_for_respawns(fleet, n, timeout_s=60.0):
+    """Wait for ``n`` ``worker_respawned`` journal events.
+
+    A crashed batch's futures can resolve before its runner's respawn
+    finishes, and ``worker_restarts`` counts a respawn once it has.
+    """
+    deadline = time.monotonic() + timeout_s
+    while sum(e["event"] == "worker_respawned" for e in fleet.events()) < n:
+        assert time.monotonic() < deadline, "the crashed worker never respawned"
+        time.sleep(0.01)
+
+
 class TestWorkerCrash:
     def test_kill_mid_flight_no_future_hangs(self):
         """Kill a worker under load: every future resolves, fleet recovers."""
@@ -49,6 +61,7 @@ class TestWorkerCrash:
                 exc = fut.exception(timeout=60)
                 assert exc is None or isinstance(exc, WorkerCrashError)
                 resolved += 1
+            _wait_for_respawns(fleet, 1)
             stats = fleet.stats()["lenet"]
         assert resolved == 30
         assert stats["worker_restarts"] >= 1
@@ -80,6 +93,7 @@ class TestWorkerCrash:
                 exc = fut.exception(timeout=60)
                 assert isinstance(exc, WorkerCrashError)
                 assert exc.retries == 1
+            _wait_for_respawns(fleet, 4)
             stats = fleet.stats()["lenet"]
         # Two sends per request (first try + one retry), one crash each.
         assert stats["worker_restarts"] == 4

@@ -8,7 +8,8 @@ ones start; ``close`` resolves every accepted future and leaves no
 worker process alive, even when it lands during a ``register``; a
 runner whose worker cannot respawn fails its queue structurally and
 exits without an unhandled exception; ``plan_digests`` on a quarantined
-deployment reports its workers as down instead of raising.  The
+deployment reports its workers as down instead of raising; a crash that
+respawns no worker counts no restart.  The
 randomised counterpart is ``test_fleet_model.py``.
 """
 
@@ -67,38 +68,54 @@ def _assert_settled(fleet, futures, children_before):
     assert leaked == []
 
 
+def _stalled_fleet() -> FleetServer:
+    """Two daism LeNet workers that stall on every batch; the breaker opens at one crash."""
+    chaos = WorkerChaos(seed=0, latency_prob=1.0, latency_spike_ms=STALL_MS).as_dict()
+    fleet = FleetServer(
+        workers=2,
+        max_batch=2,
+        max_delay_ms=0.0,
+        max_retries=1,
+        breaker_threshold=1,
+        breaker_cooldown_s=0.2,
+        heartbeat_interval_s=None,
+    )
+    try:
+        fleet.register(snapshot_model("lenet", backend="daism", chaos=chaos))
+    except BaseException:
+        fleet.close()
+        raise
+    return fleet
+
+
+def _kill_one_with_both_mid_request(fleet: FleetServer) -> list:
+    """Both workers asleep on a request, kill worker 0; returns the futures, failed.
+
+    Worker 0's crash opens the breaker, whose quarantine kills worker 1
+    under its runner: that second crash lands on a stopped deployment.
+    Returns once both runners have exited.
+    """
+    # max_batch=2: each runner pulls one 2-sample request.
+    futures = [fleet.submit("lenet", _x(2, seed=i)) for i in range(2)]
+    _wait_for(lambda: fleet.stats()["lenet"]["inflight_samples"] == 4)
+    time.sleep(0.1)  # both requests are on the wire, both workers asleep
+    fleet.workers("lenet")[0].kill()
+    _wait_for(lambda: fleet.stats()["lenet"]["quarantined"])
+    _wait_for(lambda: all(f.done() for f in futures))
+    for f in futures:
+        assert isinstance(f.exception(), WorkerCrashError)
+    runners = fleet._deployment("lenet").runners
+    _wait_for(lambda: not any(t.is_alive() for t in runners))
+    return futures
+
+
 class TestBreakerWhileWorkersStall:
     @pytest.mark.parametrize("revive", [False, True], ids=["close", "revive_then_close"])
     def test_quarantine_with_both_workers_mid_request(self, revive):
         children_before = {p.pid for p in multiprocessing.active_children()}
-        chaos = WorkerChaos(
-            seed=0, latency_prob=1.0, latency_spike_ms=STALL_MS
-        ).as_dict()
-        fleet = FleetServer(
-            workers=2,
-            max_batch=2,
-            max_delay_ms=0.0,
-            max_retries=1,
-            breaker_threshold=1,
-            breaker_cooldown_s=0.2,
-            heartbeat_interval_s=None,
-        )
+        fleet = _stalled_fleet()
         try:
-            fleet.register(snapshot_model("lenet", backend="daism", chaos=chaos))
-            # max_batch=2: each runner pulls one 2-sample request.
-            futures = [fleet.submit("lenet", _x(2, seed=i)) for i in range(2)]
-            _wait_for(lambda: fleet.stats()["lenet"]["inflight_samples"] == 4)
-            time.sleep(0.1)  # both requests are on the wire, both workers asleep
-            fleet.workers("lenet")[0].kill()
-            # Worker 0's crash opens the breaker, whose quarantine kills
-            # worker 1 under its runner: that second crash lands on a
-            # stopped deployment.
-            _wait_for(lambda: fleet.stats()["lenet"]["quarantined"])
-            _wait_for(lambda: all(f.done() for f in futures))
-            for f in futures:
-                assert isinstance(f.exception(), WorkerCrashError)
-            runners = fleet._deployment("lenet").runners
-            _wait_for(lambda: not any(t.is_alive() for t in runners))
+            futures = _kill_one_with_both_mid_request(fleet)
             # Neither crash on the stopped deployment respawned a worker.
             assert fleet.stats()["lenet"]["workers_alive"] == 0
             if revive:
@@ -110,6 +127,16 @@ class TestBreakerWhileWorkersStall:
         _assert_settled(fleet, futures, children_before)
         if revive:
             assert futures[-1].exception() is None
+
+    def test_crashes_without_respawn_count_no_restart(self):
+        """A restart counts a worker that came back, not a crash the runner saw."""
+        fleet = _stalled_fleet()
+        try:
+            _kill_one_with_both_mid_request(fleet)
+            assert fleet.stats()["lenet"]["worker_restarts"] == 0
+            assert not any(e["event"] == "worker_respawned" for e in fleet.events())
+        finally:
+            fleet.close(drain=True)
 
 
 class TestRegisterRacingClose:
