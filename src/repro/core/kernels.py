@@ -21,14 +21,16 @@ Three kernels are built in:
     ``significand_bits + 1`` significant bits, overflow to inf falls out
     of float32 naturally (bfloat16 and float32 share ``emax``), and a
     cheap subnormal-flush mask reproduces the datapath's flush-to-zero
-    underflow exactly.  Compiled plans, and the eager layers once per
-    weight version, arrange each static weight
-    (:meth:`FloatTableKernel.prepare`) in a layout picked from its shape
-    by :func:`weight_layout` — a weight-stationary table, an
-    activation-expanded index, or the plain gather — with the same bits.
-    A convolution whose weights fit one table (all groups together) runs
-    as a direct tap loop over the packed image
-    (:meth:`FloatTableKernel.run_direct`).
+    underflow exactly.  One gather loop (:meth:`FloatTableKernel._gather`)
+    computes ``(P, M, K) @ (P, K, N)`` for every unprepared call: ``run``
+    in either orientation, its zero bypass and ``run_pairs``.  Compiled
+    plans, and the eager layers once per weight version, arrange each
+    static weight (:meth:`FloatTableKernel.prepare`) in a layout picked
+    from its shape by :func:`weight_layout`, each with its own loop — a
+    weight-stationary table, an activation-expanded index, or the plain
+    gather — with the same bits.  A convolution whose weights fit one
+    table (all groups together) runs as a direct tap loop over the
+    packed image (:meth:`FloatTableKernel.run_direct`).
 
 ``blas_factored`` (opt-in fast path)
     Factor ``V0[ma, mb] = mu[ma] * mu[mb] + E[ma, mb]`` where ``mu`` is
@@ -131,21 +133,16 @@ __all__ = [
 ROW_BUDGET = 1 << 18
 
 
-#: Rows a tile spans before K is split to fit the row budget.  In the
-#: transposed orientation the rows are the inner SIMD axis, so narrow
-#: tiles would run the gathers and the K-sum in short inner loops.
-TILE_ROWS = 1024
-
-
-def _tiling(m: int, k: int, n: int) -> tuple[int, int]:
+def _tiling(k: int, n: int) -> tuple[int, int]:
     """``(k_step, row_block)`` keeping one ``(rows, k_step, n)`` tile in budget.
 
-    A speed choice, not part of the output contract: :func:`_accumulate`
-    sums in the same order whatever the tile.
+    A row takes all of K when its ``k * n`` products fit
+    :data:`ROW_BUDGET`, and the tile as many rows as then fit.  A speed
+    choice, not part of the output contract: :func:`_accumulate` sums in
+    the same order whatever the tile.
     """
     n = max(1, n)
-    rows = max(1, min(m, TILE_ROWS))
-    k_step = max(1, min(k, ROW_BUDGET // (rows * n)))
+    k_step = max(1, min(k, ROW_BUDGET // n))
     return k_step, max(1, ROW_BUDGET // (k_step * n))
 
 
@@ -155,9 +152,10 @@ BYPASS_ZEROS = 0.5
 #: ... when one row's dense products (``k * n``) reach this many; below
 #: it, per-block overhead outweighs the skipped work.
 BYPASS_ROW_WORK = 4096
-#: Products of one compacted ``(rows, extent, n)`` block: rows sharing
-#: a block pad to its longest row's nonzero count.
-BYPASS_BLOCK = 1 << 14
+#: Products of one compacted ``(rows, extent, n)`` block, one call of the
+#: gather loop: rows sharing a block pad to its longest row's nonzero
+#: count, and each block pays the loop's fixed per-call cost.
+BYPASS_BLOCK = 1 << 16
 #: Weight-stationary calls bypass at this share of zero activations ...
 BYPASS_STATIONARY_ZEROS = 0.75
 #: ... when one K step's dense products (``m * n``) reach this many.
@@ -322,9 +320,8 @@ def _value_key(bits: int, config: MultiplierConfig | None) -> tuple:
 def _value_table_t(bits: int, config: MultiplierConfig | None) -> np.ndarray:
     """Contiguous transpose of :func:`value_table` (``[mb, ma]`` layout).
 
-    The transposed-orientation gather of :class:`FloatTableKernel` reads
-    rows indexed by ``mb``, so a row-major transposed copy keeps the
-    inner gather axis contiguous.
+    :meth:`FloatTableKernel.run`'s transposed orientation swaps the
+    operands, so its gather reads ``V0^T[mb, ma]``.
     """
 
     def build() -> np.ndarray:
@@ -656,11 +653,6 @@ class GemmKernel:
         return f"{type(self).__name__}({self.name})"
 
 
-#: Gather via flat ``take`` (with a reusable index buffer) below this
-#: many elements per (k_step x n) tile; plain fancy indexing above.
-_TAKE_TILE_LIMIT = 1024
-
-
 class FloatTableKernel(GemmKernel):
     """One-gather float-domain kernel (the bit-exact default).
 
@@ -726,59 +718,28 @@ class FloatTableKernel(GemmKernel):
             )
 
     def run(self, pa, pb, config):
-        """Gather-and-scale product, tiled over rows and K.
+        """Gather-and-scale product: :meth:`_gather` with one pair.
 
-        Tall-skinny problems (``m >= TRANSPOSE_ASPECT * n``, the shape of
-        batched conv/fc layers) run in a transposed orientation whose
-        inner SIMD axis is the long row dimension; the reduction order
-        over K is the same, so both orientations produce identical bits.
+        Tall-skinny problems (``m >= TRANSPOSE_ASPECT * n``) swap the
+        operands over ``V0^T`` (``out^T = pb^T @ pa^T``), so the long row
+        dimension is the loop's inner SIMD axis; the products and their K
+        order are the same, so both orientations give identical bits.
         Otherwise mostly-zero activations skip their products by zero
         (:meth:`_run_compacted`; the zero bypass rule above).
         """
         m, k = pa.shape
         n = pb.shape[1]
         masks = self._range_masks(pa, pb)
-        f32_exact = masks[0]
-        if f32_exact and m >= self.TRANSPOSE_ASPECT * max(1, n):
-            return self._run_transposed(pa, pb, config, masks)
-        if f32_exact and k * n >= BYPASS_ROW_WORK and _zero_share(pa) >= BYPASS_ZEROS:
-            return self._run_compacted(pa, pb, config, masks)
-
-        table = value_table(pa.fmt.significand_bits, config)
-        flat = table.reshape(-1)
-        width = np.intp(table.shape[0])
-        mai = pa.significand.astype(np.intp)
-        mbi = pb.significand.astype(np.intp)
-        alpha, beta = pa.scale(), pb.scale()
-
-        out = np.zeros((m, n), dtype=np.float32)
-        k_step, row_block = _tiling(m, k, n)
-        use_take = k_step * n <= _TAKE_TILE_LIMIT
-        if use_take:
-            idx_buf = np.empty((row_block, k_step, n), dtype=np.intp)
-            val_buf = np.empty((row_block, k_step, n), dtype=np.float32)
+        bits = pa.fmt.significand_bits
         with np.errstate(over="ignore", invalid="ignore"):
-            for r0 in range(0, m, row_block):
-                r1 = min(m, r0 + row_block)
-                for c0 in range(0, k, k_step):
-                    c1 = min(k, c0 + k_step)
-                    if use_take and (r1 - r0, c1 - c0) == idx_buf.shape[:2]:
-                        idx = np.multiply(mai[r0:r1, c0:c1, None], width, out=idx_buf)
-                        idx += mbi[None, c0:c1, :]
-                        flat.take(idx.reshape(-1), out=val_buf.reshape(-1))
-                        values = val_buf
-                    else:
-                        values = table[mai[r0:r1, c0:c1, None], mbi[None, c0:c1, :]]
-                    if f32_exact:
-                        values *= alpha[r0:r1, c0:c1, None]
-                        values *= beta[None, c0:c1, :]
-                    else:
-                        scaled = alpha[r0:r1, c0:c1, None] * beta[None, c0:c1, :]
-                        scaled *= values
-                        values = scaled
-                    self._apply_masks(values, *masks[1:])
-                    _accumulate(values, out[r0:r1])
-        return out
+            if masks[0] and m >= self.TRANSPOSE_ASPECT * max(1, n):
+                planes = (pb.significand.T, pb.scale().T, pa.significand.T, pa.scale().T)
+                out = self._gather(_value_table_t(bits, config), *(x[None] for x in planes), masks)
+                return np.ascontiguousarray(out[0].T)
+            if masks[0] and k * n >= BYPASS_ROW_WORK and _zero_share(pa) >= BYPASS_ZEROS:
+                return self._run_compacted(pa, pb, config, masks)
+            planes = (pa.significand, pa.scale(), pb.significand, pb.scale())
+            return self._gather(value_table(bits, config), *(x[None] for x in planes), masks)[0]
 
     def _run_compacted(self, pa, pb, config, masks):
         """Standard orientation over each row's nonzero activations (zero bypass).
@@ -786,15 +747,14 @@ class FloatTableKernel(GemmKernel):
         Each row's nonzero-activation K indices move to its front, in K
         order, padded with the index of the row's first zero.  Rows run
         in blocks sorted by nonzero count, each over the K extent of its
-        longest row, so a shorter row's padding products are ±0.  ``mb``
-        and ``beta`` are gathered at the compacted indices and each tile
-        goes through :func:`_accumulate` as in :meth:`run`.  Only taken
-        in the ``f32_exact`` regime.
+        longest row, so a shorter row's padding products are ±0.  A
+        block is one :meth:`_gather` call in which each row is a pair
+        against its own ``mb`` and ``beta`` rows, gathered at its
+        compacted indices.  Only taken in the ``f32_exact`` regime.
         """
         m, k = pa.shape
         n = pb.shape[1]
         table = value_table(pa.fmt.significand_bits, config)
-        flat = table.reshape(-1)
         sig = pa.significand
         counts = np.count_nonzero(sig, axis=1)
         rows, cols = np.nonzero(sig)
@@ -803,118 +763,95 @@ class FloatTableKernel(GemmKernel):
         order = np.argsort(counts, kind="stable")
         counts, compact = counts[order], compact[order]
         cells = compact + (order * k)[:, None]
-        ma = sig.reshape(-1).take(cells).astype(np.intp)
-        ma *= table.shape[0]
-        alpha = pa.scale().reshape(-1).take(cells)
-        mbi = pb.significand.astype(np.intp)
-        beta = pb.scale()
+        ma = sig.reshape(-1).take(cells)[:, None]
+        alpha = pa.scale().reshape(-1).take(cells)[:, None]
+        mb, beta = pb.significand, pb.scale()
 
         out = np.zeros((m, n), dtype=np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r0 = 0
-            while r0 < m:
-                # As many rows as fit BYPASS_BLOCK at the last row's extent.
-                r1 = min(m, r0 + max(1, BYPASS_BLOCK // (n * max(1, counts[r0]))))
-                while r1 - r0 > 1 and (r1 - r0) * counts[r1 - 1] * n > BYPASS_BLOCK:
-                    r1 = r0 + (r1 - r0) // 2
-                extent = int(counts[r1 - 1])
-                if extent:
-                    acc = np.zeros((r1 - r0, n), dtype=np.float32)
-                    k_step = max(1, min(extent, ROW_BUDGET // ((r1 - r0) * n)))
-                    for c0 in range(0, extent, k_step):
-                        c1 = min(extent, c0 + k_step)
-                        kk = compact[r0:r1, c0:c1]
-                        idx = mbi.take(kk, axis=0)
-                        idx += ma[r0:r1, c0:c1, None]
-                        values = flat.take(idx)
-                        values *= alpha[r0:r1, c0:c1, None]
-                        values *= beta.take(kk, axis=0)
-                        self._apply_masks(values, *masks[1:])
-                        _accumulate(values, acc)
-                    out[order[r0:r1]] = acc
-                r0 = r1
+        r0 = 0
+        while r0 < m:
+            # As many rows as fit BYPASS_BLOCK at the last row's extent.
+            r1 = min(m, r0 + max(1, BYPASS_BLOCK // (n * max(1, counts[r0]))))
+            while r1 - r0 > 1 and (r1 - r0) * counts[r1 - 1] * n > BYPASS_BLOCK:
+                r1 = r0 + (r1 - r0) // 2
+            extent = int(counts[r1 - 1])
+            if extent:
+                kk = compact[r0:r1, :extent]
+                planes = (ma[r0:r1, :, :extent], alpha[r0:r1, :, :extent])
+                planes += (mb.take(kk, axis=0), beta.take(kk, axis=0))
+                out[order[r0:r1]] = self._gather(table, *planes, masks)[:, 0]
+            r0 = r1
         return out
 
-    def _run_transposed(self, pa, pb, config, masks):
-        """Transposed orientation: gather ``V0^T[mb, ma]`` tiles.
+    def _gather(self, table, ma, alpha, mb, beta, masks):
+        """``(P, M, K) @ (P, K, N)`` over the value table ``table``: the one K loop.
 
-        Tiles are ``(n, k_step, col_block)`` with the long ``m`` axis
-        innermost (contiguous for gathers, scale multiplies and the
-        reduction).  Only taken in the ``f32_exact`` regime, where
-        multiply order is free.
+        ``ma``/``alpha`` are the significand and scale planes of the
+        ``(P, M, K)`` operand, ``mb``/``beta`` those of the ``(P, K, N)``
+        one, in any layout, and ``masks`` the call's :meth:`_range_masks`.
+        Per tile the loop gathers ``table[ma, mb]`` and multiplies in both
+        scales — in place inside ``f32_exact``, by the exact scale product
+        first outside it — applies the range masks and folds the tile into
+        the running total with :func:`_accumulate`, so every output is
+        summed left to right over K.  A tile spans a block of whole pairs
+        or of one pair's rows, and a K chunk (:func:`_tiling`); it splits
+        N only when one row of N alone exceeds :data:`ROW_BUDGET`.
+        Callers hold ``np.errstate(over="ignore", invalid="ignore")``:
+        products may overflow to inf, and ``inf - inf`` sums to NaN.
         """
-        m, k = pa.shape
-        n = pb.shape[1]
-        table_t = _value_table_t(pa.fmt.significand_bits, config)
-        mai_t = pa.significand.T.astype(np.intp, order="C")  # (k, m) copy
-        mbi_t = pb.significand.T.astype(np.intp, order="C")  # (n, k)
-        alpha_t = np.ascontiguousarray(pa.scale().T)
-        beta_t = np.ascontiguousarray(pb.scale().T)
-
-        out = np.empty((m, n), dtype=np.float32)
-        k_step, col_block = _tiling(m, k, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m0 in range(0, m, col_block):
-                m1 = min(m, m0 + col_block)
-                acc = np.zeros((n, m1 - m0), dtype=np.float32)
-                for c0 in range(0, k, k_step):
-                    c1 = min(k, c0 + k_step)
-                    values = table_t[mbi_t[:, c0:c1, None], mai_t[None, c0:c1, m0:m1]]
-                    values *= beta_t[:, c0:c1, None]
-                    values *= alpha_t[None, c0:c1, m0:m1]
-                    self._apply_masks(values, *masks[1:])
-                    _accumulate(values, acc)
-                out[m0:m1] = acc.T
+        p, m, k = ma.shape
+        n = mb.shape[2]
+        flat = table.reshape(-1)
+        # C-order index planes keep each tile's index sum, and so the
+        # gathered tile, in C order: K is never its inner axis.
+        ma = np.multiply(ma, np.intp(table.shape[0]), dtype=np.intp, order="C")
+        mb = mb.astype(np.intp, order="C", copy=False)
+        beta = np.ascontiguousarray(beta)
+        out = np.zeros((p, m, n), dtype=np.float32)
+        n_step = max(1, min(n, ROW_BUDGET))
+        k_step, row_block = _tiling(k, n_step)
+        pair_block = max(1, row_block // max(1, m))
+        row_block = max(1, min(row_block, m))
+        f32_exact, masks = masks[0], masks[1:]
+        for p0 in range(0, p, pair_block):
+            p1 = min(p, p0 + pair_block)
+            for r0 in range(0, m, row_block):
+                r1 = min(m, r0 + row_block)
+                for n0 in range(0, n, n_step):
+                    n1 = min(n, n0 + n_step)
+                    # Several pairs per tile only when it spans all rows
+                    # and N, so the total is a view either way.
+                    acc = out[p0:p1, r0:r1, n0:n1].reshape(-1, n1 - n0)
+                    for c0 in range(0, k, k_step):
+                        c1 = min(k, c0 + k_step)
+                        a = alpha[p0:p1, r0:r1, c0:c1, None]
+                        b = beta[p0:p1, None, c0:c1, n0:n1]
+                        values = flat.take(
+                            ma[p0:p1, r0:r1, c0:c1, None] + mb[p0:p1, None, c0:c1, n0:n1]
+                        )
+                        if f32_exact:
+                            values *= a
+                            values *= b
+                        else:
+                            scaled = a * b
+                            scaled *= values
+                            values = scaled
+                        self._apply_masks(values, *masks)
+                        _accumulate(values.reshape(-1, c1 - c0, n1 - n0), acc)
         return out
 
     def run_pairs(self, pa, pb, config):
-        """All pairs' products in one gather per tile of pairs.
+        """All pairs' products in one :meth:`_gather` call.
 
-        Each tile gathers ``V0`` for a block of pairs at once and runs
-        the scale multiplies, range masks and :func:`_accumulate` of
-        :meth:`run` on its ``(pairs * M, k_step, N)`` view: the same
-        exact products, summed left to right over K.  The regime and the
-        masks are taken over all pairs together; a pair inside
-        ``f32_exact`` is exact under either multiply order, and masks it
-        does not need leave its products alone, so every pair's bits
-        equal its own :meth:`run` (in either orientation).  A pair too
-        large for one tile runs :meth:`run` on its own.
+        The regime and the masks are taken over all pairs together; a
+        pair inside ``f32_exact`` is exact under either multiply order,
+        and masks it does not need leave its products alone, so every
+        pair's bits equal its own :meth:`run` (in either orientation).
         """
-        pairs, m, k = pa.shape
-        n = pb.shape[2]
-        k_step, row_block = _tiling(pairs * m, k, n)
-        if row_block < m or not (m and n):
-            return super().run_pairs(pa, pb, config)
-        masks = self._range_masks(pa, pb)
         table = value_table(pa.fmt.significand_bits, config)
-        flat = table.reshape(-1)
-        mai = pa.significand.astype(np.intp)
-        mai *= table.shape[0]
-        mbi = pb.significand
-        alpha, beta = pa.scale(), pb.scale()
-
-        out = np.zeros((pairs, m, n), dtype=np.float32)
-        pair_block = row_block // m
+        planes = (pa.significand, pa.scale(), pb.significand, pb.scale())
         with np.errstate(over="ignore", invalid="ignore"):
-            for p0 in range(0, pairs, pair_block):
-                p1 = min(pairs, p0 + pair_block)
-                acc = out[p0:p1].reshape(-1, n)
-                for c0 in range(0, k, k_step):
-                    c1 = min(k, c0 + k_step)
-                    idx = mai[p0:p1, :, c0:c1, None] + mbi[p0:p1, None, c0:c1, :]
-                    values = flat.take(idx)
-                    a = alpha[p0:p1, :, c0:c1, None]
-                    b = beta[p0:p1, None, c0:c1, :]
-                    if masks[0]:
-                        values *= a
-                        values *= b
-                    else:
-                        scaled = a * b
-                        scaled *= values
-                        values = scaled
-                    self._apply_masks(values, *masks[1:])
-                    _accumulate(values.reshape(-1, c1 - c0, n), acc)
-        return out
+            return self._gather(table, *planes, self._range_masks(pa, pb))
 
     def prepare(self, pb, config):
         """Give a static weight its :func:`weight_layout`, building its table now.
@@ -1285,7 +1222,7 @@ class GenericKernel(GemmKernel):
         sb, eb, mb = pb.sign, pb.exponent, pb.significand
 
         out = np.zeros((m, n), dtype=np.float32)
-        k_step, row_block = _tiling(m, k, n)
+        k_step, row_block = _tiling(k, n)
         with np.errstate(over="ignore", invalid="ignore"):
             for r0 in range(0, m, row_block):
                 r1 = min(m, r0 + row_block)

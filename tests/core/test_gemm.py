@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FLA, PC3, PC3_TR, all_configs
@@ -159,22 +159,21 @@ def _scalar_reference_matmul(a, b, fmt, config):
         word = (sign << 31) | ((e + 127) << 23) | frac
         return np.uint32(word).view(np.float32)
 
-    # Accumulate exactly as the kernels do: the scalar pipeline defines
-    # the per-element *products*, but the float32 accumulation order is
-    # the kernels' axis-1 reduction over the (m, k, n) value block (the
-    # datapath adder consumes the product stream in that association).
-    # A per-dot-product 1-D ``vals.sum()`` is NOT equivalent: numpy's
-    # pairwise summation regroups 1-D sums once k reaches 8, which can
-    # (and did) differ from the sequential reduction by 1 ulp.
-    vals = np.zeros((m, k, n), dtype=np.float32)
+    # Accumulate exactly as the kernels do: each output is summed in
+    # float32 strictly left to right over K, ``((0 + p_0) + p_1) + ...``,
+    # one scalar addition at a time.  A numpy reduction is NOT
+    # equivalent: numpy sums pairwise whenever K is the innermost axis
+    # (a 1-D sum, or an ``(m, k, 1)`` block's axis-1 sum once k reaches
+    # 8), which can (and did) differ from the sequential sum by 1 ulp.
+    out = np.zeros((m, n), dtype=np.float32)
     for i in range(m):
         for j in range(n):
+            total = np.float32(0.0)
             for t in range(k):
                 sign = int(sa[i, t]) ^ int(sb[t, j])
                 exp = int(ea[i, t]) + int(eb[t, j])
-                vals[i, t, j] = product_value(int(ma[i, t]), int(mb[t, j]), sign, exp)
-    out = np.zeros((m, n), dtype=np.float32)
-    out += vals.sum(axis=1, dtype=np.float32)
+                total = np.float32(total + product_value(int(ma[i, t]), int(mb[t, j]), sign, exp))
+            out[i, j] = total
     return out
 
 
@@ -243,6 +242,8 @@ class TestPackedMatmul:
         k=st.integers(min_value=1, max_value=8),
         n=st.integers(min_value=1, max_value=4),
     )
+    # n = 1, k = 8: a numpy sum over K would regroup pairwise (1 ulp off).
+    @example(seed=4512741, fmt=BFLOAT16, config=PC3, m=5, k=8, n=1)
     def test_property_packed_and_batched_match_scalar_reference(
         self, seed, fmt, config, m, k, n
     ):

@@ -190,8 +190,8 @@ class TestFloatTableParity:
         b = _extreme_operands(rng, (37, 11))
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         want = _scalar_reference(a, b, BFLOAT16, config)
-        # 7-row blocks of single K terms, then 7-wide K chunks over all
-        # rows, then the default tile.
+        # One row of 7-wide K chunks, then 4-row blocks of the whole K
+        # row, then the default tile.
         for budget in (77, 1771, kernels.ROW_BUDGET):
             with patch.object(kernels, "ROW_BUDGET", budget):
                 _assert_bytes_equal(get_kernel("float_table").run(pa, pb, config), want)
@@ -203,7 +203,7 @@ class TestFloatTableParity:
         b = _extreme_operands(rng, (9, 3))
         pa, pb = pack(a, BFLOAT16), pack(b, BFLOAT16)
         want = _scalar_reference(a, b, BFLOAT16, config)
-        for budget in (12, 60):  # 4-row blocks, then 4-wide K chunks
+        for budget in (12, 60):  # 4-wide K chunks, then 2-row blocks
             with patch.object(kernels, "ROW_BUDGET", budget):
                 _assert_bytes_equal(get_kernel("float_table").run(pa, pb, config), want)
 
@@ -322,13 +322,17 @@ class TestFloatTableParity:
     @example(seed=2, config=PC3_TR, n=1, tall=True, m=1, k=24, budget=8)
     # 7-wide K chunks with a 3-wide tail.
     @example(seed=3, config=PC3, n=2, tall=False, m=5, k=24, budget=70)
+    # Rows wider than the budget split N: 2-wide N chunks with a 1-wide
+    # tail, and the transposed orientation's long row in 2-wide chunks.
+    @example(seed=4, config=PC3_TR, n=3, tall=False, m=4, k=5, budget=2)
+    @example(seed=5, config=PC3_TR, n=3, tall=True, m=1, k=5, budget=2)
     def test_property_strict_k_order_at_any_tiling(self, seed, config, n, tall, m, k, budget):
         """Tiling and batch never change a bit.
 
-        Row budgets from one element up split K into several chunks and,
-        on tall-skinny shapes (``m >= 16 n``, the transposed
-        orientation), leave column blocks of width 1 — including a
-        width-1 remainder — where numpy would otherwise sum pairwise.
+        Row budgets from one element up split K into several chunks and
+        N into column blocks — on tall-skinny shapes (``m >= 16 n``, the
+        transposed orientation) the row dimension — of width 1, including
+        a width-1 remainder, where numpy would otherwise sum pairwise.
         The output must still equal the strictly sequential scalar
         reference, and row ``i`` must equal the run on row ``i`` alone.
         """
@@ -349,6 +353,56 @@ class TestFloatTableParity:
             rows = [kernel.run(pack(a[i : i + 1], BFLOAT16), pb, config) for i in range(m)]
         _assert_bytes_equal(got, _scalar_reference(a, b, BFLOAT16, config))
         _assert_bytes_equal(got, np.concatenate(rows))
+
+
+class TestDegenerateShapes:
+    """Empty axes give float32 ``+0`` arrays of the right shape.
+
+    ``run`` in both orientations (``m >= TRANSPOSE_ASPECT * max(1, n)``
+    picks the transposed one) and ``run_pairs``, with any of P, M, K and
+    N equal to 0; all-zero activations through the zero bypass are in
+    ``test_zero_bypass``.
+    """
+
+    KERNEL = get_kernel("float_table")
+
+    @staticmethod
+    def _operand(rng, shape):
+        return pack(rng.standard_normal(shape).astype(np.float32), BFLOAT16)
+
+    @staticmethod
+    def _assert_positive_zeros(got, shape):
+        assert got.dtype == np.float32
+        assert got.shape == shape
+        assert not got.view(np.uint32).any()  # +0, never -0
+
+    @pytest.mark.parametrize(
+        "m, k, n, transposed",
+        [
+            (0, 4, 3, False),
+            (3, 0, 2, False),
+            (3, 4, 0, False),
+            (0, 0, 0, False),
+            (32, 0, 2, True),
+            (17, 3, 0, True),
+            (16, 0, 0, True),
+        ],
+    )
+    def test_run(self, m, k, n, transposed):
+        assert (m >= self.KERNEL.TRANSPOSE_ASPECT * max(1, n)) == transposed
+        rng = np.random.default_rng(m + k + n)
+        got = self.KERNEL.run(self._operand(rng, (m, k)), self._operand(rng, (k, n)), PC3_TR)
+        self._assert_positive_zeros(got, (m, n))
+
+    @pytest.mark.parametrize(
+        "pairs, m, k, n", [(0, 2, 3, 4), (2, 0, 3, 4), (2, 3, 0, 4), (2, 3, 4, 0), (0, 0, 0, 0)]
+    )
+    def test_run_pairs(self, pairs, m, k, n):
+        rng = np.random.default_rng(pairs + m + k + n)
+        got = self.KERNEL.run_pairs(
+            self._operand(rng, (pairs, m, k)), self._operand(rng, (pairs, k, n)), PC3_TR
+        )
+        self._assert_positive_zeros(got, (pairs, m, n))
 
 
 def _spy_layout_runs(monkeypatch):

@@ -240,3 +240,22 @@ def test_empty_and_all_zero_activations():
         assert calls["compacted"] == 1
         assert got.shape == (m, 72)
         _assert_bytes_equal(got, np.zeros((m, 72), np.float32))  # +0, never -0
+
+
+@pytest.mark.parametrize("block", [1, kernels.BYPASS_BLOCK])
+def test_all_zero_rows_among_nonzero_rows(block):
+    """All-zero rows sort first into blocks of extent 0, which add nothing.
+
+    With one row per block each zero row is its own extent-0 block; the
+    zero rows stay ``+0`` and the others equal the dense loops.
+    """
+    rng = np.random.default_rng(7)
+    a = _sparse(rng, (6, 64), BFLOAT16, 0.9)
+    a[[1, 4]] = np.where(rng.random((2, 64)) < 0.5, -0.0, 0.0)
+    pa, pb = pack(a, BFLOAT16), pack(_sparse(rng, (64, 72), BFLOAT16, 0.2), BFLOAT16)
+    with _spy(BYPASS_BLOCK=block) as calls:
+        got = KERNEL.run(pa, pb, PC3_TR)
+    assert calls["compacted"] == 1
+    _assert_bytes_equal(got[[1, 4]], np.zeros((2, 72), np.float32))
+    with patch.multiple(kernels, **DENSE):
+        _assert_bytes_equal(got, KERNEL.run(pa, pb, PC3_TR))

@@ -5,7 +5,8 @@ products, one per leading index.  On every backend its bits must equal
 one 2-D ``matmul`` per pair: the default runs exactly that loop, and the
 DAISM backend's one-call ``FloatTableKernel.run_pairs`` must reproduce
 it — including width-1 axes (the accumulate branch of the K-sum), tall
-pairs (where a lone ``run`` takes the transposed orientation), ±inf/NaN
+pairs (where a lone ``run`` takes the transposed orientation), pairs
+tiled by rows, by K and by N, ±inf/NaN
 operands, a pair far outside the ``f32_exact`` regime while the others
 are inside it, and operands small enough that products flush.
 
@@ -102,32 +103,75 @@ def test_matmul_pairs_equals_per_pair_matmul(name, pairs, m, k, n, mode, seed):
     assert_bytes_equal(got, want)
 
 
+def _spy_tiles(monkeypatch) -> list[tuple[int, int, int]]:
+    """Record the ``(rows, k_step, n)`` shape of every tile the one K loop sums."""
+    tiles = []
+    accumulate = kernels._accumulate
+
+    def spy(values, acc):
+        tiles.append(values.shape)
+        accumulate(values, acc)
+
+    monkeypatch.setattr(kernels, "_accumulate", spy)
+    return tiles
+
+
+def _no_run(*args):
+    raise AssertionError("run_pairs called run")
+
+
 class TestRunPairs:
+    """``FloatTableKernel.run_pairs`` is one call of the one K loop.
+
+    Its tiles hold whole pairs when a pair fits, and one pair's rows
+    when it does not; no pair runs through ``run``.
+    """
+
     def test_one_tile_for_attention_shapes(self, monkeypatch):
-        """Batch-8, 8-head attention at T=8 never falls back to one ``run`` per pair."""
-
-        def no_run(*args):
-            raise AssertionError("run_pairs fell back to run")
-
+        """Batch-8, 8-head attention at T=8: all 64 pairs in one tile."""
         backend = BACKENDS["daism"]
         a, b = operands((64, 8, 32), (64, 32, 8), "plain", 0)
         want = per_pair(backend, a, b)
-        monkeypatch.setattr(kernels.FloatTableKernel, "run", no_run)
+        monkeypatch.setattr(kernels.FloatTableKernel, "run", _no_run)
+        tiles = _spy_tiles(monkeypatch)
         assert_bytes_equal(backend.matmul_pairs(a, b), want)
+        assert tiles == [(64 * 8, 32, 8)]
 
-    def test_pair_tiles_at_registered_sequence_length(self):
-        """T=64 splits the pairs into several tiles (and K into chunks)."""
+    def test_pair_tiles_at_registered_sequence_length(self, monkeypatch):
+        """T=64 puts whole pairs in several tiles; a small budget splits K."""
         backend = BACKENDS["daism"]
         a, b = operands((20, 64, 32), (20, 32, 64), "plain", 1)
-        k_step, row_block = kernels._tiling(20 * 64, 32, 64)
-        assert k_step < 32 and 64 <= row_block < 20 * 64
-        assert_bytes_equal(backend.matmul_pairs(a, b), per_pair(backend, a, b))
+        want = per_pair(backend, a, b)
+        tiles = _spy_tiles(monkeypatch)
+        assert_bytes_equal(backend.matmul_pairs(a, b), want)
+        assert len(tiles) > 1 and all(rows % 64 == 0 and ks == 32 for rows, ks, _n in tiles)
+        tiles.clear()
+        monkeypatch.setattr(kernels, "ROW_BUDGET", 1024)
+        assert_bytes_equal(backend.matmul_pairs(a, b), want)
+        assert tiles and all(ks < 32 for _rows, ks, _n in tiles)
 
-    def test_pair_larger_than_a_tile_runs_alone(self):
+    def test_pair_larger_than_a_tile_runs_alone(self, monkeypatch):
+        """A pair over the budget runs alone, in row blocks of its own tiles."""
         backend = BACKENDS["daism"]
         a, b = operands((2, 2048, 1), (2, 1, 256), "plain", 2)
-        assert kernels._tiling(2 * 2048, 1, 256)[1] < 2048
-        assert_bytes_equal(backend.matmul_pairs(a, b), per_pair(backend, a, b))
+        want = per_pair(backend, a, b)
+        monkeypatch.setattr(kernels.FloatTableKernel, "run", _no_run)
+        tiles = _spy_tiles(monkeypatch)
+        assert_bytes_equal(backend.matmul_pairs(a, b), want)
+        assert len(tiles) > 2 and all(rows < 2048 for rows, _ks, _n in tiles)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_wider_than_the_budget_split_n(self, mode, monkeypatch):
+        """A budget under one row of N splits N, one row and one K term per tile."""
+        backend = BACKENDS["daism"]
+        a, b = operands((3, 4, 5), (3, 5, 12), mode, 3)
+        with np.errstate(all="ignore"):
+            want = per_pair(backend, a, b)
+            tiles = _spy_tiles(monkeypatch)
+            monkeypatch.setattr(kernels, "ROW_BUDGET", 5)
+            got = backend.matmul_pairs(a, b)
+        assert_bytes_equal(got, want)
+        assert {shape[2] for shape in tiles} == {5, 2}  # 12 = 5 + 5 + 2
 
     def test_mismatched_pairs_rejected(self):
         for backend in BACKENDS.values():
